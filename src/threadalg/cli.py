@@ -33,10 +33,30 @@ def _load_thread(path: str, args) -> threads.ThreadGraph:
     return terms.parse_thread(_read(path))
 
 
+def _at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _scheduler(text: str) -> interleaving.SchedulerSpec:
     if text.startswith("table:"):
-        table = json.loads(_read(text[len("table:") :]))
-        return interleaving.scheduler_from_table(table)
+        path = text[len("table:") :]
+        try:
+            return interleaving.scheduler_from_table(json.loads(_read(path)))
+        except KeyError as exc:
+            raise Error(f"scheduler table {path}: missing key {exc}") from exc
+        except ValueError as exc:
+            raise Error(f"scheduler table {path}: {exc}") from exc
     try:
         return interleaving.builtin_scheduler(text)
     except ValueError as exc:
@@ -188,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dist", help="exact outcome distribution at a depth bound")
     p.add_argument("inputs", nargs="+")
     _add_pipeline_flags(p)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_at_least(0), required=True)
     p.add_argument("--env", help="reply table file with `f.m = p` lines")
     p.add_argument("--traces", action="store_true", help="include the trace table")
     p.set_defaults(func=_cmd_dist)
@@ -196,16 +216,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", help="compare two inputs up to a depth")
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_at_least(0), required=True)
     _add_extraction_flags(p)
     p.set_defaults(func=_cmd_equiv)
 
     p = sub.add_parser("sample", help="seeded pseudo-random executions")
     p.add_argument("inputs", nargs="+")
     _add_pipeline_flags(p)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_at_least(0), required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--runs", type=int, help="aggregate frequencies over this many runs")
+    p.add_argument("--runs", type=_at_least(1), help="aggregate frequencies over this many runs")
     p.add_argument("--env", help="reply table file with `f.m = p` lines")
     p.set_defaults(func=_cmd_sample)
 

@@ -137,23 +137,46 @@ def use(
 # Abstraction
 
 
-def _solve(a: List[List[Fraction]], b: List[List[Fraction]]) -> List[List[Fraction]]:
-    """Solve a @ x = b exactly by Gauss-Jordan elimination."""
+def _solve(
+    a: List[Dict[int, Fraction]], b: List[Dict[int, Fraction]]
+) -> List[Dict[int, Fraction]]:
+    """Solve a @ x = b exactly by Gauss-Jordan elimination on sparse rows.
+
+    Row i of `a` maps a column in range(len(a)) to its coefficient and
+    row i of `b` maps a right-hand-side column (a natural number) to its
+    value; zeros are left out.  Row i of the result maps each
+    right-hand-side column to the nonzero entries of unknown i.  Only
+    nonzero entries are stored and touched; pivots are chosen as in the
+    dense method, and the solution is unique, so it is exactly the dense
+    one.  Raises ArithmeticError when a column has no pivot.
+    """
     n = len(a)
-    width = len(b[0]) if b else 0
-    rows = [list(a[i]) + list(b[i]) for i in range(n)]
+    rows = [dict(row) for row in a]
+    for row, rhs in zip(rows, b):
+        for j, v in rhs.items():
+            row[n + j] = v
     for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        piv = next((r for r in range(col, n) if col in rows[r]), None)
         if piv is None:
             raise ArithmeticError("singular linear system")
         rows[col], rows[piv] = rows[piv], rows[col]
-        factor = rows[col][col]
-        rows[col] = [x / factor for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return [row[n:] for row in rows]
+        pivot = rows[col]
+        factor = pivot[col]
+        if factor != 1:
+            pivot = {k: v / factor for k, v in pivot.items()}
+            rows[col] = pivot
+        for r, row in enumerate(rows):
+            f = row.get(col)
+            if f is None or r == col:
+                continue
+            for k, v in pivot.items():
+                old = row.get(k)
+                x = -f * v if old is None else old - f * v
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+    return [{k - n: v for k, v in row.items() if k >= n} for row in rows]
 
 
 def abstract_tau(g: ThreadGraph) -> ThreadGraph:
@@ -200,23 +223,23 @@ def abstract_tau(g: ThreadGraph) -> ThreadGraph:
         pos = {t: i for i, t in enumerate(order)}
         targets = sorted({d for t in order for d in step[t] if d in visible})
         tpos = {d: j for j, d in enumerate(targets)}
-        a = [
-            [
-                (meadow.ONE if i == j else meadow.ZERO)
-                - step[order[i]].get(order[j], meadow.ZERO)
-                for j in range(len(order))
-            ]
-            for i in range(len(order))
-        ]
-        b = [
-            [step[order[i]].get(d, meadow.ZERO) for d in targets]
-            for i in range(len(order))
-        ]
+        a: List[Dict[int, Fraction]] = []
+        b: List[Dict[int, Fraction]] = []
+        for t in order:
+            row = {pos[t]: meadow.ONE}
+            rhs = {}
+            for d, w in step[t].items():
+                if d in tpos:
+                    rhs[tpos[d]] = w
+                elif d == t:
+                    row[pos[t]] = meadow.ONE - w  # nonzero: t escapes
+                elif d in pos:
+                    row[pos[d]] = -w
+            a.append(row)
+            b.append(rhs)
         x = _solve(a, b)
         for t in order:
-            solved[t] = {
-                d: x[pos[t]][tpos[d]] for d in targets if x[pos[t]][tpos[d]] != 0
-            }
+            solved[t] = {targets[j]: v for j, v in x[pos[t]].items()}
 
     def absorb(ref: int) -> Dict[int, Fraction]:
         out: Dict[int, Fraction] = {}

@@ -318,8 +318,10 @@ def _unguarded_free(term: Term, bound: frozenset) -> frozenset:
             raise ValueError(f"unbound variable {term.name!r}")
         return frozenset((term.name,))
     if isinstance(term, TPost):
+        # `tprefix` shares one object between the branches: walk it once
         _unguarded_free(term.then_, bound)
-        _unguarded_free(term.else_, bound)
+        if term.else_ is not term.then_:
+            _unguarded_free(term.else_, bound)
         return frozenset()
     if isinstance(term, TFork):
         return (
@@ -379,9 +381,9 @@ def _assemble(term: Term, env: Dict[str, int], b: GraphBuilder) -> int:
     if isinstance(term, TDead):
         return b.add(DEAD)
     if isinstance(term, TPost):
-        return b.add(
-            Post(term.action, _assemble(term.then_, env, b), _assemble(term.else_, env, b))
-        )
+        then_ = _assemble(term.then_, env, b)
+        else_ = then_ if term.else_ is term.then_ else _assemble(term.else_, env, b)
+        return b.add(Post(term.action, then_, else_))
     if isinstance(term, TFork):
         return b.add(
             Fork(
@@ -498,8 +500,13 @@ def head_distributions(g: ThreadGraph, refs) -> Dict[int, Dict[int, Fraction]]:
             visiting.add(r)
             acc: Dict[int, Fraction] = {}
             for w, t in node.branches:
-                for dr, dw in go(t).items():
-                    acc[dr] = acc.get(dr, meadow.ZERO) + w * dw
+                if isinstance(g.nodes[t], Prob):
+                    parts = [(dr, w * dw) for dr, dw in go(t).items()]
+                else:
+                    parts = ((t, w),)  # a deterministic target needs no product
+                for dr, p in parts:
+                    prev = acc.get(dr)
+                    acc[dr] = p if prev is None else prev + p
             visiting.discard(r)
             d = acc
         dist[r] = d
@@ -518,6 +525,39 @@ def _slot_refs(node: Node) -> Tuple[int, ...]:
     return ()
 
 
+def _ranked_class_dists(
+    supports: Dict[int, Tuple[Tuple[int, Fraction], ...]], block: Dict[int, int]
+) -> Tuple[Dict[int, int], List[Tuple[Tuple[int, Fraction], ...]]]:
+    """Rank the block-level distribution of every child by its exact value.
+
+    Returns each child's rank and the distinct distributions in rank
+    order, each a tuple of `(block, weight)` sorted by block.  Weights
+    are added only where two support nodes share a block, and distinct
+    distributions are found through `(block, numerator, denominator)`
+    int tuples, so no Fraction is hashed.
+    """
+    key_of: Dict[int, tuple] = {}
+    exact: Dict[tuple, Tuple[Tuple[int, Fraction], ...]] = {}
+    for c, items in supports.items():
+        if len(items) == 1:
+            d, w = items[0]
+            dist = ((block[d], w),)
+        else:
+            agg: Dict[int, Fraction] = {}
+            for d, w in items:
+                bid = block[d]
+                prev = agg.get(bid)
+                agg[bid] = w if prev is None else prev + w
+            dist = tuple(sorted(agg.items()))
+        key = tuple((bid, w.numerator, w.denominator) for bid, w in dist)
+        key_of[c] = key
+        if key not in exact:
+            exact[key] = dist
+    ordered = sorted(exact, key=exact.__getitem__)
+    index = {k: i for i, k in enumerate(ordered)}
+    return {c: index[k] for c, k in key_of.items()}, [exact[k] for k in ordered]
+
+
 def normalize(g: ThreadGraph) -> ThreadGraph:
     """The canonical graph of a regular thread.
 
@@ -534,6 +574,9 @@ def normalize(g: ThreadGraph) -> ThreadGraph:
     head = head_distributions(g, order)
 
     refs = sorted(dets)
+    slots = {r: _slot_refs(dets[r]) for r in refs}
+    supports = {c: tuple(head[c].items()) for r in refs for c in slots[r]}
+    supports[g.root] = tuple(head[g.root].items())
 
     def base_key(r: int):
         node = dets[r]
@@ -548,67 +591,62 @@ def normalize(g: ThreadGraph) -> ThreadGraph:
     ranking = {k: i for i, k in enumerate(sorted({base_key(r) for r in refs}))}
     block = {r: ranking[base_key(r)] for r in refs}
 
-    def class_dist(cref: int) -> Tuple[Tuple[int, Fraction], ...]:
-        agg: Dict[int, Fraction] = {}
-        for dref, w in head[cref].items():
-            bid = block[dref]
-            agg[bid] = agg.get(bid, meadow.ZERO) + w
-        return tuple(sorted(agg.items()))
-
     # Partition refinement: split blocks until each is closed under the
-    # block-level branch distributions of every child slot.  The block
-    # indices are re-derived from sorted signatures each round, so the
-    # final numbering is intrinsic to the behaviour, not the input order.
+    # block-level branch distributions of every child slot.  A node's
+    # signature is its block followed by the ranks of its slots' class
+    # distributions; ranks follow the exact order of the distributions,
+    # so sorting these int tuples orders nodes exactly as sorting the
+    # distributions would, without hashing or comparing a Fraction per
+    # node.  The block indices are re-derived from sorted signatures
+    # each round, so the final numbering is intrinsic to the behaviour,
+    # not the input order.
     while True:
-        sigs = {
-            r: (block[r], tuple(class_dist(c) for c in _slot_refs(dets[r])))
-            for r in refs
-        }
+        rank, dists = _ranked_class_dists(supports, block)
+        sigs = {r: (block[r], *[rank[c] for c in slots[r]]) for r in refs}
         ranking = {s: i for i, s in enumerate(sorted(set(sigs.values())))}
         new_block = {r: ranking[sigs[r]] for r in refs}
         if new_block == block:
             break
         block = new_block
 
+    # the last round ran on the final blocks, so its ranks and
+    # distributions describe the quotient
     rep: Dict[int, int] = {}
     for r in refs:
         rep.setdefault(block[r], r)
-
-    slot_dists = {
-        c: tuple(class_dist(x) for x in _slot_refs(dets[r])) for c, r in rep.items()
-    }
-    root_dist = class_dist(g.root)
+    slot_ranks = {c: [rank[x] for x in slots[r]] for c, r in rep.items()}
+    root_rank = rank[g.root]
 
     # the tau closure can orphan classes: keep only those reachable in
     # the quotient, compressing ids while preserving the rank order
-    live = {c for c, _ in root_dist}
+    live = {c for c, _ in dists[root_rank]}
     frontier = list(live)
     while frontier:
         c = frontier.pop()
-        for d in slot_dists[c]:
-            for c2, _ in d:
+        for k in slot_ranks[c]:
+            for c2, _ in dists[k]:
                 if c2 not in live:
                     live.add(c2)
                     frontier.append(c2)
     remap = {c: i for i, c in enumerate(sorted(live))}
     n_classes = len(remap)
 
-    def compress(d):
-        return tuple((remap[c], w) for c, w in d)
-
-    multis = {
-        tuple((w, c) for c, w in compress(d))
-        for c0 in live
-        for d in slot_dists[c0] + (root_dist,)
-        if len(d) > 1
+    # choice nodes are interned by distribution rank and numbered in
+    # the order of their (weight, target) branch tuples
+    used = {k for c in live for k in slot_ranks[c]}
+    used.add(root_rank)
+    branches = {
+        k: tuple((w, remap[c]) for c, w in dists[k]) for k in used if len(dists[k]) > 1
     }
-    prob_id = {br: n_classes + i for i, br in enumerate(sorted(multis))}
+    prob_id = {
+        k: n_classes + i for i, k in enumerate(sorted(branches, key=branches.__getitem__))
+    }
 
-    def resolve(d: Tuple[Tuple[int, Fraction], ...]) -> int:
-        d = compress(d)
+    def resolve(k: int) -> int:
+        d = dists[k]
         if len(d) == 1:
-            return d[0][0]
-        return prob_id[tuple((w, c) for c, w in d)]
+            return remap[d[0][0]]
+        return prob_id[k]
 
     nodes: List[Node] = [None] * (n_classes + len(prob_id))  # type: ignore[list-item]
     for c in live:
@@ -619,14 +657,14 @@ def normalize(g: ThreadGraph) -> ThreadGraph:
         elif isinstance(node, DeadEnd):
             nodes[new] = DEAD
         elif isinstance(node, Post):
-            d1, d2 = slot_dists[c]
-            nodes[new] = Post(node.action, resolve(d1), resolve(d2))
+            k1, k2 = slot_ranks[c]
+            nodes[new] = Post(node.action, resolve(k1), resolve(k2))
         else:
-            d0, d1, d2 = slot_dists[c]
-            nodes[new] = Fork(resolve(d0), resolve(d1), resolve(d2))
-    for br, i in prob_id.items():
-        nodes[i] = Prob(br)
-    return ThreadGraph(tuple(nodes), resolve(root_dist))
+            k0, k1, k2 = slot_ranks[c]
+            nodes[new] = Fork(resolve(k0), resolve(k1), resolve(k2))
+    for k, i in prob_id.items():
+        nodes[i] = Prob(branches[k])
+    return ThreadGraph(tuple(nodes), resolve(root_rank))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The command-line front end: behaviour, exit codes, determinism."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -234,3 +235,39 @@ def test_every_subcommand_is_byte_deterministic(capsys, argv):
     assert first_code == second_code == 0
     assert first_out == second_out
     assert first_out
+
+
+def test_negative_depth_is_usage_error(capsys):
+    code, _, err = run(capsys, "dist", DATA / "coin.pglb", "--depth", "-1")
+    assert code == 2
+    assert "--depth" in err and "Traceback" not in err
+
+
+def test_zero_runs_is_usage_error(capsys):
+    code, _, err = run(
+        capsys, "sample", DATA / "coin.pglb", "--depth", "3", "--seed", "1", "--runs", "0"
+    )
+    assert code == 2
+    assert "--runs" in err and "Traceback" not in err
+
+
+def test_scheduler_table_that_is_not_json(capsys, tmp_path):
+    table = tmp_path / "sched.json"
+    table.write_text("not json")
+    code, _, err = run(
+        capsys, "interleave", DATA / "left.term", DATA / "right.term",
+        "--scheduler", f"table:{table}",
+    )
+    assert code == 1
+    assert err.startswith("error:")
+
+
+def test_scheduler_table_without_initial_state(capsys, tmp_path):
+    table = tmp_path / "sched.json"
+    table.write_text(json.dumps({"states": {"s0": {"turn": {"2": ["1/2", "1/2"]}}}}))
+    code, _, err = run(
+        capsys, "interleave", DATA / "left.term", DATA / "right.term",
+        "--scheduler", f"table:{table}",
+    )
+    assert code == 1
+    assert err.startswith("error:") and "initial" in err

@@ -1,6 +1,7 @@
 """Parsing and printing of the textual term syntax."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -136,3 +137,15 @@ def test_parse_error_carries_position():
         assert exc.position is not None
     else:
         pytest.fail("expected a parse error")
+
+
+def test_nested_prefix_parses_in_linear_time():
+    # `prefix` shares one subterm between both branches; building must
+    # walk it once, not once per branch
+    text = "D"
+    for i in range(60):
+        text = f"prefix(a{i}, prob(1/2: {text}, 1/2: D))"
+    start = time.perf_counter()
+    g = terms.parse_thread(text)
+    assert time.perf_counter() - start < 1.0
+    assert len(g.nodes) == 2 * 60 + 1
