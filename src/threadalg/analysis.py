@@ -10,14 +10,15 @@ single runs reproducibly for cross-checking the exact figures.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import meadow, threads
 from .errors import MissingReply, ParseError, UnresolvedFork
-from .threads import Action, DeadEnd, Fork, Prob, Stop, ThreadGraph
+from .threads import Action, DeadEnd, Fork, Post, Prob, Stop, ThreadGraph
 
 TERMINATE = "terminate"
 DEADLOCK = "deadlock"
@@ -83,10 +84,7 @@ class OutcomeDistribution:
         return dict(self.traces or ())
 
 
-def _merge(into: Dict[Trace, Fraction], table: Dict[Trace, Fraction], w: Fraction, prefix: Trace = ()) -> None:
-    for trace, mass in table.items():
-        key = prefix + trace
-        into[key] = into.get(key, meadow.ZERO) + w * mass
+_FORK_MESSAGE = "a fork node can only be executed under strategic interleaving"
 
 
 def outcome_distribution(
@@ -103,74 +101,186 @@ def outcome_distribution(
     whole mass to `surviving` (the thread is still running there, not
     inactive).  The optional trace table maps each performed action
     sequence to its total mass.
+
+    Bounded value iteration with integer numerators.  A depth-first
+    pass finds the `(node, actions left)` pairs the bound reaches, in
+    the order of a recursive walk (reply first, then the True branch,
+    then the False branch), so the first missing reply or fork met is
+    the one reported.  Choice layers are flattened into one-step
+    coefficients scaled by `L`, the lcm of their denominators; then the
+    masses of every reached node with `k` actions left are integers
+    over `L**k`, computed for `k = 0..depth` from the previous level
+    only.  Each mass becomes one Fraction at the end.
     """
     if depth < 0:
         raise ValueError("depth must be a natural number")
-    memo: Dict[Tuple[int, int], tuple] = {}
+    nodes = g.nodes
+    heads = threads.head_distributions(g, threads.reachable(g))
 
-    def go(ref: int, k: int) -> tuple:
-        key = (ref, k)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        node = g.nodes[ref]
-        if isinstance(node, Stop):
-            out = (meadow.ONE, meadow.ZERO, meadow.ZERO, {(): meadow.ONE})
-        elif isinstance(node, DeadEnd):
-            out = (meadow.ZERO, meadow.ONE, meadow.ZERO, {(): meadow.ONE})
-        elif isinstance(node, Fork):
-            raise UnresolvedFork(
-                "a fork node can only be executed under strategic interleaving"
-            )
-        elif isinstance(node, Prob):
-            t = d = s = meadow.ZERO
-            traces: Dict[Trace, Fraction] = {}
-            for w, target in node.branches:
-                bt, bd, bs, btr = go(target, k)
-                t += w * bt
-                d += w * bd
-                s += w * bs
-                if with_traces:
-                    _merge(traces, btr, w)
-            out = (t, d, s, traces)
-        elif k == 0:
-            out = (meadow.ZERO, meadow.ZERO, meadow.ONE, {(): meadow.ONE})
-        else:
-            p = env.reply(node.action)
-            tt, td, ts, ttr = go(node.then_, k - 1)
-            et, ed, es, etr = go(node.else_, k - 1)
-            q = 1 - p
-            traces = {}
+    # discovery: reached[k] holds the deterministic nodes reached with
+    # k actions left; a node's reply is asked for when first reached
+    # with k > 0
+    reached = [set() for _ in range(depth + 1)]
+    replies: Dict[int, Fraction] = {}
+    # a Post node's successors, in reverse walk order for the stack
+    successors: Dict[int, Tuple[int, ...]] = {}
+    stack = [(m, depth) for m in reversed(heads[g.root])]
+    while stack:
+        ref, k = stack.pop()
+        level = reached[k]
+        if ref in level:
+            continue
+        level.add(ref)
+        node = nodes[ref]
+        if isinstance(node, Fork):
+            raise UnresolvedFork(_FORK_MESSAGE)
+        if k and isinstance(node, Post):
+            order = successors.get(ref)
+            if order is None:
+                replies[ref] = env.reply(node.action)
+                order = successors[ref] = (
+                    *reversed(heads[node.else_]),
+                    *reversed(heads[node.then_]),
+                )
+            below = reached[k - 1]
+            stack.extend([(m, k - 1) for m in order if m not in below])
+
+    # exact one-step coefficients p*w_then(m) + q*w_else(m), zeros dropped
+    exact: Dict[int, Dict[int, Fraction]] = {}
+    for ref, p in replies.items():
+        node = nodes[ref]
+        coef: Dict[int, Fraction] = {}
+        for w, target in ((p, node.then_), (1 - p, node.else_)):
+            if w:
+                for m, wm in heads[target].items():
+                    coef[m] = coef.get(m, meadow.ZERO) + w * wm
+        exact[ref] = coef
+    root = heads[g.root]
+    step_den = math.lcm(
+        *(w.denominator for coef in exact.values() for w in coef.values()),
+        *(w.denominator for w in root.values()),
+    )
+
+    def scaled(coef: Dict[int, Fraction]) -> Tuple[Tuple[int, int], ...]:
+        return tuple(
+            (w.numerator * (step_den // w.denominator), m) for m, w in coef.items()
+        )
+
+    coefs = {ref: scaled(coef) for ref, coef in exact.items()}
+
+    # iteration: numerators over scale = step_den**k of (terminate,
+    # deadlock, surviving) and of the trace table, for the nodes reached
+    # with k actions left, from those of level k - 1
+    prev: Dict[int, Tuple[int, int, int]] = {}
+    prev_tables: Dict[int, Dict[Trace, int]] = {}
+
+    def combine(coef: Tuple[Tuple[int, int], ...], step: Trace):
+        t = d = s = 0
+        table: Dict[Trace, int] = {}
+        for c, m in coef:
+            mt, md, ms = prev[m]
+            t += c * mt
+            d += c * md
+            s += c * ms
             if with_traces:
-                step = (str(node.action),)
-                if p != 0:
-                    _merge(traces, ttr, p, step)
-                if q != 0:
-                    _merge(traces, etr, q, step)
-            out = (
-                p * tt + q * et,
-                p * td + q * ed,
-                p * ts + q * es,
-                traces,
-            )
-        memo[key] = out
-        return out
+                for trace, v in prev_tables[m].items():
+                    key = step + trace
+                    table[key] = table.get(key, 0) + c * v
+        return (t, d, s), table
 
-    t, d, s, traces = go(g.root, depth)
-    table = tuple(sorted(traces.items())) if with_traces else None
-    return OutcomeDistribution(t, d, s, table)
+    scale = 1
+    for k in range(depth + 1):
+        cur: Dict[int, Tuple[int, int, int]] = {}
+        tables: Dict[int, Dict[Trace, int]] = {}
+        for ref in reached[k]:
+            node = nodes[ref]
+            if k and isinstance(node, Post):
+                cur[ref], tables[ref] = combine(coefs[ref], (str(node.action),))
+                continue
+            if isinstance(node, Stop):
+                cur[ref] = (scale, 0, 0)
+            elif isinstance(node, DeadEnd):
+                cur[ref] = (0, scale, 0)
+            else:  # an action beyond the bound
+                cur[ref] = (0, 0, scale)
+            tables[ref] = {(): scale}
+        prev, prev_tables = cur, tables
+        scale *= step_den
+
+    (t, d, s), top = combine(scaled(root), ())
+    table_out = (
+        tuple((trace, Fraction(v, scale)) for trace, v in sorted(top.items()))
+        if with_traces
+        else None
+    )
+    return OutcomeDistribution(
+        Fraction(t, scale), Fraction(d, scale), Fraction(s, scale), table_out
+    )
 
 
 # ---------------------------------------------------------------------------
 # Sampling
 
 # Pseudo-random source: Python's Mersenne Twister, drawn as 64-bit
-# integers and compared as exact dyadic rationals, so a run is a pure
-# function of its seed.
+# integers.  A draw x selects an outcome of exact probability mass acc
+# exactly when x / 2**64 < acc, that is when x < ceil(acc * 2**64), so
+# every comparison is between integers and a run is a pure function of
+# its seed.
 
 
-def _draw(rng: random.Random) -> Fraction:
-    return Fraction(rng.getrandbits(64), 1 << 64)
+def _cutoff(acc: Fraction) -> int:
+    """ceil(acc * 2**64): the draws below it are those below `acc`."""
+    return -(-(acc.numerator << 64) // acc.denominator)
+
+
+def _walker(g: ThreadGraph, env: Environment, depth: int):
+    """A sampler for `g`: seed -> (outcome, performed action nodes).
+
+    Each choice node's cumulative cutoffs are computed up front, each
+    action node's reply cutoff when it is first performed.
+    """
+    nodes = g.nodes
+    choices: Dict[int, Tuple[Tuple[int, int], ...]] = {}
+    for ref, node in enumerate(nodes):
+        if isinstance(node, Prob):
+            acc = meadow.ZERO
+            cuts = []
+            for w, target in node.branches:
+                acc += w
+                cuts.append((_cutoff(acc), target))
+            choices[ref] = tuple(cuts)
+    reply_cuts: Dict[int, int] = {}
+
+    def run(seed: int) -> Tuple[str, List[int]]:
+        draw = random.Random(seed).getrandbits
+        ref = g.root
+        performed: List[int] = []
+        k = depth
+        while True:
+            node = nodes[ref]
+            if isinstance(node, Post):
+                if k == 0:
+                    return SURVIVING, performed
+                cut = reply_cuts.get(ref)
+                if cut is None:
+                    cut = reply_cuts[ref] = _cutoff(env.reply(node.action))
+                performed.append(ref)
+                ref = node.then_ if draw(64) < cut else node.else_
+                k -= 1
+            elif isinstance(node, Prob):
+                x = draw(64)
+                for cut, target in choices[ref]:
+                    if x < cut:
+                        break
+                ref = target  # the last cutoff is 2**64, above every draw
+            elif isinstance(node, Stop):
+                return TERMINATE, performed
+            elif isinstance(node, DeadEnd):
+                return DEADLOCK, performed
+            else:
+                raise UnresolvedFork(_FORK_MESSAGE)
+
+    return run
 
 
 def sample_run(
@@ -180,36 +290,8 @@ def sample_run(
     seed: int,
 ) -> Tuple[str, Trace]:
     """One pseudo-random execution; identical seeds replay identically."""
-    rng = random.Random(seed)
-    ref = g.root
-    trace: list = []
-    k = depth
-    while True:
-        node = g.nodes[ref]
-        if isinstance(node, Stop):
-            return TERMINATE, tuple(trace)
-        if isinstance(node, DeadEnd):
-            return DEADLOCK, tuple(trace)
-        if isinstance(node, Fork):
-            raise UnresolvedFork(
-                "a fork node can only be executed under strategic interleaving"
-            )
-        if isinstance(node, Prob):
-            r = _draw(rng)
-            acc = meadow.ZERO
-            ref = node.branches[-1][1]
-            for w, target in node.branches:
-                acc += w
-                if r < acc:
-                    ref = target
-                    break
-            continue
-        if k == 0:
-            return SURVIVING, tuple(trace)
-        p = env.reply(node.action)
-        trace.append(str(node.action))
-        ref = node.then_ if _draw(rng) < p else node.else_
-        k -= 1
+    tag, performed = _walker(g, env, depth)(seed)
+    return tag, tuple(str(g.nodes[ref].action) for ref in performed)
 
 
 def sample_outcomes(
@@ -224,8 +306,8 @@ def sample_outcomes(
     Per-run seeds are `seed + index`, so the result does not depend on
     the order in which runs are executed.
     """
+    run = _walker(g, env, depth)
     counts = {TERMINATE: 0, DEADLOCK: 0, SURVIVING: 0}
     for index in range(runs):
-        tag, _ = sample_run(g, env, depth, seed + index)
-        counts[tag] += 1
+        counts[run(seed + index)[0]] += 1
     return {tag: Fraction(count, runs) for tag, count in counts.items()}

@@ -35,6 +35,10 @@ class NonRegularProduct(Error):
     """A product construction exceeded the configured state bound."""
 
 
+class MissingTurnWeights(Error):
+    """A scheduler table lists no turn weights for the current thread count."""
+
+
 class MissingReply(Error):
     """The environment has no reply probability for a basic action."""
 

@@ -30,12 +30,13 @@ the trimmed view.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Hashable
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 from . import meadow, threads
-from .errors import NonRegularProduct, WeightSumNotOne
+from .errors import MissingTurnWeights, NonRegularProduct, WeightSumNotOne
 from .threads import (
     Action,
     DEAD,
@@ -388,8 +389,9 @@ def scheduler_from_table(table: dict) -> SchedulerSpec:
                   "next": {"basic": "s0", "fork": "s0",
                            "termination": "s0", "inaction": "s0"}}}}
 
-    Missing `next` entries keep the current state.  Turn weights for a
-    thread count the table does not list are an error at use time.
+    Missing `next` entries keep the current state, and every `next`
+    entry must name a defined state.  Turn weights for a thread count
+    the table does not list are an error at use time.
     """
     states = table["states"]
     initial = table["initial"]
@@ -404,11 +406,16 @@ def scheduler_from_table(table: dict) -> SchedulerSpec:
             int(count): tuple(meadow.parse_rational(w) for w in weights)
             for count, weights in entry.get("turn", {}).items()
         }
+        for category, target in entry.get("next", {}).items():
+            if not isinstance(target, Hashable) or target not in states:
+                raise ValueError(
+                    f"state {name!r}: next state {target!r} for {category!r} not defined"
+                )
 
     def schedule(n: int, h: History, s) -> Tuple[Fraction, ...]:
         turns = parsed[s]
         if n not in turns:
-            raise ValueError(f"state {s!r} has no turn weights for {n} threads")
+            raise MissingTurnWeights(f"state {s!r} has no turn weights for {n} threads")
         return turns[n]
 
     def update(n, h, s, i, step):

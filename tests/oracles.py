@@ -4,16 +4,30 @@
 round recomputes the block-level distribution of every slot with
 Fraction sums and ranks signatures that hold Fractions.
 `oracle_solve` is the first dense Gauss-Jordan solve behind
-`interaction.abstract_tau`.  Both are slow and obviously correct; the
+`interaction.abstract_tau`.  `oracle_outcome_distribution`,
+`oracle_sample_run` and `oracle_sample_outcomes` are the first
+`analysis` walkers: a memoised recursion over `(node, depth)` with
+Fraction masses, and a sampler that compares each 64-bit draw as an
+exact dyadic Fraction.  All are slow and obviously correct; the
 production versions must agree with them exactly.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from threadalg import meadow
+from threadalg.analysis import (
+    DEADLOCK,
+    SURVIVING,
+    TERMINATE,
+    Environment,
+    OutcomeDistribution,
+    Trace,
+)
+from threadalg.errors import UnresolvedFork
 from threadalg.threads import (
     DEAD,
     DeadEnd,
@@ -159,3 +173,143 @@ def oracle_solve(a: List[List[Fraction]], b: List[List[Fraction]]) -> List[List[
                 f = rows[r][col]
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
     return [row[n:] for row in rows]
+
+
+def _merge(into: Dict[Trace, Fraction], table: Dict[Trace, Fraction], w: Fraction, prefix: Trace = ()) -> None:
+    for trace, mass in table.items():
+        key = prefix + trace
+        into[key] = into.get(key, meadow.ZERO) + w * mass
+
+
+def oracle_outcome_distribution(
+    g: ThreadGraph,
+    env: Environment,
+    depth: int,
+    *,
+    with_traces: bool = False,
+) -> OutcomeDistribution:
+    """Exact outcome masses of `g` within `depth` performed actions.
+
+    The depth counts actions only; probabilistic choices are free.  A
+    node that would perform an action beyond the bound contributes its
+    whole mass to `surviving` (the thread is still running there, not
+    inactive).  The optional trace table maps each performed action
+    sequence to its total mass.
+    """
+    if depth < 0:
+        raise ValueError("depth must be a natural number")
+    memo: Dict[Tuple[int, int], tuple] = {}
+
+    def go(ref: int, k: int) -> tuple:
+        key = (ref, k)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        node = g.nodes[ref]
+        if isinstance(node, Stop):
+            out = (meadow.ONE, meadow.ZERO, meadow.ZERO, {(): meadow.ONE})
+        elif isinstance(node, DeadEnd):
+            out = (meadow.ZERO, meadow.ONE, meadow.ZERO, {(): meadow.ONE})
+        elif isinstance(node, Fork):
+            raise UnresolvedFork(
+                "a fork node can only be executed under strategic interleaving"
+            )
+        elif isinstance(node, Prob):
+            t = d = s = meadow.ZERO
+            traces: Dict[Trace, Fraction] = {}
+            for w, target in node.branches:
+                bt, bd, bs, btr = go(target, k)
+                t += w * bt
+                d += w * bd
+                s += w * bs
+                if with_traces:
+                    _merge(traces, btr, w)
+            out = (t, d, s, traces)
+        elif k == 0:
+            out = (meadow.ZERO, meadow.ZERO, meadow.ONE, {(): meadow.ONE})
+        else:
+            p = env.reply(node.action)
+            tt, td, ts, ttr = go(node.then_, k - 1)
+            et, ed, es, etr = go(node.else_, k - 1)
+            q = 1 - p
+            traces = {}
+            if with_traces:
+                step = (str(node.action),)
+                if p != 0:
+                    _merge(traces, ttr, p, step)
+                if q != 0:
+                    _merge(traces, etr, q, step)
+            out = (
+                p * tt + q * et,
+                p * td + q * ed,
+                p * ts + q * es,
+                traces,
+            )
+        memo[key] = out
+        return out
+
+    t, d, s, traces = go(g.root, depth)
+    table = tuple(sorted(traces.items())) if with_traces else None
+    return OutcomeDistribution(t, d, s, table)
+
+
+def _draw(rng: random.Random) -> Fraction:
+    return Fraction(rng.getrandbits(64), 1 << 64)
+
+
+def oracle_sample_run(
+    g: ThreadGraph,
+    env: Environment,
+    depth: int,
+    seed: int,
+) -> Tuple[str, Trace]:
+    """One pseudo-random execution; identical seeds replay identically."""
+    rng = random.Random(seed)
+    ref = g.root
+    trace: list = []
+    k = depth
+    while True:
+        node = g.nodes[ref]
+        if isinstance(node, Stop):
+            return TERMINATE, tuple(trace)
+        if isinstance(node, DeadEnd):
+            return DEADLOCK, tuple(trace)
+        if isinstance(node, Fork):
+            raise UnresolvedFork(
+                "a fork node can only be executed under strategic interleaving"
+            )
+        if isinstance(node, Prob):
+            r = _draw(rng)
+            acc = meadow.ZERO
+            ref = node.branches[-1][1]
+            for w, target in node.branches:
+                acc += w
+                if r < acc:
+                    ref = target
+                    break
+            continue
+        if k == 0:
+            return SURVIVING, tuple(trace)
+        p = env.reply(node.action)
+        trace.append(str(node.action))
+        ref = node.then_ if _draw(rng) < p else node.else_
+        k -= 1
+
+
+def oracle_sample_outcomes(
+    g: ThreadGraph,
+    env: Environment,
+    depth: int,
+    seed: int,
+    runs: int,
+) -> Dict[str, Fraction]:
+    """Empirical outcome frequencies over `runs` samples.
+
+    Per-run seeds are `seed + index`, so the result does not depend on
+    the order in which runs are executed.
+    """
+    counts = {TERMINATE: 0, DEADLOCK: 0, SURVIVING: 0}
+    for index in range(runs):
+        tag, _ = oracle_sample_run(g, env, depth, seed + index)
+        counts[tag] += 1
+    return {tag: Fraction(count, runs) for tag, count in counts.items()}

@@ -73,6 +73,14 @@ def test_unbounded_loop_survives():
     assert (d.terminate, d.deadlock, d.surviving) == (0, 0, 1)
 
 
+def test_deep_bound_needs_no_recursion():
+    # each round terminates with probability 1/2, else performs a again
+    loop = ta.build(TRec((("X", TPost(A, TVar("X"), TStop())),), "X"))
+    d = outcome_distribution(loop, HALF_ENV, 5000)
+    assert d.surviving == Fraction(1, 2**5000)
+    assert (d.terminate, d.deadlock) == (1 - d.surviving, 0)
+
+
 def test_coin_distribution():
     d = outcome_distribution(coin(), EMPTY_ENVIRONMENT, 1)
     assert (d.terminate, d.deadlock, d.surviving) == (

@@ -271,3 +271,29 @@ def test_scheduler_table_without_initial_state(capsys, tmp_path):
     )
     assert code == 1
     assert err.startswith("error:") and "initial" in err
+
+
+@pytest.mark.parametrize("target", ["s9", ["s0"]])
+def test_scheduler_table_with_undefined_next_state(capsys, tmp_path, target):
+    table = tmp_path / "sched.json"
+    table.write_text(json.dumps({
+        "initial": "s0",
+        "states": {"s0": {"turn": {"2": ["1/2", "1/2"]}, "next": {"basic": target}}},
+    }))
+    code, _, err = run(
+        capsys, "interleave", DATA / "left.term", DATA / "right.term",
+        "--scheduler", f"table:{table}",
+    )
+    assert code == 1
+    assert err.startswith("error:") and repr(target) in err and "not defined" in err
+
+
+def test_scheduler_table_without_turn_weights_for_thread_count(capsys, tmp_path):
+    table = tmp_path / "sched.json"
+    table.write_text(json.dumps({"initial": "s0", "states": {"s0": {"turn": {"3": ["1/3"] * 3}}}}))
+    code, _, err = run(
+        capsys, "interleave", DATA / "left.term", DATA / "right.term",
+        "--scheduler", f"table:{table}",
+    )
+    assert code == 1
+    assert err.startswith("error:") and "'s0'" in err and "2 threads" in err

@@ -1,8 +1,11 @@
 """Differential tests: the production algorithms against the oracles.
 
 `threads.normalize` must return exactly the graph of the original
-Fraction-signature refinement, and the sparse `interaction._solve` must
-return exactly the solution of the dense Gauss-Jordan elimination.
+Fraction-signature refinement, the sparse `interaction._solve` must
+return exactly the solution of the dense Gauss-Jordan elimination, and
+the integer-numerator `analysis` kernel and integer-cutoff sampler must
+return exactly what the recursive Fraction walkers return, raising the
+same error first where they raise.
 """
 
 import json
@@ -14,14 +17,32 @@ import pytest
 
 import genlib
 import threadalg as ta
-from oracles import oracle_normalize, oracle_solve
-from threadalg import interaction, interleaving, threads
-from threadalg.threads import TDead, TPost, TProb, TRec, TStop, TVar
+from oracles import (
+    oracle_normalize,
+    oracle_outcome_distribution,
+    oracle_sample_outcomes,
+    oracle_sample_run,
+    oracle_solve,
+)
+from threadalg import analysis, interaction, interleaving, services, threads
+from threadalg.errors import Error, MissingReply, UnresolvedFork
+from threadalg.threads import (
+    STOP,
+    Post,
+    Prob,
+    TDead,
+    TPost,
+    TProb,
+    TRec,
+    TStop,
+    TVar,
+    ThreadGraph,
+)
 
 DATA = Path(__file__).parent / "data"
 
 
-def rec_term(rng, k):
+def rec_term(rng, k, mk_action=lambda rng: genlib.action(rng, "ab")):
     """A guarded recursive system of k equations, with tau and choices."""
     names = [f"X{i}" for i in range(k)]
 
@@ -34,9 +55,9 @@ def rec_term(rng, k):
         if r < 0.65:
             weights = genlib.distribution(rng, rng.randint(2, 3), max_den=6)
             return TProb(tuple((w, body(depth - 1)) for w in weights))
-        return TPost(genlib.action(rng, "ab"), body(depth - 1), body(depth - 1))
+        return TPost(mk_action(rng), body(depth - 1), body(depth - 1))
 
-    eqs = tuple((n, TPost(genlib.action(rng, "ab"), body(2), body(2))) for n in names)
+    eqs = tuple((n, TPost(mk_action(rng), body(2), body(2))) for n in names)
     return TRec(eqs, names[0])
 
 
@@ -156,3 +177,171 @@ def test_singular_system_raises():
             interaction._solve(a, b)
         with pytest.raises(ArithmeticError):
             _dense_solve(a, b)
+
+
+# ---------------------------------------------------------------------------
+# outcome analysis and sampling
+
+
+def outcome(f, *args, **kwargs):
+    """The result of a call, or the type and message of its domain error."""
+    try:
+        return f(*args, **kwargs)
+    except Error as exc:
+        return type(exc), str(exc)
+
+
+def reply_env(rng, g, skip=0.0):
+    """Replies for the basic actions of `g`, 0 and 1 included; each
+    action is left out with probability `skip`."""
+    actions = {n.action for n in g.nodes if isinstance(n, Post) and not n.action.is_tau}
+    replies = {}
+    for a in sorted(actions):
+        if rng.random() >= skip:
+            replies[a] = rng.choice([Fraction(0), Fraction(1), genlib.probability(rng, 12)])
+    return analysis.Environment(replies)
+
+
+def assert_same_analysis(g, env):
+    for depth in range(9):
+        for with_traces in (False, True):
+            got = outcome(analysis.outcome_distribution, g, env, depth, with_traces=with_traces)
+            want = outcome(oracle_outcome_distribution, g, env, depth, with_traces=with_traces)
+            assert got == want, (depth, with_traces)
+
+
+def test_outcome_distribution_matches_oracle_on_random_threads():
+    rng = random.Random(30)
+    for g in random_threads(rng, 60):
+        # forks and missing replies must fail with the oracle's first error
+        assert_same_analysis(g, reply_env(rng, g, skip=0.3 if rng.random() < 0.4 else 0.0))
+
+
+def test_outcome_distribution_matches_oracle_on_use_outputs():
+    rng = random.Random(31)
+    for _ in range(40):
+        if rng.random() < 0.5:
+            term = rec_term(rng, rng.randint(1, 3), mk_action=genlib.service_action)
+        else:
+            term = genlib.term(rng, rng.randint(1, 4), mk_action=genlib.service_action)
+        family = genlib.family(rng, foci=("random", "r3"))
+        for focus in ("r1", "r2"):
+            family = services.compose(
+                family, services.singleton(focus, genlib.register_service(rng))
+            )
+        g = interaction.use(ta.build(term), family)
+        assert_same_analysis(g, reply_env(rng, g))
+
+
+@pytest.mark.parametrize("kind", [1, 2], ids=["uniform", "lottery"])
+def test_outcome_distribution_matches_oracle_on_interleave_outputs(kind):
+    rng = random.Random(32 + kind)
+    spec = _schedulers()[kind]
+    for _ in range(4):
+        pool = [ta.build(rec_term(rng, rng.randint(1, 3))) for _ in range(rng.randint(2, 3))]
+        g = interleaving.interleave(spec, pool)
+        assert_same_analysis(g, reply_env(rng, g))
+
+
+A, B, C = (ta.basic("main", m) for m in "abc")
+
+
+def test_first_missing_reply_in_walk_order_is_named():
+    # the choice lists the node performing b before the one performing a,
+    # and a's True branch reaches c before its False branch reaches b
+    nodes = (
+        Prob(((Fraction(1, 2), 1), (Fraction(1, 2), 2))),  # 0
+        Post(B, 3, 3),  # 1
+        Post(A, 4, 1),  # 2
+        STOP,  # 3
+        Post(C, 3, 3),  # 4
+    )
+    g = ThreadGraph(nodes, 0)
+    for env, named in (
+        (analysis.EMPTY_ENVIRONMENT, "main.b"),
+        (analysis.Environment({B: Fraction(1, 3)}), "main.a"),
+        (analysis.Environment({A: Fraction(1, 2), B: Fraction(1, 3)}), "main.c"),
+    ):
+        for f in (analysis.outcome_distribution, oracle_outcome_distribution):
+            with pytest.raises(MissingReply, match=named):
+                f(g, env, 2)
+    # a missing reply is no error where the bound stops first
+    env = analysis.Environment({A: Fraction(1, 2), B: Fraction(1, 3)})
+    assert outcome(analysis.outcome_distribution, g, env, 1) == outcome(
+        oracle_outcome_distribution, g, env, 1
+    )
+
+
+def test_reachable_fork_fails_like_the_oracle():
+    g = ta.build(TPost(A, ta.tprefix(B, TStop()), threads.TFork(TStop(), TStop(), TStop())))
+    # the fork lies on the False branch, walked after the True branch's b
+    for env, error in (
+        (analysis.Environment({A: Fraction(1, 2), B: Fraction(1, 3)}), UnresolvedFork),
+        (analysis.Environment({A: Fraction(1, 2)}), MissingReply),
+    ):
+        for with_traces in (False, True):
+            got = outcome(analysis.outcome_distribution, g, env, 3, with_traces=with_traces)
+            assert got[0] is error
+            assert got == outcome(oracle_outcome_distribution, g, env, 3, with_traces=with_traces)
+
+
+def sampling_threads():
+    """Threads whose choices and replies sit exactly on draw cutoffs
+    (dyadic weights and replies of 0 and 1), or just off them (thirds)."""
+
+    def loop(weights):
+        choice = TProb(tuple(zip(weights, (TPost(A, TStop(), TDead()), TVar("X"), TDead()))))
+        return ta.build(TRec((("X", TPost(B, choice, TPost(C, TVar("X"), TStop()))),), "X"))
+
+    quarter, half, third = Fraction(1, 4), Fraction(1, 2), Fraction(1, 3)
+    dyadic = loop((quarter, half, quarter))
+    yield dyadic, analysis.Environment({A: Fraction(3, 4), B: half, C: Fraction(1)})
+    yield dyadic, analysis.Environment({A: Fraction(0), B: Fraction(1), C: Fraction(0)})
+    yield loop((third,) * 3), analysis.Environment({A: third, B: 2 * third, C: half})
+    rng = random.Random(34)
+    for g in random_threads(rng, 20):
+        yield g, reply_env(rng, g)
+
+
+def test_sampling_matches_oracle():
+    for g, env in sampling_threads():
+        for depth in (0, 3, 12):
+            for seed in range(200):
+                assert outcome(analysis.sample_run, g, env, depth, seed) == outcome(
+                    oracle_sample_run, g, env, depth, seed
+                )
+            assert outcome(analysis.sample_outcomes, g, env, depth, 7, 200) == outcome(
+                oracle_sample_outcomes, g, env, depth, 7, 200
+            )
+
+
+class ScriptedRandom:
+    """Draws that sit on, just below and just above the dyadic cutoffs."""
+
+    DRAWS = [
+        c + e
+        for c in (0, 1 << 62, 1 << 63, 3 << 62, (1 << 64) // 3, (1 << 65) // 3, (1 << 64) - 1)
+        for e in (-1, 0, 1)
+        if 0 <= c + e < 1 << 64
+    ]
+
+    def __init__(self, seed):
+        self.i = seed
+
+    def getrandbits(self, k):
+        assert k == 64
+        self.i += 1
+        return self.DRAWS[self.i % len(self.DRAWS)]
+
+
+def test_sampling_matches_oracle_on_cutoff_draws(monkeypatch):
+    cases = list(sampling_threads())[:3]
+    monkeypatch.setattr(random, "Random", ScriptedRandom)
+    for g, env in cases:
+        for seed in range(200):
+            assert outcome(analysis.sample_run, g, env, 12, seed) == outcome(
+                oracle_sample_run, g, env, 12, seed
+            )
+        assert analysis.sample_outcomes(g, env, 12, 0, 200) == oracle_sample_outcomes(
+            g, env, 12, 0, 200
+        )
