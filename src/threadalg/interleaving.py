@@ -128,6 +128,7 @@ class _Engine:
         self.nodes: List = []
         self.slots: Dict[tuple, int] = {}
         self.aux: Dict = {}
+        self.turns: Dict[tuple, List[Tuple[int, Fraction]]] = {}
         self.queue = deque()
         arena: List = []
         self.roots: List[int] = []
@@ -201,18 +202,18 @@ class _Engine:
     def fill(self, key: tuple) -> None:
         sd, view, ctrl, refs = key
         n = len(refs)
-        weights = [meadow.as_probability(w) for w in self.spec.schedule(n, view, ctrl)]
-        if len(weights) != n:
-            raise ValueError(
-                f"scheduler returned {len(weights)} weights for {n} threads"
-            )
-        if sum(weights) != 1:
-            raise WeightSumNotOne(f"turn probabilities sum to {sum(weights)}, not 1")
-        branches = [
-            (w, self.positional(sd, view, ctrl, refs, i))
-            for i, w in enumerate(weights)
-            if w != 0
-        ]
+        # `schedule` is pure: check its turn vector once per (n, view, ctrl)
+        turns = self.turns.get((n, view, ctrl))
+        if turns is None:
+            weights = [meadow.as_probability(w) for w in self.spec.schedule(n, view, ctrl)]
+            if len(weights) != n:
+                raise ValueError(
+                    f"scheduler returned {len(weights)} weights for {n} threads"
+                )
+            if sum(weights) != 1:
+                raise WeightSumNotOne(f"turn probabilities sum to {sum(weights)}, not 1")
+            turns = self.turns[n, view, ctrl] = [(i, w) for i, w in enumerate(weights) if w]
+        branches = [(w, self.positional(sd, view, ctrl, refs, i)) for i, w in turns]
         # a single live branch still needs a node of its own: alias it
         # with a one-branch choice so the slot has content to hold
         self.nodes[self.slots[key]] = Prob(tuple(branches))
@@ -376,6 +377,12 @@ _STEP_CATEGORIES = {
 }
 
 
+def _table_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    return value
+
+
 def scheduler_from_table(table: dict) -> SchedulerSpec:
     """A finite-state strategy from a declarative table.
 
@@ -389,28 +396,32 @@ def scheduler_from_table(table: dict) -> SchedulerSpec:
                   "next": {"basic": "s0", "fork": "s0",
                            "termination": "s0", "inaction": "s0"}}}}
 
-    Missing `next` entries keep the current state, and every `next`
-    entry must name a defined state.  Turn weights for a thread count
-    the table does not list are an error at use time.
+    A turn list holds one rational string per thread.  Missing `next`
+    entries keep the current state, and every `next` entry must name a
+    defined state.  Turn weights for a thread count the table does not
+    list are an error at use time.
     """
-    states = table["states"]
+    states = _table_object(_table_object(table, "table")["states"], "'states'")
     initial = table["initial"]
-    if initial not in states:
+    if not isinstance(initial, Hashable) or initial not in states:
         raise ValueError(f"initial state {initial!r} not defined")
     digest_name = table.get("digest", "none")
-    if digest_name not in _DIGESTS:
+    if not isinstance(digest_name, Hashable) or digest_name not in _DIGESTS:
         raise ValueError(f"unknown digest {digest_name!r}")
     parsed: Dict[str, Dict[int, Tuple[Fraction, ...]]] = {}
     for name, entry in states.items():
-        parsed[name] = {
-            int(count): tuple(meadow.parse_rational(w) for w in weights)
-            for count, weights in entry.get("turn", {}).items()
-        }
-        for category, target in entry.get("next", {}).items():
+        where = f"state {name!r}"
+        _table_object(entry, where)
+        parsed[name] = {}
+        for count, weights in _table_object(entry.get("turn", {}), f"{where}: 'turn'").items():
+            n = int(count)
+            strings = isinstance(weights, list) and all(isinstance(w, str) for w in weights)
+            if not strings or len(weights) != n:
+                raise ValueError(f"{where}: turn weights for {n} threads are not {n} rationals")
+            parsed[name][n] = tuple(meadow.parse_rational(w) for w in weights)
+        for category, target in _table_object(entry.get("next", {}), f"{where}: 'next'").items():
             if not isinstance(target, Hashable) or target not in states:
-                raise ValueError(
-                    f"state {name!r}: next state {target!r} for {category!r} not defined"
-                )
+                raise ValueError(f"{where}: next state {target!r} for {category!r} not defined")
 
     def schedule(n: int, h: History, s) -> Tuple[Fraction, ...]:
         turns = parsed[s]

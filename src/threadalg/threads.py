@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Sequence, Tuple, Union
 
 from . import meadow
@@ -74,7 +75,48 @@ def action_from_name(name: str) -> Action:
 
 
 # ---------------------------------------------------------------------------
-# Graph nodes
+# Choice weights and graph nodes
+
+_RANGE = {True: "[0, 1]", False: "(0, 1]"}
+
+
+def check_weights(weights: Sequence[Fraction], closed: bool, label: str) -> None:
+    """Require weights in [0, 1] (`closed`) or (0, 1] that sum to exactly 1.
+
+    Rationals are compared as integers and summed as numerators over
+    the lcm of their denominators; any other number (`Prob` takes
+    floats) switches to plain comparisons and one Fraction sum.
+    """
+    low, num, den = (0 if closed else 1), 0, 1
+    for w in weights:
+        if type(w) is not Fraction and type(w) is not int:
+            break
+        n, d = w.numerator, w.denominator
+        if not low <= n <= d:
+            raise MalformedProbability(f"{label} {w} outside {_RANGE[closed]}")
+        if d == den:
+            num += n
+        else:
+            g = gcd(den, d)
+            num, den = num * (d // g) + n * (den // g), den // g * d
+    else:
+        if num != den:
+            raise WeightSumNotOne(f"{label}s sum to {Fraction(num, den)}, not 1")
+        return
+    total = Fraction(0)
+    for w in weights:
+        if not (0 <= w if closed else 0 < w) or not w <= 1:
+            raise MalformedProbability(f"{label} {w} outside {_RANGE[closed]}")
+        total += w
+    if total != 1:
+        raise WeightSumNotOne(f"{label}s sum to {total}, not 1")
+
+
+def probability_weights(weights: Sequence) -> List[Fraction]:
+    """The weights as Fractions, checked to lie in [0, 1] and sum to 1."""
+    ws = [w if type(w) is Fraction else Fraction(w) for w in weights]
+    check_weights(ws, True, "weight")
+    return ws
 
 
 @dataclass(frozen=True)
@@ -119,13 +161,7 @@ class Prob:
     def __post_init__(self):
         if not self.branches:
             raise MalformedProbability("empty probabilistic choice")
-        total = Fraction(0)
-        for w, _ in self.branches:
-            if not 0 < w <= 1:
-                raise MalformedProbability(f"branch weight {w} outside (0, 1]")
-            total += w
-        if total != 1:
-            raise WeightSumNotOne(f"branch weights sum to {total}, not 1")
+        check_weights([w for w, _ in self.branches], False, "branch weight")
 
 
 Node = Union[Stop, DeadEnd, Post, Fork, Prob]
@@ -225,12 +261,7 @@ class GraphBuilder:
     def prob(self, branches: Sequence[Tuple[Fraction, int]]) -> int:
         """Choice node over branches; zero weights are dropped and a
         single remaining branch collapses to its target."""
-        weights = [Fraction(w) for w, _ in branches]
-        for w in weights:
-            if not meadow.is_probability(w):
-                raise MalformedProbability(f"weight {w} outside [0, 1]")
-        if sum(weights) != 1:
-            raise WeightSumNotOne(f"weights sum to {sum(weights)}, not 1")
+        weights = probability_weights([w for w, _ in branches])
         kept = [(w, t) for w, (_, t) in zip(weights, branches) if w != 0]
         if len(kept) == 1:
             return kept[0][1]
@@ -393,12 +424,7 @@ def _assemble(term: Term, env: Dict[str, int], b: GraphBuilder) -> int:
             )
         )
     if isinstance(term, TProb):
-        weights = [Fraction(w) for w, _ in term.branches]
-        for w in weights:
-            if not meadow.is_probability(w):
-                raise MalformedProbability(f"weight {w} outside [0, 1]")
-        if sum(weights) != 1:
-            raise WeightSumNotOne(f"weights sum to {sum(weights)}, not 1")
+        weights = probability_weights([w for w, _ in term.branches])
         kept = [
             (w, _assemble(t, env, b))
             for w, (_, t) in zip(weights, term.branches)
@@ -451,12 +477,7 @@ def nary_prob(weights: Sequence[Fraction], targets: Sequence[Term]) -> Term:
     """
     if not targets or len(weights) != len(targets):
         raise ValueError("weights and targets must be nonempty and equal length")
-    ws = [Fraction(w) for w in weights]
-    for w in ws:
-        if not meadow.is_probability(w):
-            raise MalformedProbability(f"weight {w} outside [0, 1]")
-    if sum(ws) != 1:
-        raise WeightSumNotOne(f"weights sum to {sum(ws)}, not 1")
+    ws = probability_weights(weights)
 
     def rec(ws: List[Fraction], tails: List[Term]) -> Term:
         if len(tails) == 1 or ws[0] == 1:

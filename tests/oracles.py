@@ -8,15 +8,20 @@ Fraction sums and ranks signatures that hold Fractions.
 `oracle_sample_run` and `oracle_sample_outcomes` are the first
 `analysis` walkers: a memoised recursion over `(node, depth)` with
 Fraction masses, and a sampler that compares each 64-bit draw as an
-exact dyadic Fraction.  All are slow and obviously correct; the
-production versions must agree with them exactly.
+exact dyadic Fraction.  `OracleProb` carries the first
+`Prob.__post_init__` and `OracleGraphBuilder.prob` the first
+`GraphBuilder.prob`, the weight checks that summed Fractions and
+tested the range through the signum encoding.  All are slow and
+obviously correct; the production versions must agree with them
+exactly.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from threadalg import meadow
 from threadalg.analysis import (
@@ -27,11 +32,12 @@ from threadalg.analysis import (
     OutcomeDistribution,
     Trace,
 )
-from threadalg.errors import UnresolvedFork
+from threadalg.errors import MalformedProbability, UnresolvedFork, WeightSumNotOne
 from threadalg.threads import (
     DEAD,
     DeadEnd,
     Fork,
+    GraphBuilder,
     Node,
     Post,
     Prob,
@@ -43,6 +49,40 @@ from threadalg.threads import (
     head_distributions,
     reachable,
 )
+
+
+@dataclass(frozen=True)
+class OracleProb:
+    """Internal choice over branches; weights lie in (0, 1] and sum to 1."""
+
+    branches: Tuple[Tuple[Fraction, int], ...]
+
+    def __post_init__(self):
+        if not self.branches:
+            raise MalformedProbability("empty probabilistic choice")
+        total = Fraction(0)
+        for w, _ in self.branches:
+            if not 0 < w <= 1:
+                raise MalformedProbability(f"branch weight {w} outside (0, 1]")
+            total += w
+        if total != 1:
+            raise WeightSumNotOne(f"branch weights sum to {total}, not 1")
+
+
+class OracleGraphBuilder(GraphBuilder):
+    def prob(self, branches: Sequence[Tuple[Fraction, int]]) -> int:
+        """Choice node over branches; zero weights are dropped and a
+        single remaining branch collapses to its target."""
+        weights = [Fraction(w) for w, _ in branches]
+        for w in weights:
+            if not meadow.is_probability(w):
+                raise MalformedProbability(f"weight {w} outside [0, 1]")
+        if sum(weights) != 1:
+            raise WeightSumNotOne(f"weights sum to {sum(weights)}, not 1")
+        kept = [(w, t) for w, (_, t) in zip(weights, branches) if w != 0]
+        if len(kept) == 1:
+            return kept[0][1]
+        return self.add(Prob(tuple(kept)))
 
 
 def oracle_normalize(g: ThreadGraph) -> ThreadGraph:

@@ -297,3 +297,36 @@ def test_scheduler_table_without_turn_weights_for_thread_count(capsys, tmp_path)
     )
     assert code == 1
     assert err.startswith("error:") and "'s0'" in err and "2 threads" in err
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ([], "table is not a JSON object"),
+        ({"initial": "s0", "states": ["s0"]}, "'states' is not a JSON object"),
+        (
+            {"initial": "s0", "states": {"s0": {"turn": {"2": ["1"]}}}},
+            "state 's0': turn weights for 2 threads are not 2 rationals",
+        ),
+        (
+            {"initial": "s0", "states": {"s0": {"turn": {"2": "1/2"}}}},
+            "state 's0': turn weights for 2 threads are not 2 rationals",
+        ),
+        ({"initial": "s0", "states": {"s0": []}}, "state 's0' is not a JSON object"),
+        ({"initial": ["s0"], "states": {"s0": {}}}, "initial state ['s0'] not defined"),
+        ({"initial": "s0", "digest": [], "states": {"s0": {}}}, "unknown digest []"),
+    ],
+    ids=[
+        "not-an-object", "states-not-an-object", "wrong-length", "turn-not-a-list",
+        "state-not-an-object", "unhashable-initial", "unhashable-digest",
+    ],
+)
+def test_malformed_scheduler_table_is_rejected_when_parsed(capsys, tmp_path, table, message):
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps(table))
+    code, _, err = run(
+        capsys, "interleave", DATA / "left.term", DATA / "right.term",
+        "--scheduler", f"table:{path}",
+    )
+    assert code == 1
+    assert err == f"error: scheduler table {path}: {message}\n"

@@ -1,6 +1,7 @@
 """Strategic interleaving: the step laws, schedulers, and elimination."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from threadalg.interleaving import (
     INACTION_STEP,
     SchedulerSpec,
     TERMINATION_STEP,
+    _Engine,
     builtin_scheduler,
     cyclic_scheduler,
     deadlock_at_termination,
@@ -514,3 +516,81 @@ def test_cyclic_interleaving_of_loops_is_finite_state():
         )
     )
     assert ta.bisimilar(g, expected)
+
+
+# ---------------------------------------------------------------------------
+# the turn-weight memo
+
+
+def counting(spec):
+    """`spec` with a `schedule` that counts its calls per argument triple."""
+    calls = Counter()
+
+    def schedule(n, h, s):
+        calls[(n, h, s)] += 1
+        return spec.schedule(n, h, s)
+
+    return SchedulerSpec(spec.initial_state, schedule, spec.update, spec.digest), calls
+
+
+class Forgetful(dict):
+    """A memo that never keeps what it is given."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def unmemoised(monkeypatch):
+    """Make the engine ask `schedule` again for every state it fills."""
+    init = _Engine.__init__
+
+    def forgetful_init(self, *args):
+        init(self, *args)
+        self.turns = Forgetful()
+
+    monkeypatch.setattr(_Engine, "__init__", forgetful_init)
+
+
+def last_positional(spec, ts):
+    return positional_interleave(spec, len(ts), ts)
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEDULERS))
+def test_turn_weights_are_asked_once_per_count_view_and_state(kind, monkeypatch):
+    rng = random.Random(kind)
+    loop = ta.build(TRec((("X", ta.tprefix(A, TVar("X"))),), "X"))
+    cases = [rand_tuple(rng, max_threads=3, depth=3) for _ in range(30)]
+    cases.append([loop, chain("a", "b"), loop])
+    runs = [(product, ts) for ts in cases for product in (interleave, last_positional)]
+    memoised = []
+    for product, ts in runs:
+        spec, calls = counting(SCHEDULERS[kind]())
+        memoised.append(product(spec, ts))
+        assert all(c == 1 for c in calls.values())
+    unmemoised(monkeypatch)
+    repeated = 0
+    for (product, ts), got in zip(runs, memoised):
+        spec, calls = counting(SCHEDULERS[kind]())
+        assert product(spec, ts) == got
+        repeated += sum(calls.values()) - len(calls)
+    assert repeated > 0  # without the memo, repeated triples are asked again
+
+
+def after_termination(last):
+    """Uniform turns while two threads run, `last` once one is left."""
+    return SchedulerSpec(
+        None,
+        lambda n, h, s: last if n == 1 else (Fraction(1, n),) * n,
+        lambda n, h, s, i, step: s,
+        digest=lambda h: h[-1:],
+    )
+
+
+def test_bad_turn_weights_after_a_termination_still_raise():
+    loop = ta.build(TRec((("X", ta.tprefix(A, TVar("X"))),), "X"))
+    threads_ = [chain("b"), loop]
+    assert interleave(after_termination((Fraction(1),)), threads_)
+    with pytest.raises(WeightSumNotOne, match="sum to 1/2"):
+        interleave(after_termination((Fraction(1, 2),)), threads_)
+    with pytest.raises(ValueError, match="2 weights for 1 threads"):
+        interleave(after_termination((Fraction(1), Fraction(0))), threads_)

@@ -5,7 +5,10 @@ Fraction-signature refinement, the sparse `interaction._solve` must
 return exactly the solution of the dense Gauss-Jordan elimination, and
 the integer-numerator `analysis` kernel and integer-cutoff sampler must
 return exactly what the recursive Fraction walkers return, raising the
-same error first where they raise.
+same error first where they raise.  The shared integer weight check
+behind `Prob`, `GraphBuilder.prob`, `build` and `nary_prob` must accept
+and reject exactly what the first Fraction checks did, with the same
+exception type and message.
 """
 
 import json
@@ -18,6 +21,8 @@ import pytest
 import genlib
 import threadalg as ta
 from oracles import (
+    OracleGraphBuilder,
+    OracleProb,
     oracle_normalize,
     oracle_outcome_distribution,
     oracle_sample_outcomes,
@@ -25,7 +30,13 @@ from oracles import (
     oracle_solve,
 )
 from threadalg import analysis, interaction, interleaving, services, threads
-from threadalg.errors import Error, MissingReply, UnresolvedFork
+from threadalg.errors import (
+    Error,
+    MalformedProbability,
+    MissingReply,
+    UnresolvedFork,
+    WeightSumNotOne,
+)
 from threadalg.threads import (
     STOP,
     Post,
@@ -345,3 +356,100 @@ def test_sampling_matches_oracle_on_cutoff_draws(monkeypatch):
         assert analysis.sample_outcomes(g, env, 12, 0, 200) == oracle_sample_outcomes(
             g, env, 12, 0, 200
         )
+
+
+# ---------------------------------------------------------------------------
+# weight checks
+
+
+def verdict(f, *args):
+    """The result of a call, or the type and message of whatever it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def weight_vector(rng):
+    """Weights that form a distribution, or nearly do."""
+    n = rng.randint(0, 5)
+    if rng.random() < 0.5:
+        # one shared denominator: cut d into n parts (zeros included)
+        d = rng.choice([1, 2, 3, 5, 7, 12])
+        cuts = sorted(rng.randint(0, d) for _ in range(n - 1))
+        ws = [Fraction(b - a, d) for a, b in zip([0] + cuts, cuts + [d])][:n]
+    else:
+        # mixed denominators; the last weight may leave [0, 1]
+        ws = [Fraction(rng.randint(0, 4), rng.randint(1, 9)) for _ in range(n - 1)]
+        ws += [1 - sum(ws)] if n else []
+    if ws:
+        i = rng.randrange(len(ws))
+        mutation = rng.randrange(6)
+        if mutation == 0:
+            ws[i] = Fraction(0)
+        elif mutation == 1:
+            ws[i] = -ws[i] or Fraction(-1, 3)
+        elif mutation == 2:
+            ws[i] += 1
+        elif mutation == 3:
+            ws[i] += Fraction(rng.choice([-1, 1]), ws[i].denominator)
+    if rng.random() < 0.3:
+        ws = [w.numerator if w.denominator == 1 else w for w in ws]
+    return ws
+
+
+def raised(result):
+    """The type and message in a verdict, or None if the call returned."""
+    return result if isinstance(result, tuple) and isinstance(result[0], type) else None
+
+
+def assert_weight_checks_match(ws):
+    """Every weight check agrees with its oracle; returns the builders' error."""
+    branches = tuple((w, i) for i, w in enumerate(ws))
+    got = verdict(lambda: Prob(branches).branches)
+    assert got == verdict(lambda: OracleProb(branches).branches), ws
+
+    def prob(builder):
+        b = builder()
+        return b.prob(branches), b._nodes
+
+    expected = verdict(prob, OracleGraphBuilder)
+    built = verdict(prob, threads.GraphBuilder)
+    assert built == expected, ws
+    term = TProb(tuple((w, TStop()) for w in ws))
+    assert raised(verdict(threads.build, term)) == raised(expected), ws
+    if ws:
+        assert raised(verdict(threads.nary_prob, ws, [TStop()] * len(ws))) == raised(expected), ws
+    assert AttributeError not in (got[0], built[0])
+    return raised(expected)
+
+
+def test_weight_checks_match_oracles_on_random_vectors():
+    rng = random.Random(4)
+    errors = {assert_weight_checks_match(weight_vector(rng)) for _ in range(3000)}
+    assert {e and e[0] for e in errors} == {None, MalformedProbability, WeightSumNotOne}
+
+
+@pytest.mark.parametrize(
+    "ws",
+    [
+        [],
+        [Fraction(1, 3)] * 3,
+        [Fraction(1, 3), Fraction(1, 3), Fraction(2, 3)],
+        [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)],
+        [Fraction(1, 2), Fraction(1, 3), Fraction(1, 7)],
+        [1],
+        [1, 0],
+        [2, -1],
+        [True],
+        [0.5, 0.5],
+        [Fraction(1, 2), 0.25, 0.25],
+        [Fraction(3, 2), 0.5],
+        ["1/2", "1/2"],
+        [Fraction(1, 2), "1/2"],
+        [None],
+    ],
+    ids=repr,
+)
+def test_weight_checks_match_oracles_on_edge_vectors(ws):
+    assert_weight_checks_match(ws)
