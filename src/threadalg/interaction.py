@@ -184,16 +184,17 @@ def abstract_tau(g: ThreadGraph) -> ThreadGraph:
 
     Exact on regular threads: escape probabilities out of internal
     regions come from a rational linear solve, and non-escaping mass
-    maps to inaction.
+    maps to inaction.  They depend only on behaviour, so the input is
+    only trimmed and the result alone is normalized.
     """
-    n = threads.normalize(g)
+    n = threads.trim(g)
     tau_refs = [
         r
         for r, node in enumerate(n.nodes)
         if isinstance(node, Post) and node.action.is_tau
     ]
     if not tau_refs:
-        return n
+        return threads.normalize(n)
     tau_set = set(tau_refs)
     head = threads.head_distributions(n, range(len(n.nodes)))
     visible = {

@@ -173,36 +173,42 @@ def extract_at(position: int, program: Program) -> ThreadGraph:
 
     b = GraphBuilder()
     slots: Dict[int, int] = {}
+    pending: List[int] = []
 
     def node_for(j: Optional[int]) -> int:
+        # a position's slot, reserved on first sight and filled below
         if j is None:
             return b.add(DEAD)
-        if j in slots:
-            return slots[j]
-        slots[j] = b.reserve()
+        got = slots.get(j)
+        if got is None:
+            got = slots[j] = b.reserve()
+            pending.append(j)
+        return got
+
+    root = node_for(resolve(position))
+    while pending:
+        j = pending.pop()
         u = instrs[j - 1]
         if isinstance(u, HaltInstr):
             content = STOP
         else:
             if isinstance(u, BasicInstr):
                 act = threads.action_from_name(u.name)
-                test = u.test
             else:
                 act = random_action(u.prob)
-                test = u.test
             nxt = node_for(resolve(j + 1))
-            if test == "plain":
+            if u.test == "plain":
                 content = Post(act, nxt, nxt)
             else:
                 skip = node_for(resolve(j + 2))
-                if test == "pos":
+                if u.test == "pos":
                     content = Post(act, nxt, skip)
                 else:
                     content = Post(act, skip, nxt)
         b.fill(slots[j], content)
-        return slots[j]
 
-    return threads.trim(b.graph(node_for(resolve(position))))
+    # trim renumbers in breadth-first order, so the slot order above is invisible
+    return threads.trim(b.graph(root))
 
 
 def extract(

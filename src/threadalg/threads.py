@@ -20,9 +20,9 @@ their canonical graphs are equal; `bisimilar` decides this, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, List, Sequence, Tuple, Union
 
 from . import meadow
@@ -172,10 +172,16 @@ DEAD = DeadEnd()
 
 @dataclass(frozen=True)
 class ThreadGraph:
-    """A regular thread: a node table plus the root reference."""
+    """A regular thread: a node table plus the root reference.
+
+    `canonical` is set only by `normalize`, on the graphs it returns, so
+    that normalizing one of them again costs nothing; it takes no part
+    in equality or hashing.
+    """
 
     nodes: Tuple[Node, ...]
     root: int
+    canonical: bool = field(default=False, init=False, compare=False, repr=False)
 
     def node(self, ref: int) -> Node:
         return self.nodes[ref]
@@ -547,36 +553,30 @@ def _slot_refs(node: Node) -> Tuple[int, ...]:
 
 
 def _ranked_class_dists(
-    supports: Dict[int, Tuple[Tuple[int, Fraction], ...]], block: Dict[int, int]
-) -> Tuple[Dict[int, int], List[Tuple[Tuple[int, Fraction], ...]]]:
+    supports: Dict[int, Tuple[Tuple[int, int], ...]], block: Dict[int, int]
+) -> Tuple[Dict[int, int], List[Tuple[Tuple[int, int], ...]]]:
     """Rank the block-level distribution of every child by its exact value.
 
+    Weights are integer numerators over one common denominator, so a
+    distribution is a tuple of `(block, numerator)` int pairs sorted by
+    block, and ordering these tuples orders the exact distributions.
     Returns each child's rank and the distinct distributions in rank
-    order, each a tuple of `(block, weight)` sorted by block.  Weights
-    are added only where two support nodes share a block, and distinct
-    distributions are found through `(block, numerator, denominator)`
-    int tuples, so no Fraction is hashed.
+    order.  Weights are added only where two support nodes share a block.
     """
-    key_of: Dict[int, tuple] = {}
-    exact: Dict[tuple, Tuple[Tuple[int, Fraction], ...]] = {}
+    dist_of: Dict[int, Tuple[Tuple[int, int], ...]] = {}
     for c, items in supports.items():
         if len(items) == 1:
             d, w = items[0]
-            dist = ((block[d], w),)
+            dist_of[c] = ((block[d], w),)
         else:
-            agg: Dict[int, Fraction] = {}
+            agg: Dict[int, int] = {}
             for d, w in items:
                 bid = block[d]
-                prev = agg.get(bid)
-                agg[bid] = w if prev is None else prev + w
-            dist = tuple(sorted(agg.items()))
-        key = tuple((bid, w.numerator, w.denominator) for bid, w in dist)
-        key_of[c] = key
-        if key not in exact:
-            exact[key] = dist
-    ordered = sorted(exact, key=exact.__getitem__)
+                agg[bid] = agg.get(bid, 0) + w
+            dist_of[c] = tuple(sorted(agg.items()))
+    ordered = sorted(set(dist_of.values()))
     index = {k: i for i, k in enumerate(ordered)}
-    return {c: index[k] for c, k in key_of.items()}, [exact[k] for k in ordered]
+    return {c: index[k] for c, k in dist_of.items()}, ordered
 
 
 def normalize(g: ThreadGraph) -> ThreadGraph:
@@ -584,8 +584,11 @@ def normalize(g: ThreadGraph) -> ThreadGraph:
 
     Idempotent, and two graphs normalize to equal values exactly when
     they have the same behaviour.  Equality of canonical graphs is
-    therefore plain structural equality.
+    therefore plain structural equality.  The result is marked canonical
+    and returned unchanged when normalized again.
     """
+    if g.canonical:
+        return g
     order = reachable(g)
     dets: Dict[int, Node] = {}
     for r in order:
@@ -596,8 +599,15 @@ def normalize(g: ThreadGraph) -> ThreadGraph:
 
     refs = sorted(dets)
     slots = {r: _slot_refs(dets[r]) for r in refs}
-    supports = {c: tuple(head[c].items()) for r in refs for c in slots[r]}
-    supports[g.root] = tuple(head[g.root].items())
+    # every support weight becomes an integer numerator over `den`, the
+    # lcm of their denominators; only the quotient's choices see a Fraction
+    children = {c for r in refs for c in slots[r]}
+    children.add(g.root)
+    den = lcm(*{w.denominator for c in children for w in head[c].values()})
+    supports = {
+        c: tuple((d, w.numerator * (den // w.denominator)) for d, w in head[c].items())
+        for c in children
+    }
 
     def base_key(r: int):
         node = dets[r]
@@ -653,7 +663,8 @@ def normalize(g: ThreadGraph) -> ThreadGraph:
     n_classes = len(remap)
 
     # choice nodes are interned by distribution rank and numbered in
-    # the order of their (weight, target) branch tuples
+    # the order of their (weight, target) branch tuples, which over the
+    # common denominator is the order of their (numerator, target) tuples
     used = {k for c in live for k in slot_ranks[c]}
     used.add(root_rank)
     branches = {
@@ -684,8 +695,10 @@ def normalize(g: ThreadGraph) -> ThreadGraph:
             k0, k1, k2 = slot_ranks[c]
             nodes[new] = Fork(resolve(k0), resolve(k1), resolve(k2))
     for k, i in prob_id.items():
-        nodes[i] = Prob(branches[k])
-    return ThreadGraph(tuple(nodes), resolve(root_rank))
+        nodes[i] = Prob(tuple((Fraction(w, den), c) for w, c in branches[k]))
+    out = ThreadGraph(tuple(nodes), resolve(root_rank))
+    object.__setattr__(out, "canonical", True)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -703,30 +716,44 @@ def project(n: int, g: ThreadGraph) -> ThreadGraph:
         raise ValueError("projection depth must be a natural number")
     b = GraphBuilder()
     memo: Dict[Tuple[int, int], int] = {}
-
-    def go(r: int, k: int) -> int:
-        key = (r, k)
-        got = memo.get(key)
-        if got is not None:
-            return got
+    # a post-order walk over (node, depth) pairs with an explicit stack,
+    # adding nodes to `b` in the order a recursive walk would
+    expanded = set()
+    stack = [(g.root, n)]
+    while stack:
+        key = stack[-1]
+        if key in memo:
+            stack.pop()
+            continue
+        r, k = key
+        node = g.nodes[r]
         if k == 0:
-            out = b.add(DEAD)
+            needs: Tuple[Tuple[int, int], ...] = ()
+        elif isinstance(node, Post):
+            needs = ((node.then_, k - 1), (node.else_, k - 1))
         else:
-            node = g.nodes[r]
-            if isinstance(node, Stop):
-                out = b.add(STOP)
-            elif isinstance(node, DeadEnd):
-                out = b.add(DEAD)
-            elif isinstance(node, Post):
-                out = b.add(Post(node.action, go(node.then_, k - 1), go(node.else_, k - 1)))
-            elif isinstance(node, Fork):
-                out = b.add(Fork(go(node.forked, k), go(node.then_, k), go(node.else_, k)))
-            else:
-                out = b.add(Prob(tuple((w, go(t, k)) for w, t in node.branches)))
+            needs = tuple((c, k) for c in _children(node))
+        missing = [c for c in needs if c not in memo]
+        if missing:
+            # met again before its children are done: a depth-free cycle
+            if key in expanded:
+                raise UnguardedRecursion("cycle through probabilistic choices")
+            expanded.add(key)
+            stack.extend(reversed(missing))
+            continue
+        stack.pop()
+        if k == 0 or isinstance(node, DeadEnd):
+            out = b.add(DEAD)
+        elif isinstance(node, Stop):
+            out = b.add(STOP)
+        elif isinstance(node, Post):
+            out = b.add(Post(node.action, memo[needs[0]], memo[needs[1]]))
+        elif isinstance(node, Fork):
+            out = b.add(Fork(*(memo[c] for c in needs)))
+        else:
+            out = b.add(Prob(tuple((w, memo[c]) for (w, _), c in zip(node.branches, needs))))
         memo[key] = out
-        return out
-
-    return b.graph(go(g.root, n))
+    return b.graph(memo[(g.root, n)])
 
 
 def equal_up_to(n: int, g1: ThreadGraph, g2: ThreadGraph) -> bool:

@@ -4,7 +4,8 @@
 round recomputes the block-level distribution of every slot with
 Fraction sums and ranks signatures that hold Fractions.
 `oracle_solve` is the first dense Gauss-Jordan solve behind
-`interaction.abstract_tau`.  `oracle_outcome_distribution`,
+`interaction.abstract_tau`, and `oracle_abstract_tau` the
+`abstract_tau` that normalized its input as well as its output.  `oracle_outcome_distribution`,
 `oracle_sample_run` and `oracle_sample_outcomes` are the first
 `analysis` walkers: a memoised recursion over `(node, depth)` with
 Fraction masses, and a sampler that compares each 64-bit draw as an
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from threadalg import meadow
+from threadalg import meadow, threads
 from threadalg.analysis import (
     DEADLOCK,
     SURVIVING,
@@ -33,6 +34,7 @@ from threadalg.analysis import (
     Trace,
 )
 from threadalg.errors import MalformedProbability, UnresolvedFork, WeightSumNotOne
+from threadalg.interaction import _solve
 from threadalg.threads import (
     DEAD,
     DeadEnd,
@@ -213,6 +215,123 @@ def oracle_solve(a: List[List[Fraction]], b: List[List[Fraction]]) -> List[List[
                 f = rows[r][col]
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
     return [row[n:] for row in rows]
+
+
+def oracle_abstract_tau(g: ThreadGraph) -> ThreadGraph:
+    """The thread `g` with every internal step concealed.
+
+    Exact on regular threads: escape probabilities out of internal
+    regions come from a rational linear solve, and non-escaping mass
+    maps to inaction.
+    """
+    n = threads.normalize(g)
+    tau_refs = [
+        r
+        for r, node in enumerate(n.nodes)
+        if isinstance(node, Post) and node.action.is_tau
+    ]
+    if not tau_refs:
+        return n
+    tau_set = set(tau_refs)
+    head = threads.head_distributions(n, range(len(n.nodes)))
+    visible = {
+        r
+        for r, node in enumerate(n.nodes)
+        if not isinstance(node, Prob) and r not in tau_set
+    }
+
+    # one-step distribution of each internal node
+    step = {t: head[n.nodes[t].then_] for t in tau_refs}
+
+    # internal nodes from which some visible node is reachable
+    escaping = set()
+    changed = True
+    while changed:
+        changed = False
+        for t in tau_refs:
+            if t in escaping:
+                continue
+            if any(d in visible or d in escaping for d in step[t]):
+                escaping.add(t)
+                changed = True
+
+    solved: Dict[int, Dict[int, Fraction]] = {}
+    if escaping:
+        order = sorted(escaping)
+        pos = {t: i for i, t in enumerate(order)}
+        targets = sorted({d for t in order for d in step[t] if d in visible})
+        tpos = {d: j for j, d in enumerate(targets)}
+        a: List[Dict[int, Fraction]] = []
+        b: List[Dict[int, Fraction]] = []
+        for t in order:
+            row = {pos[t]: meadow.ONE}
+            rhs = {}
+            for d, w in step[t].items():
+                if d in tpos:
+                    rhs[tpos[d]] = w
+                elif d == t:
+                    row[pos[t]] = meadow.ONE - w  # nonzero: t escapes
+                elif d in pos:
+                    row[pos[d]] = -w
+            a.append(row)
+            b.append(rhs)
+        x = _solve(a, b)
+        for t in order:
+            solved[t] = {targets[j]: v for j, v in x[pos[t]].items()}
+
+    def absorb(ref: int) -> Dict[int, Fraction]:
+        out: Dict[int, Fraction] = {}
+        for dref, w in head[ref].items():
+            if dref in visible:
+                out[dref] = out.get(dref, meadow.ZERO) + w
+            elif dref in solved:
+                for d, q in solved[dref].items():
+                    out[d] = out.get(d, meadow.ZERO) + w * q
+            # anything else never becomes visible again
+        return out
+
+    b = GraphBuilder()
+    placed: Dict[int, int] = {}
+    pending: List[int] = []
+
+    def placed_ref(v: int) -> int:
+        got = placed.get(v)
+        if got is None:
+            got = b.reserve()
+            placed[v] = got
+            pending.append(v)
+        return got
+
+    def resolve(dist: Dict[int, Fraction]) -> int:
+        total = sum(dist.values(), meadow.ZERO)
+        if total == 0:
+            return b.add(DEAD)
+        branches = [(w, placed_ref(v)) for v, w in sorted(dist.items())]
+        if total != 1:
+            branches.append((1 - total, b.add(DEAD)))
+        return b.prob(branches)
+
+    root = resolve(absorb(n.root))
+    while pending:
+        v = pending.pop()
+        node = n.nodes[v]
+        if isinstance(node, Stop):
+            content = STOP
+        elif isinstance(node, DeadEnd):
+            content = DEAD
+        elif isinstance(node, Post):
+            content = Post(
+                node.action, resolve(absorb(node.then_)), resolve(absorb(node.else_))
+            )
+        else:
+            content = Fork(
+                resolve(absorb(node.forked)),
+                resolve(absorb(node.then_)),
+                resolve(absorb(node.else_)),
+            )
+        b.fill(placed[v], content)
+
+    return threads.normalize(threads.trim(b.graph(root)))
 
 
 def _merge(into: Dict[Trace, Fraction], table: Dict[Trace, Fraction], w: Fraction, prefix: Trace = ()) -> None:

@@ -108,6 +108,18 @@ def test_dist_with_env_and_traces(capsys):
     assert "trace main.b: 2/3" in lines
 
 
+def test_dist_of_a_long_instruction_sequence(capsys, tmp_path):
+    program = tmp_path / "long.pglb"
+    program.write_text(" ; ".join(["a"] * 3000 + ["!"]))
+    env = tmp_path / "env.table"
+    env.write_text("main.a = 1/2\n")
+    code, out, err = run(
+        capsys, "dist", program, "--no-abstraction", "--depth", 5, "--env", env
+    )
+    assert (code, err) == (0, "")
+    assert out == "terminate: 0\ndeadlock: 0\nsurviving: 1\n"
+
+
 def test_dist_interleaved_pipeline(capsys):
     code, out, _ = run(
         capsys,

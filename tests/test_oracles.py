@@ -1,17 +1,22 @@
 """Differential tests: the production algorithms against the oracles.
 
 `threads.normalize` must return exactly the graph of the original
-Fraction-signature refinement, the sparse `interaction._solve` must
-return exactly the solution of the dense Gauss-Jordan elimination, and
-the integer-numerator `analysis` kernel and integer-cutoff sampler must
-return exactly what the recursive Fraction walkers return, raising the
-same error first where they raise.  The shared integer weight check
+Fraction-signature refinement, also on weights with large coprime
+denominators, and return the graphs it made unchanged;
+`interaction.abstract_tau`, which only trims its input, must agree with
+the version that normalized it, also on inputs with unreachable junk;
+the sparse `interaction._solve` must return exactly the solution of
+the dense Gauss-Jordan elimination, and the integer-numerator
+`analysis` kernel and integer-cutoff sampler must return exactly what
+the recursive Fraction walkers return, raising the same error first
+where they raise.  The shared integer weight check
 behind `Prob`, `GraphBuilder.prob`, `build` and `nary_prob` must accept
 and reject exactly what the first Fraction checks did, with the same
 exception type and message.
 """
 
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -23,17 +28,19 @@ import threadalg as ta
 from oracles import (
     OracleGraphBuilder,
     OracleProb,
+    oracle_abstract_tau,
     oracle_normalize,
     oracle_outcome_distribution,
     oracle_sample_outcomes,
     oracle_sample_run,
     oracle_solve,
 )
-from threadalg import analysis, interaction, interleaving, services, threads
+from threadalg import analysis, interaction, interleaving, pglb, services, threads
 from threadalg.errors import (
     Error,
     MalformedProbability,
     MissingReply,
+    UnguardedRecursion,
     UnresolvedFork,
     WeightSumNotOne,
 )
@@ -130,18 +137,128 @@ def _dense_solve(a, b):
     return [{j: v for j, v in enumerate(row) if v} for row in oracle_solve(dense_a, dense_b)]
 
 
-def test_abstract_tau_matches_oracle_pipeline(monkeypatch):
+def pipeline_inputs():
+    """`use` outputs with random services, then random threads."""
     rng = random.Random(23)
-    cases = []
+    graphs = []
     for _ in range(60):
         term = genlib.term(rng, rng.randint(1, 4), mk_action=genlib.service_action)
-        g = interaction.use(ta.build(term), genlib.family(rng))
-        cases.append((g, interaction.abstract_tau(g)))
-    cases += [(g, interaction.abstract_tau(g)) for g in random_threads(rng, 60)]
+        graphs.append(interaction.use(ta.build(term), genlib.family(rng)))
+    return graphs + random_threads(rng, 60)
+
+
+def test_abstract_tau_matches_oracle_pipeline(monkeypatch):
+    cases = [(g, interaction.abstract_tau(g)) for g in pipeline_inputs()]
     monkeypatch.setattr(threads, "normalize", oracle_normalize)
     monkeypatch.setattr(interaction, "_solve", _dense_solve)
     for g, got in cases:
         assert got == interaction.abstract_tau(g)
+
+
+HALF = Fraction(1, 2)
+
+
+def with_junk(rng, g):
+    """`g` renumbered at random, with unreachable nodes mixed in: an
+    unguarded cycle of choices and tau steps, actions and terminals
+    that may lead into it or into `g`."""
+    n = len(g.nodes)
+    total = n + 2 + rng.randint(1, 4)
+    perm = list(range(total))
+    rng.shuffle(perm)
+    nodes = [None] * total
+    for r, node in enumerate(g.nodes):
+        nodes[perm[r]] = threads._map_refs(node, perm)
+    a, b = perm[n], perm[n + 1]
+    nodes[a] = Prob(((HALF, b), (HALF, perm[0])))
+    nodes[b] = Prob(((HALF, a), (HALF, perm[n - 1])))
+    for j in perm[n + 2 :]:
+        to = perm[rng.randrange(total)]
+        nodes[j] = rng.choice(
+            [Post(ta.TAU, to, perm[rng.randrange(n)]), Post(ta.basic("main", "a"), to, to), STOP]
+        )
+    return ThreadGraph(tuple(nodes), perm[g.root])
+
+
+# reachable unguarded cycles: at the root, behind tau, behind tau's else branch
+UNGUARDED = [
+    ThreadGraph((Prob(((HALF, 1), (HALF, 2))), Prob(((HALF, 0), (HALF, 2))), STOP), 0),
+    ThreadGraph((Post(ta.TAU, 1, 1), Prob(((HALF, 1), (HALF, 2))), STOP), 0),
+    ThreadGraph((Post(ta.TAU, 2, 1), Prob(((HALF, 1), (HALF, 2))), STOP), 0),
+]
+
+
+def test_abstract_tau_matches_oracle_that_normalizes_its_input():
+    rng = random.Random(25)
+    graphs = pipeline_inputs()
+    graphs += [with_junk(rng, g) for g in graphs]
+    for g in graphs:
+        assert outcome(interaction.abstract_tau, g) == outcome(oracle_abstract_tau, g)
+    for g in UNGUARDED:
+        got = outcome(interaction.abstract_tau, g)
+        assert got == outcome(oracle_abstract_tau, g)
+        assert got[0] is UnguardedRecursion
+
+
+# ---------------------------------------------------------------------------
+# the canonical mark and integer refinement rounds
+
+
+def test_normalize_returns_a_canonical_graph_unchanged():
+    rng = random.Random(26)
+    for g in pipeline_inputs()[::4] + random_threads(rng, 30):
+        c = threads.normalize(g)
+        assert c.canonical
+        assert threads.normalize(c) is c
+        copy = ThreadGraph(c.nodes, c.root)
+        assert copy == c and hash(copy) == hash(c) and not copy.canonical
+        again = threads.normalize(copy)
+        assert again is not copy and again == c and again.canonical
+        assert not interleaving.deadlock_at_termination(c).canonical
+    with pytest.raises(TypeError):
+        ThreadGraph(c.nodes, c.root, True)
+
+
+def coprime_probability(rng, dens):
+    """A probability whose denominator has at least 150 bits and is
+    coprime to every denominator in `dens`, which it joins."""
+    while True:
+        q = rng.getrandbits(160) | 1 << 159
+        p = Fraction(rng.randrange(1, q), q)
+        if p.denominator.bit_length() >= 150 and all(
+            math.gcd(p.denominator, d) == 1 for d in dens
+        ):
+            dens.append(p.denominator)
+            return p
+
+
+def big_denominator_program(rng):
+    """Random-choice skips, retry loops and tested actions whose choice
+    probabilities have large pairwise coprime denominators."""
+    dens = []
+    instrs = []
+    for i in range(rng.randint(3, 6)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            instrs += [f"+%{coprime_probability(rng, dens)}", "#2", f"a{i}"]
+        elif kind == 1:
+            instrs += [f"b{i}", f"-%{coprime_probability(rng, dens)}", "\\2"]
+        else:
+            instrs += [f"+c{i}", "#2", f"%{coprime_probability(rng, dens)}"]
+    return pglb.parse_program(" ; ".join(instrs + ["!"]))
+
+
+def test_normalize_matches_oracle_on_large_coprime_denominators():
+    rng = random.Random(27)
+    bits = 0
+    for _ in range(12):
+        program = big_denominator_program(rng)
+        for g in (pglb.extract(program, with_abstraction=False), pglb.extract(program)):
+            g = ThreadGraph(g.nodes, g.root)  # not marked canonical
+            weights = [w for node in g.nodes if isinstance(node, Prob) for w, _ in node.branches]
+            bits = max([bits] + [w.denominator.bit_length() for w in weights])
+            assert threads.normalize(g) == oracle_normalize(g)
+    assert bits >= 300
 
 
 def sparse_system(rng, n, width):

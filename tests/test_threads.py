@@ -296,6 +296,18 @@ def test_projective_sequence_conditions():
             assert ta.normalize(ta.project(n, ta.project(n, g))) == b
 
 
+def test_projection_depth_does_not_grow_the_stack():
+    loop = ta.build(TRec((("X", ta.tprefix(A, TVar("X"))),), "X"))
+    assert len(ta.project(5000, loop).nodes) == 5001
+
+
+def test_projection_rejects_a_cycle_of_choices():
+    half = Fraction(1, 2)
+    g = T.ThreadGraph((Prob(((half, 0), (half, 1))), STOP), 0)
+    with pytest.raises(UnguardedRecursion):
+        ta.project(3, g)
+
+
 # ---------------------------------------------------------------------------
 # equality
 
