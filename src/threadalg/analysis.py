@@ -109,8 +109,10 @@ def outcome_distribution(
     the one reported.  Choice layers are flattened into one-step
     coefficients scaled by `L`, the lcm of their denominators; then the
     masses of every reached node with `k` actions left are integers
-    over `L**k`, computed for `k = 0..depth` from the previous level
-    only.  Each mass becomes one Fraction at the end.
+    over `L**(k - low)`, computed from the previous level only, from
+    `low`, the lowest level the bound reaches, up to `depth`.  Memory
+    follows the levels reached, not `depth`.  Each mass becomes one
+    Fraction at the end.
     """
     if depth < 0:
         raise ValueError("depth must be a natural number")
@@ -119,8 +121,8 @@ def outcome_distribution(
 
     # discovery: reached[k] holds the deterministic nodes reached with
     # k actions left; a node's reply is asked for when first reached
-    # with k > 0
-    reached = [set() for _ in range(depth + 1)]
+    # with k > 0.  A level is made when first reached, from `depth` down.
+    reached: Dict[int, set] = {depth: set()}
     replies: Dict[int, Fraction] = {}
     # a Post node's successors, in reverse walk order for the stack
     successors: Dict[int, Tuple[int, ...]] = {}
@@ -142,7 +144,9 @@ def outcome_distribution(
                     *reversed(heads[node.else_]),
                     *reversed(heads[node.then_]),
                 )
-            below = reached[k - 1]
+            below = reached.get(k - 1)
+            if below is None:
+                below = reached[k - 1] = set()
             stack.extend([(m, k - 1) for m in order if m not in below])
 
     # exact one-step coefficients p*w_then(m) + q*w_else(m), zeros dropped
@@ -168,9 +172,12 @@ def outcome_distribution(
 
     coefs = {ref: scaled(coef) for ref, coef in exact.items()}
 
-    # iteration: numerators over scale = step_den**k of (terminate,
-    # deadlock, surviving) and of the trace table, for the nodes reached
-    # with k actions left, from those of level k - 1
+    # iteration: numerators over scale = step_den**(k - low) of
+    # (terminate, deadlock, surviving) and of the trace table, for the
+    # nodes reached with k actions left, from those of level k - 1.  The
+    # lowest level reached holds no action to perform (every action
+    # reaches the level below), so it needs no predecessor, and dividing
+    # every scale by step_den**low leaves each Fraction as it was.
     prev: Dict[int, Tuple[int, int, int]] = {}
     prev_tables: Dict[int, Dict[Trace, int]] = {}
 
@@ -188,8 +195,9 @@ def outcome_distribution(
                     table[key] = table.get(key, 0) + c * v
         return (t, d, s), table
 
+    low = min(reached)
     scale = 1
-    for k in range(depth + 1):
+    for k in range(low, depth + 1):
         cur: Dict[int, Tuple[int, int, int]] = {}
         tables: Dict[int, Dict[Trace, int]] = {}
         for ref in reached[k]:

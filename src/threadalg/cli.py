@@ -18,7 +18,12 @@ from .errors import Error
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise Error(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise Error(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def _load_thread(path: str, args) -> threads.ThreadGraph:
@@ -241,9 +246,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

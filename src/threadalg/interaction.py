@@ -19,12 +19,10 @@ a pure internal loop is cut to inaction, so its limit is inaction).
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from . import meadow, threads
-from .errors import NonRegularProduct
 from .services import ServiceFamily
 from .threads import (
     DEAD,
@@ -33,7 +31,6 @@ from .threads import (
     GraphBuilder,
     Post,
     Prob,
-    STOP,
     Stop,
     TAU,
     ThreadGraph,
@@ -53,84 +50,56 @@ def use(
     Raises NonRegularProduct when the reachable (node, family-state)
     pairs exceed `state_bound`.
     """
-    nodes: List = []
-    slots: Dict[Tuple[int, ServiceFamily], int] = {}
-    aux: Dict = {}
-    queue = deque()
+    b = GraphBuilder(state_bound, "(node, service-state) pairs")
 
-    def slot(ref: int, fam: ServiceFamily) -> int:
-        key = (ref, fam)
-        got = slots.get(key)
-        if got is None:
-            if len(slots) >= state_bound:
-                raise NonRegularProduct(
-                    f"more than {state_bound} (node, service-state) pairs"
-                )
-            got = len(nodes)
-            nodes.append(None)
-            slots[key] = got
-            queue.append(key)
-        return got
-
-    def aux_node(node) -> int:
-        got = aux.get(node)
-        if got is None:
-            got = len(nodes)
-            nodes.append(node)
-            aux[node] = got
-        return got
-
-    root = slot(g.root, family)
-    while queue:
-        ref, fam = queue.popleft()
+    def content(key: Tuple[int, ServiceFamily]) -> threads.Node:
+        ref, fam = key
         node = g.nodes[ref]
-        if isinstance(node, Stop):
-            content = STOP
-        elif isinstance(node, DeadEnd):
-            content = DEAD
-        elif isinstance(node, Prob):
-            content = Prob(tuple((w, slot(t, fam)) for w, t in node.branches))
-        elif isinstance(node, Fork):
-            content = Fork(
-                slot(node.forked, fam), slot(node.then_, fam), slot(node.else_, fam)
+        if isinstance(node, (Stop, DeadEnd)):
+            return node
+        if isinstance(node, Prob):
+            return Prob(tuple((w, b.slot((t, fam))) for w, t in node.branches))
+        if isinstance(node, Fork):
+            return Fork(
+                b.slot((node.forked, fam)),
+                b.slot((node.then_, fam)),
+                b.slot((node.else_, fam)),
             )
-        elif node.action.is_tau:
-            t = slot(node.then_, fam)
-            content = Post(TAU, t, t)
+        if node.action.is_tau:
+            t = b.slot((node.then_, fam))
+            return Post(TAU, t, t)
+        service = fam.get(node.action.focus)
+        if service is None:
+            return Post(
+                node.action, b.slot((node.then_, fam)), b.slot((node.else_, fam))
+            )
+        p = service.reply(node.action.method)
+        if p is None:
+            dead = b.add(DEAD)
+            return Post(TAU, dead, dead)
+        p = meadow.as_probability(p)
+        derived = fam.replace(
+            node.action.focus, service.derive(node.action.method)
+        )
+        branches = [
+            (w, target)
+            for w, target in (
+                (p, node.then_),
+                (1 - p, node.else_),
+            )
+            if w != 0
+        ]
+        if len(branches) == 1:
+            inner = b.slot((branches[0][1], derived))
         else:
-            service = fam.get(node.action.focus)
-            if service is None:
-                content = Post(
-                    node.action, slot(node.then_, fam), slot(node.else_, fam)
-                )
-            else:
-                p = service.reply(node.action.method)
-                if p is None:
-                    dead = aux_node(DEAD)
-                    content = Post(TAU, dead, dead)
-                else:
-                    p = meadow.as_probability(p)
-                    derived = fam.replace(
-                        node.action.focus, service.derive(node.action.method)
-                    )
-                    branches = [
-                        (w, target)
-                        for w, target in (
-                            (p, node.then_),
-                            (1 - p, node.else_),
-                        )
-                        if w != 0
-                    ]
-                    if len(branches) == 1:
-                        inner = slot(branches[0][1], derived)
-                    else:
-                        inner = aux_node(
-                            Prob(tuple((w, slot(t, derived)) for w, t in branches))
-                        )
-                    content = Post(TAU, inner, inner)
-        nodes[slots[(ref, fam)]] = content
+            inner = b.add(
+                Prob(tuple((w, b.slot((t, derived))) for w, t in branches))
+            )
+        return Post(TAU, inner, inner)
 
-    return threads.trim(ThreadGraph(tuple(nodes), root))
+    root = b.slot((g.root, family))
+    b.expand(content)
+    return threads.trim(b.graph(root))
 
 
 # ---------------------------------------------------------------------------
@@ -254,44 +223,26 @@ def abstract_tau(g: ThreadGraph) -> ThreadGraph:
         return out
 
     b = GraphBuilder()
-    placed: Dict[int, int] = {}
-    pending: List[int] = []
 
-    def placed_ref(v: int) -> int:
-        got = placed.get(v)
-        if got is None:
-            got = b.reserve()
-            placed[v] = got
-            pending.append(v)
-        return got
-
-    def resolve(dist: Dict[int, Fraction]) -> int:
+    def resolve(ref: int) -> int:
+        # the escape distribution of `ref` as a node over visible slots
+        dist = absorb(ref)
         total = sum(dist.values(), meadow.ZERO)
         if total == 0:
             return b.add(DEAD)
-        branches = [(w, placed_ref(v)) for v, w in sorted(dist.items())]
+        branches = [(w, b.slot(v)) for v, w in sorted(dist.items())]
         if total != 1:
             branches.append((1 - total, b.add(DEAD)))
         return b.prob(branches)
 
-    root = resolve(absorb(n.root))
-    while pending:
-        v = pending.pop()
+    def content(v: int) -> threads.Node:
         node = n.nodes[v]
-        if isinstance(node, Stop):
-            content = STOP
-        elif isinstance(node, DeadEnd):
-            content = DEAD
-        elif isinstance(node, Post):
-            content = Post(
-                node.action, resolve(absorb(node.then_)), resolve(absorb(node.else_))
-            )
-        else:
-            content = Fork(
-                resolve(absorb(node.forked)),
-                resolve(absorb(node.then_)),
-                resolve(absorb(node.else_)),
-            )
-        b.fill(placed[v], content)
+        if isinstance(node, Post):
+            return Post(node.action, resolve(node.then_), resolve(node.else_))
+        if isinstance(node, Fork):
+            return Fork(resolve(node.forked), resolve(node.then_), resolve(node.else_))
+        return node
 
+    root = resolve(n.root)
+    b.expand(content)
     return threads.normalize(threads.trim(b.graph(root)))

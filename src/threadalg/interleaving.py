@@ -29,19 +29,19 @@ the trimmed view.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Hashable
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 from . import meadow, threads
-from .errors import MissingTurnWeights, NonRegularProduct, WeightSumNotOne
+from .errors import MissingTurnWeights, WeightSumNotOne
 from .threads import (
     Action,
     DEAD,
     DeadEnd,
     Fork,
+    GraphBuilder,
     Post,
     Prob,
     STOP,
@@ -124,41 +124,16 @@ class _Engine:
         if not threads_:
             raise ValueError("at least one thread is required")
         self.spec = spec
-        self.bound = bound
-        self.nodes: List = []
-        self.slots: Dict[tuple, int] = {}
-        self.aux: Dict = {}
+        self.b = GraphBuilder(bound, "interleaving states")
         self.turns: Dict[tuple, List[Tuple[int, Fraction]]] = {}
-        self.queue = deque()
         arena: List = []
         self.roots: List[int] = []
         for t in threads_:
             t = threads.normalize(t)
-            offset = len(arena)
-            arena.extend(threads._map_refs(node, _Offset(offset)) for node in t.nodes)
-            self.roots.append(t.root + offset)
+            shift = range(len(arena), len(arena) + len(t.nodes))
+            arena.extend(threads._map_refs(node, shift) for node in t.nodes)
+            self.roots.append(shift[t.root])
         self.arena = arena
-
-    def aux_node(self, node) -> int:
-        got = self.aux.get(node)
-        if got is None:
-            got = len(self.nodes)
-            self.nodes.append(node)
-            self.aux[node] = got
-        return got
-
-    def state_slot(self, key: tuple) -> int:
-        got = self.slots.get(key)
-        if got is None:
-            if len(self.slots) >= self.bound:
-                raise NonRegularProduct(
-                    f"more than {self.bound} interleaving states"
-                )
-            got = len(self.nodes)
-            self.nodes.append(None)
-            self.slots[key] = got
-            self.queue.append(key)
-        return got
 
     def advance(self, view: History, ctrl, n: int, i: int, step: StepKind, count_after: int):
         """New (view, state) after 1-based thread `i` does `step`."""
@@ -170,6 +145,7 @@ class _Engine:
         """Output reference for thread `i` (0-based) taking the next turn."""
         node = self.arena[refs[i]]
         n = len(refs)
+        b = self.b
         if isinstance(node, Prob):
             branches = [
                 (w, self.positional(sd, view, ctrl, refs[:i] + (t,) + refs[i + 1 :], i))
@@ -177,29 +153,29 @@ class _Engine:
             ]
             if len(branches) == 1:
                 return branches[0][1]
-            return self.aux_node(Prob(tuple(branches)))
+            return b.add(Prob(tuple(branches)))
         if isinstance(node, Stop):
             if n == 1:
-                return self.aux_node(DEAD if sd else STOP)
+                return b.add(DEAD if sd else STOP)
             view2, ctrl2 = self.advance(view, ctrl, n, i + 1, TERMINATION_STEP, n - 1)
-            return self.state_slot((sd, view2, ctrl2, refs[:i] + refs[i + 1 :]))
+            return b.slot((sd, view2, ctrl2, refs[:i] + refs[i + 1 :]))
         if isinstance(node, DeadEnd):
             if n == 1:
-                return self.aux_node(DEAD)
+                return b.add(DEAD)
             view2, ctrl2 = self.advance(view, ctrl, n, i + 1, INACTION_STEP, n - 1)
-            return self.state_slot((True, view2, ctrl2, refs[:i] + refs[i + 1 :]))
+            return b.slot((True, view2, ctrl2, refs[:i] + refs[i + 1 :]))
         if isinstance(node, Fork):
             view2, ctrl2 = self.advance(view, ctrl, n, i + 1, FORK_STEP, n + 1)
-            target = self.state_slot(
+            target = b.slot(
                 (sd, view2, ctrl2, refs[:i] + (node.then_,) + refs[i + 1 :] + (node.forked,))
             )
-            return self.aux_node(Post(TAU, target, target))
+            return b.add(Post(TAU, target, target))
         view2, ctrl2 = self.advance(view, ctrl, n, i + 1, BasicStep(node.action), n)
-        t1 = self.state_slot((sd, view2, ctrl2, refs[:i] + (node.then_,) + refs[i + 1 :]))
-        t2 = self.state_slot((sd, view2, ctrl2, refs[:i] + (node.else_,) + refs[i + 1 :]))
-        return self.aux_node(Post(node.action, t1, t2))
+        t1 = b.slot((sd, view2, ctrl2, refs[:i] + (node.then_,) + refs[i + 1 :]))
+        t2 = b.slot((sd, view2, ctrl2, refs[:i] + (node.else_,) + refs[i + 1 :]))
+        return b.add(Post(node.action, t1, t2))
 
-    def fill(self, key: tuple) -> None:
+    def content(self, key: tuple) -> Prob:
         sd, view, ctrl, refs = key
         n = len(refs)
         # `schedule` is pure: check its turn vector once per (n, view, ctrl)
@@ -216,24 +192,11 @@ class _Engine:
         branches = [(w, self.positional(sd, view, ctrl, refs, i)) for i, w in turns]
         # a single live branch still needs a node of its own: alias it
         # with a one-branch choice so the slot has content to hold
-        self.nodes[self.slots[key]] = Prob(tuple(branches))
+        return Prob(tuple(branches))
 
     def run(self, root: int) -> ThreadGraph:
-        while self.queue:
-            self.fill(self.queue.popleft())
-        return threads.trim(ThreadGraph(tuple(self.nodes), root))
-
-
-class _Offset:
-    """Mapping view that shifts references by a fixed amount."""
-
-    __slots__ = ("offset",)
-
-    def __init__(self, offset: int):
-        self.offset = offset
-
-    def __getitem__(self, ref: int) -> int:
-        return ref + self.offset
+        self.b.expand(self.content)
+        return threads.trim(self.b.graph(root))
 
 
 def interleave(
@@ -248,7 +211,7 @@ def interleave(
     engine = _Engine(spec, threads_, state_bound)
     ctrl = spec.initial_state if state is _DEFAULT else state
     view = spec.digest(tuple(history))
-    root = engine.state_slot((False, view, ctrl, tuple(engine.roots)))
+    root = engine.b.slot((False, view, ctrl, tuple(engine.roots)))
     return engine.run(root)
 
 

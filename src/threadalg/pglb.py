@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 from . import interaction, meadow, services, threads
 from .errors import ParseError
@@ -156,58 +156,39 @@ def extract_at(position: int, program: Program) -> ThreadGraph:
     """The thread produced by execution starting at the given position."""
     instrs = program.instructions
     k = len(instrs)
+    b = GraphBuilder()
 
-    def resolve(j: int) -> Optional[int]:
-        # follow jumps; a revisited jump position is an infinite chain
+    def target(j: int) -> int:
+        # follow jumps to an instruction's slot; running off the sequence
+        # or around an infinite jump chain gives inaction
         seen = set()
-        while True:
-            if not 1 <= j <= k:
-                return None
+        while 1 <= j <= k and j not in seen:
             u = instrs[j - 1]
             if not isinstance(u, JumpInstr):
-                return j
-            if j in seen:
-                return None
+                return b.slot(j)
             seen.add(j)
             j = max(j - u.offset, 0) if u.backward else j + u.offset
+        return b.add(DEAD)
 
-    b = GraphBuilder()
-    slots: Dict[int, int] = {}
-    pending: List[int] = []
-
-    def node_for(j: Optional[int]) -> int:
-        # a position's slot, reserved on first sight and filled below
-        if j is None:
-            return b.add(DEAD)
-        got = slots.get(j)
-        if got is None:
-            got = slots[j] = b.reserve()
-            pending.append(j)
-        return got
-
-    root = node_for(resolve(position))
-    while pending:
-        j = pending.pop()
+    def content(j: int) -> threads.Node:
         u = instrs[j - 1]
         if isinstance(u, HaltInstr):
-            content = STOP
+            return STOP
+        if isinstance(u, BasicInstr):
+            act = threads.action_from_name(u.name)
         else:
-            if isinstance(u, BasicInstr):
-                act = threads.action_from_name(u.name)
-            else:
-                act = random_action(u.prob)
-            nxt = node_for(resolve(j + 1))
-            if u.test == "plain":
-                content = Post(act, nxt, nxt)
-            else:
-                skip = node_for(resolve(j + 2))
-                if u.test == "pos":
-                    content = Post(act, nxt, skip)
-                else:
-                    content = Post(act, skip, nxt)
-        b.fill(slots[j], content)
+            act = random_action(u.prob)
+        nxt = target(j + 1)
+        if u.test == "plain":
+            return Post(act, nxt, nxt)
+        skip = target(j + 2)
+        if u.test == "pos":
+            return Post(act, nxt, skip)
+        return Post(act, skip, nxt)
 
-    # trim renumbers in breadth-first order, so the slot order above is invisible
+    root = target(position)
+    b.expand(content)
+    # trim renumbers in breadth-first order, so the fill order is invisible
     return threads.trim(b.graph(root))
 
 

@@ -226,6 +226,8 @@ def parse_family(text: str) -> ServiceFamily:
         if not colon:
             raise ParseError(f"family entry {part.strip()!r} is missing a colon")
         focus = focus.strip()
+        if not _FOCUS_RE.fullmatch(focus):
+            raise ParseError(f"malformed focus name {focus!r} in family literal")
         family = compose(family, singleton(focus, _parse_service(spec.strip())))
     return family
 

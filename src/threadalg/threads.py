@@ -20,13 +20,20 @@ their canonical graphs are equal; `bisimilar` decides this, and
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import meadow
-from .errors import MalformedProbability, UnguardedRecursion, WeightSumNotOne
+from .errors import (
+    MalformedProbability,
+    NonRegularProduct,
+    UnguardedRecursion,
+    WeightSumNotOne,
+)
 
 # ---------------------------------------------------------------------------
 # Actions
@@ -239,11 +246,21 @@ class GraphBuilder:
 
     Reserved slots support cyclic graphs: reserve first, fill once the
     node content (which may reference the slot itself) is known.
+
+    Keyed slots are the worklist of the product constructions:
+    `slot(key)` reserves one node per key and queues the key, and
+    `expand` fills the queued slots in order.  More than `bound` keys
+    raise NonRegularProduct, naming the keys as `label`; nodes from
+    `add` do not count.
     """
 
-    def __init__(self):
+    def __init__(self, bound: Optional[int] = None, label: str = ""):
         self._nodes: List[Node] = []
         self._index: Dict[Node, int] = {}
+        self._slots: Dict[Hashable, int] = {}
+        self._queue = deque()
+        self._bound = bound
+        self._label = label
 
     def add(self, node: Node) -> int:
         ref = self._index.get(node)
@@ -263,6 +280,23 @@ class GraphBuilder:
 
     def copy_into(self, dst: int, src: int) -> None:
         self._nodes[dst] = self._nodes[src]
+
+    def slot(self, key: Hashable) -> int:
+        """The node reserved for `key`, queued for `expand` on first sight."""
+        ref = self._slots.get(key)
+        if ref is None:
+            if self._bound is not None and len(self._slots) >= self._bound:
+                raise NonRegularProduct(f"more than {self._bound} {self._label}")
+            ref = self._slots[key] = self.reserve()
+            self._queue.append(key)
+        return ref
+
+    def expand(self, content: Callable[[Hashable], Node]) -> None:
+        """Fill queued slots in order with `content(key)`, which may queue more."""
+        queue, slots, nodes = self._queue, self._slots, self._nodes
+        while queue:
+            key = queue.popleft()
+            nodes[slots[key]] = content(key)
 
     def prob(self, branches: Sequence[Tuple[Fraction, int]]) -> int:
         """Choice node over branches; zero weights are dropped and a
@@ -544,14 +578,6 @@ def head_distributions(g: ThreadGraph, refs) -> Dict[int, Dict[int, Fraction]]:
     return dist
 
 
-def _slot_refs(node: Node) -> Tuple[int, ...]:
-    if isinstance(node, Post):
-        return (node.then_, node.else_)
-    if isinstance(node, Fork):
-        return (node.forked, node.then_, node.else_)
-    return ()
-
-
 def _ranked_class_dists(
     supports: Dict[int, Tuple[Tuple[int, int], ...]], block: Dict[int, int]
 ) -> Tuple[Dict[int, int], List[Tuple[Tuple[int, int], ...]]]:
@@ -598,7 +624,7 @@ def normalize(g: ThreadGraph) -> ThreadGraph:
     head = head_distributions(g, order)
 
     refs = sorted(dets)
-    slots = {r: _slot_refs(dets[r]) for r in refs}
+    slots = {r: _children(dets[r]) for r in refs}
     # every support weight becomes an integer numerator over `den`, the
     # lcm of their denominators; only the quotient's choices see a Fraction
     children = {c for r in refs for c in slots[r]}

@@ -12,7 +12,10 @@ Fraction masses, and a sampler that compares each 64-bit draw as an
 exact dyadic Fraction.  `OracleProb` carries the first
 `Prob.__post_init__` and `OracleGraphBuilder.prob` the first
 `GraphBuilder.prob`, the weight checks that summed Fractions and
-tested the range through the signum encoding.  All are slow and
+tested the range through the signum encoding.  `oracle_use`,
+`oracle_interleave` and `oracle_positional_interleave` (with
+`OracleEngine`) are the product constructions that each kept their own
+slot dict, auxiliary-node interning, queue and state bound.  All are slow and
 obviously correct; the production versions must agree with them
 exactly.
 """
@@ -20,11 +23,12 @@ exactly.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from threadalg import meadow, threads
+from threadalg import interleaving, meadow, threads
 from threadalg.analysis import (
     DEADLOCK,
     SURVIVING,
@@ -33,8 +37,24 @@ from threadalg.analysis import (
     OutcomeDistribution,
     Trace,
 )
-from threadalg.errors import MalformedProbability, UnresolvedFork, WeightSumNotOne
-from threadalg.interaction import _solve
+from threadalg.errors import (
+    MalformedProbability,
+    NonRegularProduct,
+    UnresolvedFork,
+    WeightSumNotOne,
+)
+from threadalg.interaction import DEFAULT_STATE_BOUND, _solve
+from threadalg.interleaving import (
+    _DEFAULT,
+    FORK_STEP,
+    INACTION_STEP,
+    TERMINATION_STEP,
+    BasicStep,
+    History,
+    SchedulerSpec,
+    StepKind,
+)
+from threadalg.services import ServiceFamily
 from threadalg.threads import (
     DEAD,
     DeadEnd,
@@ -45,8 +65,9 @@ from threadalg.threads import (
     Prob,
     STOP,
     Stop,
+    TAU,
     ThreadGraph,
-    _slot_refs,
+    _children,
     _tau_closed,
     head_distributions,
     reachable,
@@ -130,7 +151,7 @@ def oracle_normalize(g: ThreadGraph) -> ThreadGraph:
     # final numbering is intrinsic to the behaviour, not the input order.
     while True:
         sigs = {
-            r: (block[r], tuple(class_dist(c) for c in _slot_refs(dets[r])))
+            r: (block[r], tuple(class_dist(c) for c in _children(dets[r])))
             for r in refs
         }
         ranking = {s: i for i, s in enumerate(sorted(set(sigs.values())))}
@@ -144,7 +165,7 @@ def oracle_normalize(g: ThreadGraph) -> ThreadGraph:
         rep.setdefault(block[r], r)
 
     slot_dists = {
-        c: tuple(class_dist(x) for x in _slot_refs(dets[r])) for c, r in rep.items()
+        c: tuple(class_dist(x) for x in _children(dets[r])) for c, r in rep.items()
     }
     root_dist = class_dist(g.root)
 
@@ -472,3 +493,252 @@ def oracle_sample_outcomes(
         tag, _ = oracle_sample_run(g, env, depth, seed + index)
         counts[tag] += 1
     return {tag: Fraction(count, runs) for tag, count in counts.items()}
+
+
+# ---------------------------------------------------------------------------
+# the product constructions before they shared `GraphBuilder`'s worklist
+
+
+def oracle_use(
+    g: ThreadGraph,
+    family: ServiceFamily,
+    *,
+    state_bound: int = DEFAULT_STATE_BOUND,
+) -> ThreadGraph:
+    """The thread `g` with its actions processed by the named services.
+
+    Raises NonRegularProduct when the reachable (node, family-state)
+    pairs exceed `state_bound`.
+    """
+    nodes: List = []
+    slots: Dict[Tuple[int, ServiceFamily], int] = {}
+    aux: Dict = {}
+    queue = deque()
+
+    def slot(ref: int, fam: ServiceFamily) -> int:
+        key = (ref, fam)
+        got = slots.get(key)
+        if got is None:
+            if len(slots) >= state_bound:
+                raise NonRegularProduct(
+                    f"more than {state_bound} (node, service-state) pairs"
+                )
+            got = len(nodes)
+            nodes.append(None)
+            slots[key] = got
+            queue.append(key)
+        return got
+
+    def aux_node(node) -> int:
+        got = aux.get(node)
+        if got is None:
+            got = len(nodes)
+            nodes.append(node)
+            aux[node] = got
+        return got
+
+    root = slot(g.root, family)
+    while queue:
+        ref, fam = queue.popleft()
+        node = g.nodes[ref]
+        if isinstance(node, Stop):
+            content = STOP
+        elif isinstance(node, DeadEnd):
+            content = DEAD
+        elif isinstance(node, Prob):
+            content = Prob(tuple((w, slot(t, fam)) for w, t in node.branches))
+        elif isinstance(node, Fork):
+            content = Fork(
+                slot(node.forked, fam), slot(node.then_, fam), slot(node.else_, fam)
+            )
+        elif node.action.is_tau:
+            t = slot(node.then_, fam)
+            content = Post(TAU, t, t)
+        else:
+            service = fam.get(node.action.focus)
+            if service is None:
+                content = Post(
+                    node.action, slot(node.then_, fam), slot(node.else_, fam)
+                )
+            else:
+                p = service.reply(node.action.method)
+                if p is None:
+                    dead = aux_node(DEAD)
+                    content = Post(TAU, dead, dead)
+                else:
+                    p = meadow.as_probability(p)
+                    derived = fam.replace(
+                        node.action.focus, service.derive(node.action.method)
+                    )
+                    branches = [
+                        (w, target)
+                        for w, target in (
+                            (p, node.then_),
+                            (1 - p, node.else_),
+                        )
+                        if w != 0
+                    ]
+                    if len(branches) == 1:
+                        inner = slot(branches[0][1], derived)
+                    else:
+                        inner = aux_node(
+                            Prob(tuple((w, slot(t, derived)) for w, t in branches))
+                        )
+                    content = Post(TAU, inner, inner)
+        nodes[slots[(ref, fam)]] = content
+
+    return threads.trim(ThreadGraph(tuple(nodes), root))
+
+
+class OracleEngine:
+    """Shared product construction for the interleaving operators."""
+
+    def __init__(self, spec: SchedulerSpec, threads_: Sequence[ThreadGraph], bound: int):
+        if not threads_:
+            raise ValueError("at least one thread is required")
+        self.spec = spec
+        self.bound = bound
+        self.nodes: List = []
+        self.slots: Dict[tuple, int] = {}
+        self.aux: Dict = {}
+        self.turns: Dict[tuple, List[Tuple[int, Fraction]]] = {}
+        self.queue = deque()
+        arena: List = []
+        self.roots: List[int] = []
+        for t in threads_:
+            t = threads.normalize(t)
+            offset = len(arena)
+            arena.extend(threads._map_refs(node, _Offset(offset)) for node in t.nodes)
+            self.roots.append(t.root + offset)
+        self.arena = arena
+
+    def aux_node(self, node) -> int:
+        got = self.aux.get(node)
+        if got is None:
+            got = len(self.nodes)
+            self.nodes.append(node)
+            self.aux[node] = got
+        return got
+
+    def state_slot(self, key: tuple) -> int:
+        got = self.slots.get(key)
+        if got is None:
+            if len(self.slots) >= self.bound:
+                raise NonRegularProduct(
+                    f"more than {self.bound} interleaving states"
+                )
+            got = len(self.nodes)
+            self.nodes.append(None)
+            self.slots[key] = got
+            self.queue.append(key)
+        return got
+
+    def advance(self, view: History, ctrl, n: int, i: int, step: StepKind, count_after: int):
+        """New (view, state) after 1-based thread `i` does `step`."""
+        new_ctrl = self.spec.update(n, view, ctrl, i, step)
+        new_view = self.spec.digest(view + ((i, count_after),))
+        return new_view, new_ctrl
+
+    def positional(self, sd: bool, view: History, ctrl, refs: Tuple[int, ...], i: int) -> int:
+        """Output reference for thread `i` (0-based) taking the next turn."""
+        node = self.arena[refs[i]]
+        n = len(refs)
+        if isinstance(node, Prob):
+            branches = [
+                (w, self.positional(sd, view, ctrl, refs[:i] + (t,) + refs[i + 1 :], i))
+                for w, t in node.branches
+            ]
+            if len(branches) == 1:
+                return branches[0][1]
+            return self.aux_node(Prob(tuple(branches)))
+        if isinstance(node, Stop):
+            if n == 1:
+                return self.aux_node(DEAD if sd else STOP)
+            view2, ctrl2 = self.advance(view, ctrl, n, i + 1, TERMINATION_STEP, n - 1)
+            return self.state_slot((sd, view2, ctrl2, refs[:i] + refs[i + 1 :]))
+        if isinstance(node, DeadEnd):
+            if n == 1:
+                return self.aux_node(DEAD)
+            view2, ctrl2 = self.advance(view, ctrl, n, i + 1, INACTION_STEP, n - 1)
+            return self.state_slot((True, view2, ctrl2, refs[:i] + refs[i + 1 :]))
+        if isinstance(node, Fork):
+            view2, ctrl2 = self.advance(view, ctrl, n, i + 1, FORK_STEP, n + 1)
+            target = self.state_slot(
+                (sd, view2, ctrl2, refs[:i] + (node.then_,) + refs[i + 1 :] + (node.forked,))
+            )
+            return self.aux_node(Post(TAU, target, target))
+        view2, ctrl2 = self.advance(view, ctrl, n, i + 1, BasicStep(node.action), n)
+        t1 = self.state_slot((sd, view2, ctrl2, refs[:i] + (node.then_,) + refs[i + 1 :]))
+        t2 = self.state_slot((sd, view2, ctrl2, refs[:i] + (node.else_,) + refs[i + 1 :]))
+        return self.aux_node(Post(node.action, t1, t2))
+
+    def fill(self, key: tuple) -> None:
+        sd, view, ctrl, refs = key
+        n = len(refs)
+        # `schedule` is pure: check its turn vector once per (n, view, ctrl)
+        turns = self.turns.get((n, view, ctrl))
+        if turns is None:
+            weights = [meadow.as_probability(w) for w in self.spec.schedule(n, view, ctrl)]
+            if len(weights) != n:
+                raise ValueError(
+                    f"scheduler returned {len(weights)} weights for {n} threads"
+                )
+            if sum(weights) != 1:
+                raise WeightSumNotOne(f"turn probabilities sum to {sum(weights)}, not 1")
+            turns = self.turns[n, view, ctrl] = [(i, w) for i, w in enumerate(weights) if w]
+        branches = [(w, self.positional(sd, view, ctrl, refs, i)) for i, w in turns]
+        # a single live branch still needs a node of its own: alias it
+        # with a one-branch choice so the slot has content to hold
+        self.nodes[self.slots[key]] = Prob(tuple(branches))
+
+    def run(self, root: int) -> ThreadGraph:
+        while self.queue:
+            self.fill(self.queue.popleft())
+        return threads.trim(ThreadGraph(tuple(self.nodes), root))
+
+
+class _Offset:
+    """Mapping view that shifts references by a fixed amount."""
+
+    __slots__ = ("offset",)
+
+    def __init__(self, offset: int):
+        self.offset = offset
+
+    def __getitem__(self, ref: int) -> int:
+        return ref + self.offset
+
+
+def oracle_interleave(
+    spec: SchedulerSpec,
+    threads_: Sequence[ThreadGraph],
+    history: History = (),
+    state=_DEFAULT,
+    *,
+    state_bound: int = interleaving.DEFAULT_STATE_BOUND,
+) -> ThreadGraph:
+    """The single thread arising from scheduling the given threads."""
+    engine = OracleEngine(spec, threads_, state_bound)
+    ctrl = spec.initial_state if state is _DEFAULT else state
+    view = spec.digest(tuple(history))
+    root = engine.state_slot((False, view, ctrl, tuple(engine.roots)))
+    return engine.run(root)
+
+
+def oracle_positional_interleave(
+    spec: SchedulerSpec,
+    i: int,
+    threads_: Sequence[ThreadGraph],
+    history: History = (),
+    state=_DEFAULT,
+    *,
+    state_bound: int = interleaving.DEFAULT_STATE_BOUND,
+) -> ThreadGraph:
+    """Interleaving conditioned on thread `i` (1-based) taking the next turn."""
+    if not 1 <= i <= len(threads_):
+        raise ValueError(f"position {i} outside 1..{len(threads_)}")
+    engine = OracleEngine(spec, threads_, state_bound)
+    ctrl = spec.initial_state if state is _DEFAULT else state
+    view = spec.digest(tuple(history))
+    root = engine.positional(False, view, ctrl, tuple(engine.roots), i - 1)
+    return engine.run(root)

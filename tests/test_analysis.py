@@ -1,6 +1,7 @@
 """Exact outcome distributions and seeded sampling."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,24 @@ def test_deep_bound_needs_no_recursion():
     d = outcome_distribution(loop, HALF_ENV, 5000)
     assert d.surviving == Fraction(1, 2**5000)
     assert (d.terminate, d.deadlock) == (1 - d.surviving, 0)
+
+
+def test_memory_follows_the_levels_reached_not_the_bound():
+    # two actions, then termination: only three levels are ever reached
+    g = ta.build(ta.tprefix(A, ta.tprefix(B, TStop())))
+    env = Environment({A: Fraction(1, 2), B: Fraction(1, 3)})
+    tracemalloc.start()
+    try:
+        d = outcome_distribution(g, env, 10**5, with_traces=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert (d.terminate, d.deadlock, d.surviving) == (1, 0, 0)
+    assert d.trace_table == {("main.a", "main.b"): 1}
+    # the lowest level reached is above zero, and the masses are exact
+    d = outcome_distribution(ta.build(TPost(A, TStop(), TPost(B, TStop(), TDead()))), env, 7)
+    assert (d.terminate, d.deadlock, d.surviving) == (Fraction(2, 3), Fraction(1, 3), 0)
 
 
 def test_coin_distribution():

@@ -230,6 +230,28 @@ def test_domain_errors_exit_one(capsys, tmp_path):
     missing = tmp_path / "absent.term"
     code, _, err = run(capsys, "normalize", missing)
     assert code == 1
+    # unreadable files: a directory, and bytes that are not UTF-8
+    binary = tmp_path / "binary.term"
+    binary.write_bytes(b"\xff\xfe")
+    for unreadable in (tmp_path, binary):
+        for argv in (
+            ("normalize", unreadable),
+            ("dist", DATA / "left.term", "--depth", "2", "--env", unreadable),
+            (
+                "interleave", DATA / "left.term", DATA / "right.term",
+                "--scheduler", f"table:{unreadable}",
+            ),
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 1, argv
+            assert err.startswith(f"error: {unreadable}:"), argv
+
+
+@pytest.mark.parametrize("literal", ["{1x: Random}", "{: Random}", "{a.b: Random}"])
+def test_malformed_focus_in_family_literal_exits_one(capsys, literal):
+    code, _, err = run(capsys, "use", DATA / "left.term", "--services", literal)
+    assert code == 1
+    assert err.startswith("error: malformed focus name")
 
 
 def test_unguarded_recursion_exits_one(capsys, tmp_path):

@@ -9,7 +9,10 @@ the sparse `interaction._solve` must return exactly the solution of
 the dense Gauss-Jordan elimination, and the integer-numerator
 `analysis` kernel and integer-cutoff sampler must return exactly what
 the recursive Fraction walkers return, raising the same error first
-where they raise.  The shared integer weight check
+where they raise.  `use`, `interleave` and `positional_interleave`,
+which share `GraphBuilder`'s keyed worklist, must return exactly the
+graphs of the constructions that kept their own, and overrun a small
+state bound on exactly the same inputs.  The shared integer weight check
 behind `Prob`, `GraphBuilder.prob`, `build` and `nary_prob` must accept
 and reject exactly what the first Fraction checks did, with the same
 exception type and message.
@@ -29,17 +32,21 @@ from oracles import (
     OracleGraphBuilder,
     OracleProb,
     oracle_abstract_tau,
+    oracle_interleave,
     oracle_normalize,
     oracle_outcome_distribution,
+    oracle_positional_interleave,
     oracle_sample_outcomes,
     oracle_sample_run,
     oracle_solve,
+    oracle_use,
 )
 from threadalg import analysis, interaction, interleaving, pglb, services, threads
 from threadalg.errors import (
     Error,
     MalformedProbability,
     MissingReply,
+    NonRegularProduct,
     UnguardedRecursion,
     UnresolvedFork,
     WeightSumNotOne,
@@ -198,6 +205,97 @@ def test_abstract_tau_matches_oracle_that_normalizes_its_input():
         got = outcome(interaction.abstract_tau, g)
         assert got == outcome(oracle_abstract_tau, g)
         assert got[0] is UnguardedRecursion
+
+
+# ---------------------------------------------------------------------------
+# the product constructions on the shared keyed worklist
+
+PRODUCT_BOUNDS = (1, 2, 3, 5, 8)
+
+
+def use_inputs():
+    """Threads with service actions and forks, recursive ones too, each
+    with a random family."""
+    rng = random.Random(27)
+    cases = []
+    for _ in range(150):
+        g = genlib.thread(
+            rng, rng.randint(1, 4), mk_action=genlib.service_action, allow_fork=True
+        )
+        cases.append((g, genlib.family(rng)))
+    for _ in range(50):
+        g = ta.build(rec_term(rng, rng.randint(1, 3), mk_action=genlib.service_action))
+        cases.append((g, genlib.family(rng)))
+    return cases
+
+
+def test_use_matches_oracle():
+    for g, fam in use_inputs():
+        assert interaction.use(g, fam) == oracle_use(g, fam)
+
+
+def test_use_state_bound_matches_oracle():
+    overruns = 0
+    for g, fam in use_inputs()[::3]:
+        for bound in PRODUCT_BOUNDS:
+            got = outcome(interaction.use, g, fam, state_bound=bound)
+            assert got == outcome(oracle_use, g, fam, state_bound=bound)
+            if raised(got):
+                assert got[0] is NonRegularProduct
+                overruns += 1
+    assert overruns > 0
+
+
+PRODUCT_SCHEDULERS = {
+    "cyclic": interleaving.cyclic_scheduler,
+    "uniform": interleaving.uniform_scheduler,
+    "lottery:2": lambda: interleaving.lottery_scheduler(2),
+}
+
+
+def interleave_inputs(kind):
+    """Pools of 1-3 threads: recursive ones, and finite ones with forks."""
+    rng = random.Random(f"interleave {kind}")
+    pools = []
+    for _ in range(30):
+        pools.append([
+            ta.build(rec_term(rng, rng.randint(1, 3)))
+            if rng.random() < 0.5
+            else genlib.thread(rng, rng.randint(0, 3), allow_fork=True)
+            for _ in range(rng.randint(1, 3))
+        ])
+    return pools
+
+
+def products(pool):
+    """`interleave` and every `positional_interleave` on `pool`, each with
+    its oracle."""
+    yield interleaving.interleave, oracle_interleave, ()
+    for i in range(1, len(pool) + 1):
+        yield interleaving.positional_interleave, oracle_positional_interleave, (i,)
+
+
+@pytest.mark.parametrize("kind", sorted(PRODUCT_SCHEDULERS))
+def test_interleave_matches_oracle(kind):
+    spec = PRODUCT_SCHEDULERS[kind]()
+    for pool in interleave_inputs(kind):
+        for product, oracle, pos in products(pool):
+            assert product(spec, *pos, pool) == oracle(spec, *pos, pool)
+
+
+@pytest.mark.parametrize("kind", sorted(PRODUCT_SCHEDULERS))
+def test_interleave_state_bound_matches_oracle(kind):
+    spec = PRODUCT_SCHEDULERS[kind]()
+    overruns = 0
+    for pool in interleave_inputs(kind)[::2]:
+        for product, oracle, pos in products(pool):
+            for bound in PRODUCT_BOUNDS:
+                got = outcome(product, spec, *pos, pool, state_bound=bound)
+                assert got == outcome(oracle, spec, *pos, pool, state_bound=bound)
+                if raised(got):
+                    assert got[0] is NonRegularProduct
+                    overruns += 1
+    assert overruns > 0
 
 
 # ---------------------------------------------------------------------------
