@@ -11,15 +11,20 @@ reachable service states do.
 
 `abstract_tau` conceals tau steps.  On a finite graph a region of tau
 and choice nodes is an absorbing chain; the probability with which
-each node escapes to each visible successor is computed exactly by
-solving the region's linear system over the rationals, and mass that
-can never escape becomes inaction (every finite-depth approximation of
-a pure internal loop is cut to inaction, so its limit is inaction).
+each node escapes to each visible successor is computed exactly, and
+mass that can never escape becomes inaction (every finite-depth
+approximation of a pure internal loop is cut to inaction, so its limit
+is inaction).  The region is solved one strongly connected component
+at a time, in reverse topological order, on integer numerators over a
+reduced common denominator: a single node is a weighted sum of the
+distributions solved below it, and only a loop solves its own small
+linear system over the rationals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, List, Tuple
 
 from . import meadow, threads
@@ -152,91 +157,158 @@ def abstract_tau(g: ThreadGraph) -> ThreadGraph:
     """The thread `g` with every internal step concealed.
 
     Exact on regular threads: escape probabilities out of internal
-    regions come from a rational linear solve, and non-escaping mass
+    regions are solved component by component, and non-escaping mass
     maps to inaction.  They depend only on behaviour, so the input is
     only trimmed and the result alone is normalized.
     """
     n = threads.trim(g)
+    nodes = n.nodes
     tau_refs = [
         r
-        for r, node in enumerate(n.nodes)
+        for r, node in enumerate(nodes)
         if isinstance(node, Post) and node.action.is_tau
     ]
     if not tau_refs:
         return threads.normalize(n)
     tau_set = set(tau_refs)
-    head = threads.head_distributions(n, range(len(n.nodes)))
-    visible = {
-        r
-        for r, node in enumerate(n.nodes)
+    head = threads.head_distributions(n, range(len(nodes)))
+    # escape distributions over visible nodes as (den, {ref: numerator}),
+    # reduced so that den is the lcm of the reduced denominators; a
+    # visible node escapes to itself, and a node that never escapes is
+    # left out, so it contributes nothing
+    escape: Dict[int, Tuple[int, Dict[int, int]]] = {
+        r: (1, {r: 1})
+        for r, node in enumerate(nodes)
         if not isinstance(node, Prob) and r not in tau_set
     }
 
     # one-step distribution of each internal node
-    step = {t: head[n.nodes[t].then_] for t in tau_refs}
+    step = {t: head[nodes[t].then_] for t in tau_refs}
 
-    # internal nodes from which some visible node is reachable
-    escaping = set()
-    changed = True
-    while changed:
-        changed = False
-        for t in tau_refs:
-            if t in escaping:
-                continue
-            if any(d in visible or d in escaping for d in step[t]):
+    # internal nodes from which some visible node is reachable, by one
+    # backward search from those that step to one
+    preds: Dict[int, List[int]] = {t: [] for t in tau_refs}
+    todo = []
+    for t in tau_refs:
+        for d in step[t]:
+            if d in tau_set:
+                preds[d].append(t)
+        if any(d in escape for d in step[t]):
+            todo.append(t)
+    escaping = set(todo)
+    while todo:
+        for t in preds[todo.pop()]:
+            if t not in escaping:
                 escaping.add(t)
-                changed = True
+                todo.append(t)
 
-    solved: Dict[int, Dict[int, Fraction]] = {}
-    if escaping:
-        order = sorted(escaping)
-        pos = {t: i for i, t in enumerate(order)}
-        targets = sorted({d for t in order for d in step[t] if d in visible})
-        tpos = {d: j for j, d in enumerate(targets)}
+    def mix(dist: Dict[int, Fraction]) -> Tuple[int, Dict[int, int]]:
+        # the sum of w * escape[d], over the lcm of the terms' denominators
+        terms = []
+        for d, w in dist.items():
+            got = escape.get(d)
+            if got is not None:
+                p, q = w.as_integer_ratio()
+                terms.append((p, q * got[0], got[1]))
+        den = lcm(*(q for _, q, _ in terms))
+        out: Dict[int, int] = {}
+        for p, q, nums in terms:
+            f = p * (den // q)
+            for v, x in nums.items():
+                out[v] = out.get(v, 0) + f * x
+        c = gcd(den, *out.values())
+        if c == 1:
+            return den, out
+        return den // c, {v: x // c for v, x in out.items()}
+
+    def solve(comp: List[int]) -> None:
+        # every component that `comp` reaches is solved already
+        if len(comp) == 1 and comp[0] not in step[comp[0]]:
+            escape[comp[0]] = mix(step[comp[0]])
+            return
+        pos = {t: i for i, t in enumerate(comp)}
+        targets: Dict[int, int] = {}
         a: List[Dict[int, Fraction]] = []
-        b: List[Dict[int, Fraction]] = []
-        for t in order:
+        rhs: List[Dict[int, Fraction]] = []
+        for t in comp:
             row = {pos[t]: meadow.ONE}
-            rhs = {}
+            col: Dict[int, Fraction] = {}
             for d, w in step[t].items():
-                if d in tpos:
-                    rhs[tpos[d]] = w
-                elif d == t:
-                    row[pos[t]] = meadow.ONE - w  # nonzero: t escapes
-                elif d in pos:
-                    row[pos[d]] = -w
+                if d in pos:
+                    row[pos[d]] = row.get(pos[d], meadow.ZERO) - w
+                elif d in escape:
+                    den, nums = escape[d]
+                    for v, x in nums.items():
+                        j = targets.setdefault(v, len(targets))
+                        col[j] = col.get(j, meadow.ZERO) + w * Fraction(x, den)
             a.append(row)
-            b.append(rhs)
-        x = _solve(a, b)
-        for t in order:
-            solved[t] = {targets[j]: v for j, v in x[pos[t]].items()}
+            rhs.append(col)
+        columns = list(targets)
+        for t, x in zip(comp, _solve(a, rhs)):
+            den = lcm(*(q.denominator for q in x.values()))
+            escape[t] = (
+                den,
+                {columns[j]: q.numerator * (den // q.denominator) for j, q in x.items()},
+            )
 
-    def absorb(ref: int) -> Dict[int, Fraction]:
-        out: Dict[int, Fraction] = {}
-        for dref, w in head[ref].items():
-            if dref in visible:
-                out[dref] = out.get(dref, meadow.ZERO) + w
-            elif dref in solved:
-                for d, q in solved[dref].items():
-                    out[d] = out.get(d, meadow.ZERO) + w * q
-            # anything else never becomes visible again
-        return out
+    # Tarjan's search on an explicit stack emits each component of the
+    # escaping region after every component it reaches; a node it has
+    # entered is still on its stack until solved into `escape`
+    index: Dict[int, int] = {}
+    low: Dict[int, int] = {}
+    stack: List[int] = []
+    work = []
+
+    def enter(t: int) -> None:
+        index[t] = low[t] = len(index)
+        stack.append(t)
+        work.append((t, iter(step[t])))
+
+    for s in tau_refs:
+        if s in escaping and s not in index:
+            enter(s)
+        while work:
+            v, it = work[-1]
+            for d in it:
+                if d not in escaping:
+                    continue
+                if d not in index:
+                    enter(d)
+                    break
+                if d not in escape and index[d] < low[v]:
+                    low[v] = index[d]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    solve(comp)
 
     b = GraphBuilder()
+    resolved: Dict[int, int] = {}
 
     def resolve(ref: int) -> int:
         # the escape distribution of `ref` as a node over visible slots
-        dist = absorb(ref)
-        total = sum(dist.values(), meadow.ZERO)
-        if total == 0:
-            return b.add(DEAD)
-        branches = [(w, b.slot(v)) for v, w in sorted(dist.items())]
-        if total != 1:
-            branches.append((1 - total, b.add(DEAD)))
-        return b.prob(branches)
+        got = resolved.get(ref)
+        if got is not None:
+            return got
+        den, nums = mix(head[ref])
+        if not nums:
+            got = b.add(DEAD)
+        else:
+            branches = [(Fraction(x, den), b.slot(v)) for v, x in sorted(nums.items())]
+            rest = den - sum(nums.values())
+            if rest:
+                branches.append((Fraction(rest, den), b.add(DEAD)))
+            got = branches[0][1] if len(branches) == 1 else b.add(Prob(tuple(branches)))
+        resolved[ref] = got
+        return got
 
     def content(v: int) -> threads.Node:
-        node = n.nodes[v]
+        node = nodes[v]
         if isinstance(node, Post):
             return Post(node.action, resolve(node.then_), resolve(node.else_))
         if isinstance(node, Fork):

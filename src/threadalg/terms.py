@@ -282,74 +282,83 @@ def _action_text(a: Action) -> str:
     return str(a)
 
 
-def _print_children(node) -> Tuple[int, ...]:
-    # children in printed order; an equal-branch test prints only once
+def _print_pieces(node) -> List[object]:
+    # the printed form of a node: text and child references alternate,
+    # starting and ending with text; an equal-branch test prints only once
+    if isinstance(node, Stop):
+        return ["S"]
+    if isinstance(node, DeadEnd):
+        return ["D"]
     if isinstance(node, Post):
         if node.then_ == node.else_:
-            return (node.then_,)
-        return (node.then_, node.else_)
+            return [f"prefix({_action_text(node.action)}, ", node.then_, ")"]
+        return [f"post({_action_text(node.action)}, ", node.then_, ", ", node.else_, ")"]
     if isinstance(node, Fork):
-        return (node.forked, node.then_, node.else_)
-    if isinstance(node, Prob):
-        return tuple(t for _, t in node.branches)
-    return ()
+        return ["fork(", node.forked, ", ", node.then_, ", ", node.else_, ")"]
+    pieces: List[object] = []
+    sep = "prob("
+    for w, t in node.branches:
+        pieces += [f"{sep}{meadow.format_rational(w)}: ", t]
+        sep = ", "
+    pieces.append(")")
+    return pieces
 
 
 def print_term(g: ThreadGraph) -> str:
     """Deterministic textual form of a graph; `parse_thread` inverts it."""
+    pieces: Dict[int, List[object]] = {}  # in depth-first preorder
     color: Dict[int, int] = {}
-    pre: Dict[int, int] = {}
     visits: Dict[int, int] = {}
     named: Set[int] = set()
+    work = []  # the search's stack of (node, children left)
 
-    def dfs(r: int) -> None:
-        visits[r] = visits.get(r, 0) + 1
-        c = color.get(r)
-        if c == 0:
-            named.add(r)
-            return
-        if c == 1:
-            return
+    def enter(r: int) -> None:
         color[r] = 0
-        pre[r] = len(pre)
-        for ch in _print_children(g.nodes[r]):
-            dfs(ch)
-        color[r] = 1
+        pieces[r] = p = _print_pieces(g.nodes[r])
+        work.append((r, iter(p[1::2])))
 
-    dfs(g.root)
+    visits[g.root] = 1
+    enter(g.root)
+    while work:
+        r, children = work[-1]
+        for ch in children:
+            visits[ch] = visits.get(ch, 0) + 1
+            c = color.get(ch)
+            if c is None:
+                enter(ch)
+                break
+            if c == 0:
+                named.add(ch)
+        else:
+            color[r] = 1
+            work.pop()
     for r, count in visits.items():
         if count > 1 and not isinstance(g.nodes[r], (Stop, DeadEnd)):
             named.add(r)
     if named:
         named.add(g.root)
-    names = {r: f"X{i}" for i, r in enumerate(sorted(named, key=pre.get))}
+    order = [r for r in pieces if r in named]
+    names = {r: f"X{i}" for i, r in enumerate(order)}
 
-    def render(r: int, as_def: bool = False) -> str:
-        if r in names and not as_def:
-            return names[r]
-        node = g.nodes[r]
-        if isinstance(node, Stop):
-            return "S"
-        if isinstance(node, DeadEnd):
-            return "D"
-        if isinstance(node, Post):
-            if node.then_ == node.else_:
-                return f"prefix({_action_text(node.action)}, {render(node.then_)})"
-            return (
-                f"post({_action_text(node.action)}, "
-                f"{render(node.then_)}, {render(node.else_)})"
-            )
-        if isinstance(node, Fork):
-            return f"fork({render(node.forked)}, {render(node.then_)}, {render(node.else_)})"
-        branches = ", ".join(
-            f"{meadow.format_rational(w)}: {render(t)}" for w, t in node.branches
-        )
-        return f"prob({branches})"
+    def render(r: int) -> str:
+        # the definition of `r`, expanding unnamed references in place
+        out: List[str] = []
+        todo = [iter(pieces[r])]
+        while todo:
+            for item in todo[-1]:
+                if type(item) is str:
+                    out.append(item)
+                elif item in names:
+                    out.append(names[item])
+                else:
+                    todo.append(iter(pieces[item]))
+                    break
+            else:
+                todo.pop()
+        return "".join(out)
 
     if not named:
         return render(g.root)
     main = names[g.root]
-    eqs = " ".join(
-        f"{names[r]} = {render(r, as_def=True)};" for r in sorted(named, key=pre.get)
-    )
+    eqs = " ".join(f"{names[r]} = {render(r)};" for r in order)
     return f"rec {main} {{ {eqs} }} in {main}"

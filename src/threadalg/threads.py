@@ -263,11 +263,10 @@ class GraphBuilder:
         self._label = label
 
     def add(self, node: Node) -> int:
-        ref = self._index.get(node)
-        if ref is None:
-            ref = len(self._nodes)
+        # one lookup, so a new node is hashed once
+        ref = self._index.setdefault(node, len(self._nodes))
+        if ref == len(self._nodes):
             self._nodes.append(node)
-            self._index[node] = ref
         return ref
 
     def reserve(self) -> int:

@@ -5,7 +5,8 @@ round recomputes the block-level distribution of every slot with
 Fraction sums and ranks signatures that hold Fractions.
 `oracle_solve` is the first dense Gauss-Jordan solve behind
 `interaction.abstract_tau`, and `oracle_abstract_tau` the
-`abstract_tau` that normalized its input as well as its output.  `oracle_outcome_distribution`,
+`abstract_tau` that normalized its input as well as its output and
+solved its whole tau region as one linear system over Fractions.  `oracle_outcome_distribution`,
 `oracle_sample_run` and `oracle_sample_outcomes` are the first
 `analysis` walkers: a memoised recursion over `(node, depth)` with
 Fraction masses, and a sampler that compares each 64-bit draw as an
@@ -15,7 +16,9 @@ exact dyadic Fraction.  `OracleProb` carries the first
 tested the range through the signum encoding.  `oracle_use`,
 `oracle_interleave` and `oracle_positional_interleave` (with
 `OracleEngine`) are the product constructions that each kept their own
-slot dict, auxiliary-node interning, queue and state bound.  All are slow and
+slot dict, auxiliary-node interning, queue and state bound.
+`oracle_print_term` is the first `terms.print_term`, which recursed
+along the graph while searching and rendering.  All are slow and
 obviously correct; the production versions must agree with them
 exactly.
 """
@@ -26,7 +29,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from threadalg import interleaving, meadow, threads
 from threadalg.analysis import (
@@ -55,6 +58,7 @@ from threadalg.interleaving import (
     StepKind,
 )
 from threadalg.services import ServiceFamily
+from threadalg.terms import _action_text
 from threadalg.threads import (
     DEAD,
     DeadEnd,
@@ -742,3 +746,76 @@ def oracle_positional_interleave(
     view = spec.digest(tuple(history))
     root = engine.positional(False, view, ctrl, tuple(engine.roots), i - 1)
     return engine.run(root)
+
+
+def _print_children(node) -> Tuple[int, ...]:
+    # children in printed order; an equal-branch test prints only once
+    if isinstance(node, Post):
+        if node.then_ == node.else_:
+            return (node.then_,)
+        return (node.then_, node.else_)
+    if isinstance(node, Fork):
+        return (node.forked, node.then_, node.else_)
+    if isinstance(node, Prob):
+        return tuple(t for _, t in node.branches)
+    return ()
+
+
+def oracle_print_term(g: ThreadGraph) -> str:
+    """Deterministic textual form of a graph; `parse_thread` inverts it."""
+    color: Dict[int, int] = {}
+    pre: Dict[int, int] = {}
+    visits: Dict[int, int] = {}
+    named: Set[int] = set()
+
+    def dfs(r: int) -> None:
+        visits[r] = visits.get(r, 0) + 1
+        c = color.get(r)
+        if c == 0:
+            named.add(r)
+            return
+        if c == 1:
+            return
+        color[r] = 0
+        pre[r] = len(pre)
+        for ch in _print_children(g.nodes[r]):
+            dfs(ch)
+        color[r] = 1
+
+    dfs(g.root)
+    for r, count in visits.items():
+        if count > 1 and not isinstance(g.nodes[r], (Stop, DeadEnd)):
+            named.add(r)
+    if named:
+        named.add(g.root)
+    names = {r: f"X{i}" for i, r in enumerate(sorted(named, key=pre.get))}
+
+    def render(r: int, as_def: bool = False) -> str:
+        if r in names and not as_def:
+            return names[r]
+        node = g.nodes[r]
+        if isinstance(node, Stop):
+            return "S"
+        if isinstance(node, DeadEnd):
+            return "D"
+        if isinstance(node, Post):
+            if node.then_ == node.else_:
+                return f"prefix({_action_text(node.action)}, {render(node.then_)})"
+            return (
+                f"post({_action_text(node.action)}, "
+                f"{render(node.then_)}, {render(node.else_)})"
+            )
+        if isinstance(node, Fork):
+            return f"fork({render(node.forked)}, {render(node.then_)}, {render(node.else_)})"
+        branches = ", ".join(
+            f"{meadow.format_rational(w)}: {render(t)}" for w, t in node.branches
+        )
+        return f"prob({branches})"
+
+    if not named:
+        return render(g.root)
+    main = names[g.root]
+    eqs = " ".join(
+        f"{names[r]} = {render(r, as_def=True)};" for r in sorted(named, key=pre.get)
+    )
+    return f"rec {main} {{ {eqs} }} in {main}"

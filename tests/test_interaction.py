@@ -1,6 +1,7 @@
 """The use operator, abstraction from internal steps, and their laws."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -263,6 +264,42 @@ def test_abstraction_partial_divergence_splits_mass():
         TProb(((Fraction(1, 2), prefix(A, TStop())), (Fraction(1, 2), TDead())))
     )
     assert ta.normalize(result) == ta.normalize(expected)
+
+
+def test_abstraction_of_a_long_tau_chain_needs_no_recursion():
+    # internal step i moves on with 1/2 and escapes to a with 1/3 and to
+    # b with 1/6; the last one escapes to a with 5/6 and to b with 1/6
+    n = 5000
+    a, b, stop = 2 * n, 2 * n + 1, 2 * n + 2
+    nodes = []
+    for i in range(n - 1):
+        nodes += [
+            Post(ta.TAU, 2 * i + 1, 2 * i + 1),
+            Prob(((Fraction(1, 2), 2 * i + 2), (Fraction(1, 3), a), (Fraction(1, 6), b))),
+        ]
+    nodes += [
+        Post(ta.TAU, 2 * n - 1, 2 * n - 1),
+        Prob(((Fraction(5, 6), a), (Fraction(1, 6), b))),
+        Post(A, stop, stop),
+        Post(ta.basic("main", "b"), stop, stop),
+        T.STOP,
+    ]
+    to_b = Fraction(1, 3) * (1 - Fraction(1, 2**n))
+    want = ta.build(
+        TProb(
+            (
+                (1 - to_b, prefix(A, TStop())),
+                (to_b, prefix(ta.basic("main", "b"), TStop())),
+            )
+        )
+    )
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        got = abstract_tau(T.ThreadGraph(tuple(nodes), 0))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == ta.normalize(want)
 
 
 def test_abstraction_idempotent_on_image():

@@ -3,8 +3,11 @@
 `threads.normalize` must return exactly the graph of the original
 Fraction-signature refinement, also on weights with large coprime
 denominators, and return the graphs it made unchanged;
-`interaction.abstract_tau`, which only trims its input, must agree with
-the version that normalized it, also on inputs with unreachable junk;
+`interaction.abstract_tau`, which only trims its input and solves its
+tau region component by component on integer numerators, must agree
+with the version that normalized its input and solved the whole region
+at once, also on inputs with unreachable junk, on tau regions of each
+shape and on `.pglb` retry loops;
 the sparse `interaction._solve` must return exactly the solution of
 the dense Gauss-Jordan elimination, and the integer-numerator
 `analysis` kernel and integer-cutoff sampler must return exactly what
@@ -15,7 +18,8 @@ graphs of the constructions that kept their own, and overrun a small
 state bound on exactly the same inputs.  The shared integer weight check
 behind `Prob`, `GraphBuilder.prob`, `build` and `nary_prob` must accept
 and reject exactly what the first Fraction checks did, with the same
-exception type and message.
+exception type and message.  `terms.print_term`, which walks the graph
+on explicit stacks, must print exactly what the recursive printer did.
 """
 
 import json
@@ -36,12 +40,13 @@ from oracles import (
     oracle_normalize,
     oracle_outcome_distribution,
     oracle_positional_interleave,
+    oracle_print_term,
     oracle_sample_outcomes,
     oracle_sample_run,
     oracle_solve,
     oracle_use,
 )
-from threadalg import analysis, interaction, interleaving, pglb, services, threads
+from threadalg import analysis, interaction, interleaving, pglb, services, terms, threads
 from threadalg.errors import (
     Error,
     MalformedProbability,
@@ -100,6 +105,13 @@ def test_normalize_matches_oracle_on_random_threads():
     rng = random.Random(20)
     for g in random_threads(rng, 150):
         assert threads.normalize(g) == oracle_normalize(g)
+
+
+def test_print_term_matches_oracle_on_random_threads():
+    rng = random.Random(27)
+    for g in random_threads(rng, 150):
+        for h in (g, threads.normalize(g)):
+            assert terms.print_term(h) == oracle_print_term(h)
 
 
 def test_normalize_matches_oracle_on_use_outputs():
@@ -205,6 +217,129 @@ def test_abstract_tau_matches_oracle_that_normalizes_its_input():
         got = outcome(interaction.abstract_tau, g)
         assert got == outcome(oracle_abstract_tau, g)
         assert got[0] is UnguardedRecursion
+
+
+# tau regions by shape: node tables rooted at 0, followed by the
+# visible nodes "A" and "B"; `tau(k)` steps to the choice at entry k
+
+
+def region(*nodes):
+    n = len(nodes)
+    refs = {"A": n, "B": n + 1}
+    table = [
+        Prob(tuple((w, refs.get(t, t)) for w, t in node.branches))
+        if isinstance(node, Prob)
+        else node
+        for node in nodes
+    ]
+    table += [Post(ta.basic("main", x), n + 2, n + 2) for x in "ab"] + [STOP]
+    return ThreadGraph(tuple(table), 0)
+
+
+def tau(k):
+    return Post(ta.TAU, k, k)
+
+
+def choice(*branches):
+    return Prob(tuple((Fraction(w), t) for w, t in branches))
+
+
+TAU_REGIONS = {
+    "two-node SCC": region(
+        tau(1), choice(("1/2", 2), ("1/2", "A")), tau(3), choice(("1/3", 0), ("2/3", "B"))
+    ),
+    # only 4 steps back to 0, so 2 learns from 4 that it is in 0's SCC
+    "three-node SCC": region(
+        tau(1),
+        choice(("1/2", 2), ("1/2", "A")),
+        tau(3),
+        choice(("1/4", 4), ("3/4", "B")),
+        tau(5),
+        choice(("1/5", 0), ("2/5", "B"), ("2/5", 2)),
+    ),
+    # {0, 2} escapes only into {4, 6}, which reaches A and B
+    "SCC feeding an SCC": region(
+        tau(1),
+        choice(("1/2", 2), ("1/2", 4)),
+        tau(3),
+        choice(("1/3", 0), ("2/3", 6)),
+        tau(5),
+        choice(("1/2", 6), ("1/2", "A")),
+        tau(7),
+        choice(("1/7", 4), ("6/7", "B")),
+    ),
+    # {1, 3} loops without escape, {5, 7} escapes
+    "SCC that never escapes": region(
+        choice(("1/3", 1), ("2/3", 5)),
+        tau(2),
+        choice(("1/2", 3), ("1/2", 1)),
+        tau(4),
+        choice(("1", 1)),
+        tau(6),
+        choice(("1/2", 7), ("1/2", "B")),
+        tau(8),
+        choice(("1/3", 5), ("2/3", "A")),
+    ),
+    "self-loop": region(tau(1), choice(("1/4", 0), ("3/4", "A"))),
+    # 1 and 3 share the successor 5, and the action's two branches
+    # ask for distributions that both go through it
+    "diamond": region(
+        Post(ta.basic("main", "c"), 1, 3),
+        tau(2),
+        choice(("1/2", 5), ("1/2", "A")),
+        tau(4),
+        choice(("1/3", 5), ("2/3", "B")),
+        tau(6),
+        choice(("1/2", "A"), ("1/2", "B")),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAU_REGIONS))
+def test_abstract_tau_matches_oracle_on_tau_regions(name):
+    g = TAU_REGIONS[name]
+    assert interaction.abstract_tau(g) == oracle_abstract_tau(g)
+
+
+def test_mass_of_a_region_that_never_escapes_becomes_inaction():
+    # {5, 7} escapes to A with 2/5 and to B with 3/5
+    got = interaction.abstract_tau(TAU_REGIONS["SCC that never escapes"])
+    want = "prob(4/15: prefix(main.a, S), 2/5: prefix(main.b, S), 1/3: D)"
+    assert got == threads.normalize(ta.parse_thread(want))
+
+
+def retry_program(rng, size):
+    """A `.pglb` program of random skips, actions and retry loops
+    `-%p ; \\k`, whose backward jumps overlap and nest."""
+    out = []
+    while len(out) < size:
+        kind = rng.random()
+        p = rng.choice(["1/2", "1/3", "2/3", "1/4", "3/5"])
+        if kind < 0.3:
+            out += [f"+%{p}", "#2", rng.choice("ab")]
+        elif kind < 0.6 and out:
+            out += [f"-%{p}", f"\\{rng.randint(1, min(6, len(out) + 1))}"]
+        else:
+            out.append(rng.choice("abc"))
+    return " ; ".join(out + ["!"])
+
+
+def test_abstract_tau_matches_oracle_on_nested_retry_loops():
+    rng = random.Random(26)
+    family = services.singleton(pglb.RANDOM_FOCUS, services.RANDOM)
+    for _ in range(40):
+        program = pglb.parse_program(retry_program(rng, rng.randint(4, 16)))
+        g = interaction.use(pglb.extract_at(1, program), family)
+        assert interaction.abstract_tau(g) == oracle_abstract_tau(g)
+
+
+def test_abstract_tau_matches_oracle_on_the_choice_chain():
+    program = pglb.parse_program(" ; ".join(["+%1/3 ; #2 ; a"] * 10 + ["!"]))
+    g = interaction.use(
+        pglb.extract_at(1, program),
+        services.singleton(pglb.RANDOM_FOCUS, services.RANDOM),
+    )
+    assert interaction.abstract_tau(g) == oracle_abstract_tau(g)
 
 
 # ---------------------------------------------------------------------------

@@ -149,3 +149,9 @@ def test_nested_prefix_parses_in_linear_time():
     g = terms.parse_thread(text)
     assert time.perf_counter() - start < 1.0
     assert len(g.nodes) == 2 * 60 + 1
+
+
+def test_printing_a_deep_projection_needs_no_recursion():
+    loop = terms.parse_thread("rec X { X = prefix(main.a, X); } in X")
+    printed = terms.print_term(ta.project(5000, loop))
+    assert printed == "prefix(main.a, " * 5000 + "D" + ")" * 5000
