@@ -126,7 +126,7 @@ def outcome_distribution(
     replies: Dict[int, Fraction] = {}
     # a Post node's successors, in reverse walk order for the stack
     successors: Dict[int, Tuple[int, ...]] = {}
-    stack = [(m, depth) for m in reversed(heads[g.root])]
+    stack = [(m, depth) for m in reversed(heads[g.root][1])]
     while stack:
         ref, k = stack.pop()
         level = reached[k]
@@ -141,34 +141,34 @@ def outcome_distribution(
             if order is None:
                 replies[ref] = env.reply(node.action)
                 order = successors[ref] = (
-                    *reversed(heads[node.else_]),
-                    *reversed(heads[node.then_]),
+                    *reversed(heads[node.else_][1]),
+                    *reversed(heads[node.then_][1]),
                 )
             below = reached.get(k - 1)
             if below is None:
                 below = reached[k - 1] = set()
             stack.extend([(m, k - 1) for m in order if m not in below])
 
-    # exact one-step coefficients p*w_then(m) + q*w_else(m), zeros dropped
-    exact: Dict[int, Dict[int, Fraction]] = {}
+    # exact one-step coefficients p*w_then(m) + (1-p)*w_else(m) as
+    # (den, {m: numerator}), zeros dropped
+    exact: Dict[int, Tuple[int, Dict[int, int]]] = {}
     for ref, p in replies.items():
         node = nodes[ref]
-        coef: Dict[int, Fraction] = {}
-        for w, target in ((p, node.then_), (1 - p, node.else_)):
-            if w:
-                for m, wm in heads[target].items():
-                    coef[m] = coef.get(m, meadow.ZERO) + w * wm
-        exact[ref] = coef
-    root = heads[g.root]
-    step_den = math.lcm(
-        *(w.denominator for coef in exact.values() for w in coef.values()),
-        *(w.denominator for w in root.values()),
-    )
-
-    def scaled(coef: Dict[int, Fraction]) -> Tuple[Tuple[int, int], ...]:
-        return tuple(
-            (w.numerator * (step_den // w.denominator), m) for m, w in coef.items()
+        a, b = p.as_integer_ratio()
+        exact[ref] = threads.weighted_sum(
+            [
+                (x, b * heads[target][0], heads[target][1])
+                for x, target in ((a, node.then_), (b - a, node.else_))
+                if x
+            ]
         )
+    root = heads[g.root]
+    step_den = math.lcm(*(den for den, _ in exact.values()), root[0])
+
+    def scaled(coef: Tuple[int, Dict[int, int]]) -> Tuple[Tuple[int, int], ...]:
+        den, nums = coef
+        f = step_den // den
+        return tuple((x * f, m) for m, x in nums.items())
 
     coefs = {ref: scaled(coef) for ref, coef in exact.items()}
 

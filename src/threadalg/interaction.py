@@ -24,7 +24,7 @@ linear system over the rationals.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Dict, List, Tuple
 
 from . import meadow, threads
@@ -182,7 +182,7 @@ def abstract_tau(g: ThreadGraph) -> ThreadGraph:
         if not isinstance(node, Prob) and r not in tau_set
     }
 
-    # one-step distribution of each internal node
+    # one-step distribution of each internal node, as (den, {ref: numerator})
     step = {t: head[nodes[t].then_] for t in tau_refs}
 
     # internal nodes from which some visible node is reachable, by one
@@ -190,10 +190,10 @@ def abstract_tau(g: ThreadGraph) -> ThreadGraph:
     preds: Dict[int, List[int]] = {t: [] for t in tau_refs}
     todo = []
     for t in tau_refs:
-        for d in step[t]:
+        for d in step[t][1]:
             if d in tau_set:
                 preds[d].append(t)
-        if any(d in escape for d in step[t]):
+        if any(d in escape for d in step[t][1]):
             todo.append(t)
     escaping = set(todo)
     while todo:
@@ -202,28 +202,16 @@ def abstract_tau(g: ThreadGraph) -> ThreadGraph:
                 escaping.add(t)
                 todo.append(t)
 
-    def mix(dist: Dict[int, Fraction]) -> Tuple[int, Dict[int, int]]:
-        # the sum of w * escape[d], over the lcm of the terms' denominators
-        terms = []
-        for d, w in dist.items():
-            got = escape.get(d)
-            if got is not None:
-                p, q = w.as_integer_ratio()
-                terms.append((p, q * got[0], got[1]))
-        den = lcm(*(q for _, q, _ in terms))
-        out: Dict[int, int] = {}
-        for p, q, nums in terms:
-            f = p * (den // q)
-            for v, x in nums.items():
-                out[v] = out.get(v, 0) + f * x
-        c = gcd(den, *out.values())
-        if c == 1:
-            return den, out
-        return den // c, {v: x // c for v, x in out.items()}
+    def mix(dist: Tuple[int, Dict[int, int]]) -> Tuple[int, Dict[int, int]]:
+        # the sum of x/den * escape[d] over the head distribution's support
+        den, nums = dist
+        return threads.weighted_sum(
+            [(x, den * escape[d][0], escape[d][1]) for d, x in nums.items() if d in escape]
+        )
 
     def solve(comp: List[int]) -> None:
         # every component that `comp` reaches is solved already
-        if len(comp) == 1 and comp[0] not in step[comp[0]]:
+        if len(comp) == 1 and comp[0] not in step[comp[0]][1]:
             escape[comp[0]] = mix(step[comp[0]])
             return
         pos = {t: i for i, t in enumerate(comp)}
@@ -233,14 +221,15 @@ def abstract_tau(g: ThreadGraph) -> ThreadGraph:
         for t in comp:
             row = {pos[t]: meadow.ONE}
             col: Dict[int, Fraction] = {}
-            for d, w in step[t].items():
+            sden, snums = step[t]
+            for d, y in snums.items():
                 if d in pos:
-                    row[pos[d]] = row.get(pos[d], meadow.ZERO) - w
+                    row[pos[d]] = row.get(pos[d], meadow.ZERO) - Fraction(y, sden)
                 elif d in escape:
                     den, nums = escape[d]
                     for v, x in nums.items():
                         j = targets.setdefault(v, len(targets))
-                        col[j] = col.get(j, meadow.ZERO) + w * Fraction(x, den)
+                        col[j] = col.get(j, meadow.ZERO) + Fraction(y * x, sden * den)
             a.append(row)
             rhs.append(col)
         columns = list(targets)
@@ -262,7 +251,7 @@ def abstract_tau(g: ThreadGraph) -> ThreadGraph:
     def enter(t: int) -> None:
         index[t] = low[t] = len(index)
         stack.append(t)
-        work.append((t, iter(step[t])))
+        work.append((t, iter(step[t][1])))
 
     for s in tau_refs:
         if s in escaping and s not in index:

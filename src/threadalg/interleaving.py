@@ -25,6 +25,14 @@ interleaving of cyclic threads exists only when the strategy depends
 on finitely much of it: the `digest` of a strategy trims the history
 to the part it actually uses, and the engine keys its state space on
 the trimmed view.
+
+The engine interns the nodes it builds for one turn on integer keys:
+a thread's choice on its weight tuple's id (numbered once, per distinct
+tuple of the normalized input threads) and the output references of its
+branches, an action step on the input node and its two successors.  A
+key seen before costs no Fraction hash and no weight check; a new one
+adds its node to the shared `GraphBuilder`, so nodes are shared exactly
+as structural interning shares them.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 from . import meadow, threads
-from .errors import MissingTurnWeights, WeightSumNotOne
+from .errors import MissingTurnWeights, ParseError, WeightSumNotOne
 from .threads import (
     Action,
     DEAD,
@@ -134,6 +142,15 @@ class _Engine:
             arena.extend(threads._map_refs(node, shift) for node in t.nodes)
             self.roots.append(shift[t.root])
         self.arena = arena
+        # interning keys: (weight id, targets) for a choice and
+        # (arena ref, then, else) for an action step
+        ids: Dict[Tuple[Fraction, ...], int] = {}
+        self.weight_id: Dict[int, int] = {
+            r: ids.setdefault(tuple(w for w, _ in node.branches), len(ids))
+            for r, node in enumerate(arena)
+            if isinstance(node, Prob)
+        }
+        self.interned: Dict[tuple, int] = {}
 
     def advance(self, view: History, ctrl, n: int, i: int, step: StepKind, count_after: int):
         """New (view, state) after 1-based thread `i` does `step`."""
@@ -143,17 +160,23 @@ class _Engine:
 
     def positional(self, sd: bool, view: History, ctrl, refs: Tuple[int, ...], i: int) -> int:
         """Output reference for thread `i` (0-based) taking the next turn."""
-        node = self.arena[refs[i]]
+        r = refs[i]
+        node = self.arena[r]
         n = len(refs)
         b = self.b
         if isinstance(node, Prob):
-            branches = [
-                (w, self.positional(sd, view, ctrl, refs[:i] + (t,) + refs[i + 1 :], i))
-                for w, t in node.branches
-            ]
-            if len(branches) == 1:
-                return branches[0][1]
-            return b.add(Prob(tuple(branches)))
+            targets = tuple(
+                self.positional(sd, view, ctrl, refs[:i] + (t,) + refs[i + 1 :], i)
+                for _, t in node.branches
+            )
+            if len(targets) == 1:
+                return targets[0]
+            key = (self.weight_id[r], targets)
+            ref = self.interned.get(key)
+            if ref is None:
+                branches = tuple((w, u) for (w, _), u in zip(node.branches, targets))
+                ref = self.interned[key] = b.add(Prob(branches))
+            return ref
         if isinstance(node, Stop):
             if n == 1:
                 return b.add(DEAD if sd else STOP)
@@ -166,14 +189,20 @@ class _Engine:
             return b.slot((True, view2, ctrl2, refs[:i] + refs[i + 1 :]))
         if isinstance(node, Fork):
             view2, ctrl2 = self.advance(view, ctrl, n, i + 1, FORK_STEP, n + 1)
-            target = b.slot(
+            t1 = t2 = b.slot(
                 (sd, view2, ctrl2, refs[:i] + (node.then_,) + refs[i + 1 :] + (node.forked,))
             )
-            return b.add(Post(TAU, target, target))
-        view2, ctrl2 = self.advance(view, ctrl, n, i + 1, BasicStep(node.action), n)
-        t1 = b.slot((sd, view2, ctrl2, refs[:i] + (node.then_,) + refs[i + 1 :]))
-        t2 = b.slot((sd, view2, ctrl2, refs[:i] + (node.else_,) + refs[i + 1 :]))
-        return b.add(Post(node.action, t1, t2))
+            action = TAU
+        else:
+            action = node.action
+            view2, ctrl2 = self.advance(view, ctrl, n, i + 1, BasicStep(action), n)
+            t1 = b.slot((sd, view2, ctrl2, refs[:i] + (node.then_,) + refs[i + 1 :]))
+            t2 = b.slot((sd, view2, ctrl2, refs[:i] + (node.else_,) + refs[i + 1 :]))
+        key = (r, t1, t2)
+        ref = self.interned.get(key)
+        if ref is None:
+            ref = self.interned[key] = b.add(Post(action, t1, t2))
+        return ref
 
     def content(self, key: tuple) -> Prob:
         sd, view, ctrl, refs = key
@@ -381,7 +410,10 @@ def scheduler_from_table(table: dict) -> SchedulerSpec:
             strings = isinstance(weights, list) and all(isinstance(w, str) for w in weights)
             if not strings or len(weights) != n:
                 raise ValueError(f"{where}: turn weights for {n} threads are not {n} rationals")
-            parsed[name][n] = tuple(meadow.parse_rational(w) for w in weights)
+            try:
+                parsed[name][n] = tuple(meadow.parse_rational(w) for w in weights)
+            except ParseError as exc:
+                raise ValueError(f"{where}: turn weights for {n} threads: {exc}") from exc
         for category, target in _table_object(entry.get("next", {}), f"{where}: 'next'").items():
             if not isinstance(target, Hashable) or target not in states:
                 raise ValueError(f"{where}: next state {target!r} for {category!r} not defined")

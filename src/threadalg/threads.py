@@ -16,6 +16,12 @@ action's two branches made equal (the environment always answers True
 to it).  Two regular threads have the same behaviour exactly when
 their canonical graphs are equal; `bisimilar` decides this, and
 `equal_up_to` compares finite-depth approximations.
+
+`head_distributions` flattens choice layers for `normalize`, for
+abstraction and for outcome analysis alike: each reference gets its
+distribution over deterministic nodes as integer numerators over one
+reduced denominator, computed on an explicit stack, so neither a
+Fraction product nor the Python stack grows with the nesting.
 """
 
 from __future__ import annotations
@@ -539,41 +545,83 @@ def _tau_closed(node: Node) -> Node:
     return node
 
 
-def head_distributions(g: ThreadGraph, refs) -> Dict[int, Dict[int, Fraction]]:
+def _lowest_terms(den: int, nums: Dict[int, int]) -> Tuple[int, Dict[int, int]]:
+    c = gcd(den, *nums.values())
+    if c == 1:
+        return den, nums
+    return den // c, {v: x // c for v, x in nums.items()}
+
+
+def weighted_sum(terms) -> Tuple[int, Dict[int, int]]:
+    """The sum of `p/q * nums` over the terms `(p, q, nums)`, exactly.
+
+    `nums` maps references to integer numerators.  The result is
+    `(den, {ref: numerator})` over the lcm of the `q`s, reduced once by
+    `gcd(den, *numerators)`, so `den` is the lcm of the reduced
+    denominators of the result; keys appear in the order the terms
+    first reach them.
+    """
+    den = lcm(*[q for _, q, _ in terms])
+    out: Dict[int, int] = {}
+    for p, q, nums in terms:
+        f = p * (den // q)
+        for v, x in nums.items():
+            out[v] = out.get(v, 0) + f * x
+    return _lowest_terms(den, out)
+
+
+def head_distributions(g: ThreadGraph, refs) -> Dict[int, Tuple[int, Dict[int, int]]]:
     """For each reference, its distribution over deterministic nodes.
 
-    Choice layers are flattened by multiplying weights along the way;
-    guardedness keeps those layers acyclic.
+    A distribution is `(den, {deterministic ref: numerator})`, keys in
+    the order a walk of the branches first reaches them, reduced once
+    per choice node as `weighted_sum` reduces, so no Fraction is built
+    and `den` is the lcm of the reduced weights' denominators.  The walk
+    keeps its own stack: guardedness keeps choice layers acyclic, and a
+    cycle through choices raises UnguardedRecursion, however deep the
+    layers nest.
     """
-    dist: Dict[int, Dict[int, Fraction]] = {}
-    visiting = set()
-
-    def go(r: int) -> Dict[int, Fraction]:
-        if r in dist:
-            return dist[r]
-        node = g.nodes[r]
-        if not isinstance(node, Prob):
-            d = {r: meadow.ONE}
-        else:
-            if r in visiting:
-                raise UnguardedRecursion("cycle through probabilistic choices")
-            visiting.add(r)
-            acc: Dict[int, Fraction] = {}
-            for w, t in node.branches:
-                if isinstance(g.nodes[t], Prob):
-                    parts = [(dr, w * dw) for dr, dw in go(t).items()]
-                else:
-                    parts = ((t, w),)  # a deterministic target needs no product
-                for dr, p in parts:
-                    prev = acc.get(dr)
-                    acc[dr] = p if prev is None else prev + p
-            visiting.discard(r)
-            d = acc
-        dist[r] = d
-        return d
-
+    nodes = g.nodes
+    dist: Dict[int, Tuple[int, Dict[int, int]]] = {}
+    expanded = set()
     for r in refs:
-        go(r)
+        stack = [r]
+        while stack:
+            c = stack[-1]
+            if c in dist:
+                stack.pop()
+                continue
+            node = nodes[c]
+            if not isinstance(node, Prob):
+                dist[c] = (1, {c: 1})
+                stack.pop()
+                continue
+            inner = [t for _, t in node.branches if isinstance(nodes[t], Prob)]
+            missing = [t for t in inner if t not in dist]
+            if missing:
+                # met again before its branches are done: a choice cycle
+                if c in expanded:
+                    raise UnguardedRecursion("cycle through probabilistic choices")
+                expanded.add(c)
+                stack.extend(reversed(missing))
+                continue
+            stack.pop()
+            if inner:
+                dist[c] = weighted_sum([
+                    (w.numerator, w.denominator * dist[t][0], dist[t][1])
+                    if isinstance(nodes[t], Prob)
+                    else (w.numerator, w.denominator, {t: 1})
+                    for w, t in node.branches
+                ])
+                continue
+            # deterministic targets only, the common case: one numerator
+            # per branch over the lcm of the weights' denominators, which
+            # only a repeated target can leave reducible
+            den = lcm(*[w.denominator for w, _ in node.branches])
+            nums: Dict[int, int] = {}
+            for w, t in node.branches:
+                nums[t] = nums.get(t, 0) + w.numerator * (den // w.denominator)
+            dist[c] = (den, nums) if len(nums) == len(node.branches) else _lowest_terms(den, nums)
     return dist
 
 
@@ -628,11 +676,12 @@ def normalize(g: ThreadGraph) -> ThreadGraph:
     # lcm of their denominators; only the quotient's choices see a Fraction
     children = {c for r in refs for c in slots[r]}
     children.add(g.root)
-    den = lcm(*{w.denominator for c in children for w in head[c].values()})
-    supports = {
-        c: tuple((d, w.numerator * (den // w.denominator)) for d, w in head[c].items())
-        for c in children
-    }
+    den = lcm(*{head[c][0] for c in children})
+    supports = {}
+    for c in children:
+        hden, nums = head[c]
+        f = den // hden
+        supports[c] = tuple((d, x * f) for d, x in nums.items())
 
     def base_key(r: int):
         node = dets[r]

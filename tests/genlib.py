@@ -4,7 +4,18 @@ from fractions import Fraction
 
 import threadalg as ta
 from threadalg import services
-from threadalg.threads import TDead, TFork, TPost, TProb, TStop
+from threadalg.threads import (
+    DEAD,
+    STOP,
+    Post,
+    Prob,
+    TDead,
+    TFork,
+    TPost,
+    TProb,
+    TStop,
+    ThreadGraph,
+)
 
 
 def probability(rng, max_den=32):
@@ -105,3 +116,36 @@ def family(rng, foci=("random", "r1", "r2", "r3")):
 
 def register_service(rng):
     return services.make_register(rng.random() < 0.5)
+
+
+CHAIN_REPLIES = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
+
+
+def choice_chain(n, *, cycle=False):
+    """A node table of `n` nested binary choices over three leaves.
+
+    Choice k (node k, the root is 0) gives 1/(n+1-k) to leaf `k % 3` and
+    the rest to choice k + 1; the last choice's second branch goes to
+    leaf `n % 3`, or back to the root when `cycle` is set, which makes
+    a cycle through choices.  Leaf j (node n + j) performs `main.a<j>`,
+    then terminates on True and is inactive on False.  From choice k,
+    leaf j is reached with the share of k..n congruent to j mod 3.
+    """
+    leaf, stop, dead = n, n + 3, n + 4
+    nodes = []
+    for k in range(n):
+        m = n + 1 - k
+        rest = leaf + n % 3 if k + 1 == n else k + 1
+        if cycle and k + 1 == n:
+            rest = 0
+        nodes.append(Prob(((Fraction(1, m), leaf + k % 3), (Fraction(m - 1, m), rest))))
+    for j in range(3):
+        nodes.append(Post(ta.basic("main", f"a{j}"), stop, dead))
+    nodes += [STOP, DEAD]
+    return ThreadGraph(tuple(nodes), 0)
+
+
+def chain_share(n, k, j):
+    """The mass `choice_chain(n)` gives leaf j from choice k."""
+    # the count of i in k..n with i % 3 == j
+    return Fraction((n - j) // 3 - (k - 1 - j) // 3, n + 1 - k)

@@ -18,7 +18,10 @@ tested the range through the signum encoding.  `oracle_use`,
 `OracleEngine`) are the product constructions that each kept their own
 slot dict, auxiliary-node interning, queue and state bound.
 `oracle_print_term` is the first `terms.print_term`, which recursed
-along the graph while searching and rendering.  All are slow and
+along the graph while searching and rendering.
+`oracle_head_distributions` is the first `threads.head_distributions`,
+which recursed along nested choices and multiplied Fraction weights;
+`oracle_normalize` and `oracle_abstract_tau` flatten choices with it.  All are slow and
 obviously correct; the production versions must agree with them
 exactly.
 """
@@ -43,6 +46,7 @@ from threadalg.analysis import (
 from threadalg.errors import (
     MalformedProbability,
     NonRegularProduct,
+    UnguardedRecursion,
     UnresolvedFork,
     WeightSumNotOne,
 )
@@ -73,7 +77,6 @@ from threadalg.threads import (
     ThreadGraph,
     _children,
     _tau_closed,
-    head_distributions,
     reachable,
 )
 
@@ -112,6 +115,44 @@ class OracleGraphBuilder(GraphBuilder):
         return self.add(Prob(tuple(kept)))
 
 
+def oracle_head_distributions(g: ThreadGraph, refs) -> Dict[int, Dict[int, Fraction]]:
+    """For each reference, its distribution over deterministic nodes.
+
+    Choice layers are flattened by multiplying weights along the way;
+    guardedness keeps those layers acyclic.
+    """
+    dist: Dict[int, Dict[int, Fraction]] = {}
+    visiting = set()
+
+    def go(r: int) -> Dict[int, Fraction]:
+        if r in dist:
+            return dist[r]
+        node = g.nodes[r]
+        if not isinstance(node, Prob):
+            d = {r: meadow.ONE}
+        else:
+            if r in visiting:
+                raise UnguardedRecursion("cycle through probabilistic choices")
+            visiting.add(r)
+            acc: Dict[int, Fraction] = {}
+            for w, t in node.branches:
+                if isinstance(g.nodes[t], Prob):
+                    parts = [(dr, w * dw) for dr, dw in go(t).items()]
+                else:
+                    parts = ((t, w),)  # a deterministic target needs no product
+                for dr, p in parts:
+                    prev = acc.get(dr)
+                    acc[dr] = p if prev is None else prev + p
+            visiting.discard(r)
+            d = acc
+        dist[r] = d
+        return d
+
+    for r in refs:
+        go(r)
+    return dist
+
+
 def oracle_normalize(g: ThreadGraph) -> ThreadGraph:
     """The canonical graph of a regular thread.
 
@@ -125,7 +166,7 @@ def oracle_normalize(g: ThreadGraph) -> ThreadGraph:
         node = _tau_closed(g.nodes[r])
         if not isinstance(node, Prob):
             dets[r] = node
-    head = head_distributions(g, order)
+    head = oracle_head_distributions(g, order)
 
     refs = sorted(dets)
 
@@ -258,7 +299,7 @@ def oracle_abstract_tau(g: ThreadGraph) -> ThreadGraph:
     if not tau_refs:
         return n
     tau_set = set(tau_refs)
-    head = threads.head_distributions(n, range(len(n.nodes)))
+    head = oracle_head_distributions(n, range(len(n.nodes)))
     visible = {
         r
         for r, node in enumerate(n.nodes)

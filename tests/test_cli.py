@@ -346,13 +346,21 @@ def test_scheduler_table_without_turn_weights_for_thread_count(capsys, tmp_path)
             {"initial": "s0", "states": {"s0": {"turn": {"2": "1/2"}}}},
             "state 's0': turn weights for 2 threads are not 2 rationals",
         ),
+        (
+            {"initial": "s0", "states": {"s0": {"turn": {"2": ["abc", "1/2"]}}}},
+            "state 's0': turn weights for 2 threads: malformed rational 'abc'",
+        ),
+        (
+            {"initial": "s0", "states": {"s0": {"turn": {"2": ["1/2", "1/0"]}}}},
+            "state 's0': turn weights for 2 threads: zero denominator in rational '1/0'",
+        ),
         ({"initial": "s0", "states": {"s0": []}}, "state 's0' is not a JSON object"),
         ({"initial": ["s0"], "states": {"s0": {}}}, "initial state ['s0'] not defined"),
         ({"initial": "s0", "digest": [], "states": {"s0": {}}}, "unknown digest []"),
     ],
     ids=[
         "not-an-object", "states-not-an-object", "wrong-length", "turn-not-a-list",
-        "state-not-an-object", "unhashable-initial", "unhashable-digest",
+        "malformed-turn-weight", "zero-denominator-turn-weight", "state-not-an-object", "unhashable-initial", "unhashable-digest",
     ],
 )
 def test_malformed_scheduler_table_is_rejected_when_parsed(capsys, tmp_path, table, message):

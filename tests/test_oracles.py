@@ -20,6 +20,12 @@ behind `Prob`, `GraphBuilder.prob`, `build` and `nary_prob` must accept
 and reject exactly what the first Fraction checks did, with the same
 exception type and message.  `terms.print_term`, which walks the graph
 on explicit stacks, must print exactly what the recursive printer did.
+`threads.head_distributions`, integer numerators over one reduced
+denominator on an explicit stack, must give the recursive Fraction
+version's weights in its key order, with the lcm of their denominators
+as the denominator; interleaving pools with twin threads and with
+equal choice weights check that the engine's int-keyed interning shares
+nodes as the oracle engine does.
 """
 
 import json
@@ -36,6 +42,7 @@ from oracles import (
     OracleGraphBuilder,
     OracleProb,
     oracle_abstract_tau,
+    oracle_head_distributions,
     oracle_interleave,
     oracle_normalize,
     oracle_outcome_distribution,
@@ -146,6 +153,34 @@ def test_normalize_matches_oracle_on_interleave_outputs(kind):
         ]
         g = interleaving.interleave(spec, pool)
         assert threads.normalize(g) == oracle_normalize(g)
+
+
+def head_inputs():
+    """Random threads, `use` and `interleave` outputs, and choice chains."""
+    rng = random.Random(29)
+    yield from random_threads(rng, 100)
+    for _ in range(40):
+        term = genlib.term(rng, rng.randint(1, 4), mk_action=genlib.service_action)
+        yield interaction.use(ta.build(term), genlib.family(rng))
+    for spec in _schedulers():
+        for _ in range(6):
+            pool = [ta.build(rec_term(rng, rng.randint(1, 3))) for _ in range(rng.randint(2, 3))]
+            yield interleaving.interleave(spec, pool)
+    # as deep as the recursive oracle can go
+    for n in (1, 2, 3, 50, 250):
+        yield genlib.choice_chain(n)
+
+
+def test_head_distributions_match_oracle():
+    for g in head_inputs():
+        refs = threads.reachable(g)
+        got = threads.head_distributions(g, refs)
+        want = oracle_head_distributions(g, refs)
+        for r in refs:
+            den, nums = got[r]
+            assert list(nums) == list(want[r])
+            assert [Fraction(x, den) for x in nums.values()] == list(want[r].values())
+            assert den == math.lcm(*(w.denominator for w in want[r].values()))
 
 
 def _dense_solve(a, b):
@@ -389,7 +424,12 @@ PRODUCT_SCHEDULERS = {
 
 
 def interleave_inputs(kind):
-    """Pools of 1-3 threads: recursive ones, and finite ones with forks."""
+    """Pools of 1-3 threads: recursive ones, and finite ones with forks.
+
+    The last two pools hold the same thread twice and two threads whose
+    choices have equal weights, so that a choice made by either thread,
+    once it runs alone, is one shared node.
+    """
     rng = random.Random(f"interleave {kind}")
     pools = []
     for _ in range(30):
@@ -399,6 +439,12 @@ def interleave_inputs(kind):
             else genlib.thread(rng, rng.randint(0, 3), allow_fork=True)
             for _ in range(rng.randint(1, 3))
         ])
+    twice = ta.parse_thread("prefix(a, prob(1/3: S, 2/3: D))")
+    pools.append([twice, twice])
+    pools.append([
+        ta.parse_thread("prefix(a, prob(1/3: S, 2/3: D))"),
+        ta.parse_thread("post(b, prob(1/3: S, 2/3: D), prob(1/3: D, 2/3: prefix(c, S)))"),
+    ])
     return pools
 
 

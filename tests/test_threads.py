@@ -1,13 +1,18 @@
 """Thread construction, canonical forms, projections, and equality."""
 
+import contextlib
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 import genlib
 import threadalg as ta
+from threadalg import analysis
 from threadalg import threads as T
+from threadalg.interaction import abstract_tau
 from threadalg.errors import (
     MalformedProbability,
     UnguardedRecursion,
@@ -306,6 +311,66 @@ def test_projection_rejects_a_cycle_of_choices():
     g = T.ThreadGraph((Prob(((half, 0), (half, 1))), STOP), 0)
     with pytest.raises(UnguardedRecursion):
         ta.project(3, g)
+
+
+# ---------------------------------------------------------------------------
+# head distributions along deep choice chains
+
+
+@contextlib.contextmanager
+def shallow_stack(limit=300):
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+def test_deep_choice_chains_need_no_recursion():
+    n = 5000
+    g = genlib.choice_chain(n)
+    tau_first = T.ThreadGraph(g.nodes + (Post(ta.TAU, 0, 0),), len(g.nodes))
+    env = analysis.Environment(
+        {ta.basic("main", f"a{j}"): p for j, p in enumerate(genlib.CHAIN_REPLIES)}
+    )
+    with shallow_stack():
+        heads = T.head_distributions(g, range(n))
+        canonical = ta.normalize(g)
+        abstracted = abstract_tau(tau_first)
+        outcome = analysis.outcome_distribution(g, env, 1)
+    for k in range(n):
+        den, nums = heads[k]
+        shares = {n + j: genlib.chain_share(n, k, j) for j in range(3)}
+        shares = {v: w for v, w in shares.items() if w}
+        assert {v: Fraction(x, den) for v, x in nums.items()} == shares
+        # one reduction per choice keeps den the lcm of the reduced
+        # denominators, not a product along the chain
+        assert den == math.lcm(*(w.denominator for w in shares.values()))
+    weights = sorted(w for w, _ in canonical.nodes[canonical.root].branches)
+    assert weights == sorted(genlib.chain_share(n, 0, j) for j in range(3))
+    assert abstracted == canonical
+    assert outcome.terminate == sum(
+        genlib.chain_share(n, 0, j) * p for j, p in enumerate(genlib.CHAIN_REPLIES)
+    )
+    assert outcome.terminate + outcome.deadlock == 1
+
+
+@pytest.mark.parametrize(
+    "stage",
+    [
+        lambda g: T.head_distributions(g, [0]),
+        ta.normalize,
+        lambda g: abstract_tau(T.ThreadGraph(g.nodes + (Post(ta.TAU, 0, 0),), len(g.nodes))),
+        lambda g: analysis.outcome_distribution(g, analysis.EMPTY_ENVIRONMENT, 3),
+    ],
+    ids=["head_distributions", "normalize", "abstract_tau", "outcome_distribution"],
+)
+def test_deep_choice_cycle_is_unguarded_recursion(stage):
+    g = genlib.choice_chain(5000, cycle=True)
+    with shallow_stack(), pytest.raises(UnguardedRecursion) as info:
+        stage(g)
+    assert str(info.value) == "cycle through probabilistic choices"
 
 
 # ---------------------------------------------------------------------------
