@@ -18,7 +18,8 @@ is inaction).  The region is solved one strongly connected component
 at a time, in reverse topological order, on integer numerators over a
 reduced common denominator: a single node is a weighted sum of the
 distributions solved below it, and only a loop solves its own small
-linear system over the rationals.
+linear system over the rationals.  `threads.quotient` lumps the
+visible nodes under their escape distributions into the result.
 """
 
 from __future__ import annotations
@@ -159,23 +160,23 @@ def abstract_tau(g: ThreadGraph) -> ThreadGraph:
     Exact on regular threads: escape probabilities out of internal
     regions are solved component by component, and non-escaping mass
     maps to inaction.  They depend only on behaviour, so the input is
-    only trimmed and the result alone is normalized.
+    only trimmed and no graph is built before the canonical quotient.
     """
     n = threads.trim(g)
-    nodes = n.nodes
+    # one extra inaction node, `dead`, takes the mass that never escapes
+    dead = len(n.nodes)
+    nodes = n.nodes + (DEAD,)
     tau_refs = [
         r
         for r, node in enumerate(nodes)
         if isinstance(node, Post) and node.action.is_tau
     ]
-    if not tau_refs:
-        return threads.normalize(n)
     tau_set = set(tau_refs)
-    head = threads.head_distributions(n, range(len(nodes)))
+    head = threads.head_distributions(n, range(dead))
     # escape distributions over visible nodes as (den, {ref: numerator}),
     # reduced so that den is the lcm of the reduced denominators; a
-    # visible node escapes to itself, and a node that never escapes is
-    # left out, so it contributes nothing
+    # visible node escapes to itself, and a node that never escapes
+    # goes to `dead`
     escape: Dict[int, Tuple[int, Dict[int, int]]] = {
         r: (1, {r: 1})
         for r, node in enumerate(nodes)
@@ -201,12 +202,13 @@ def abstract_tau(g: ThreadGraph) -> ThreadGraph:
             if t not in escaping:
                 escaping.add(t)
                 todo.append(t)
+    escape.update((t, (1, {dead: 1})) for t in tau_refs if t not in escaping)
 
     def mix(dist: Tuple[int, Dict[int, int]]) -> Tuple[int, Dict[int, int]]:
         # the sum of x/den * escape[d] over the head distribution's support
         den, nums = dist
         return threads.weighted_sum(
-            [(x, den * escape[d][0], escape[d][1]) for d, x in nums.items() if d in escape]
+            [(x, den * escape[d][0], escape[d][1]) for d, x in nums.items()]
         )
 
     def solve(comp: List[int]) -> None:
@@ -225,7 +227,7 @@ def abstract_tau(g: ThreadGraph) -> ThreadGraph:
             for d, y in snums.items():
                 if d in pos:
                     row[pos[d]] = row.get(pos[d], meadow.ZERO) - Fraction(y, sden)
-                elif d in escape:
+                else:
                     den, nums = escape[d]
                     for v, x in nums.items():
                         j = targets.setdefault(v, len(targets))
@@ -276,34 +278,17 @@ def abstract_tau(g: ThreadGraph) -> ThreadGraph:
                         comp.append(stack.pop())
                     solve(comp)
 
-    b = GraphBuilder()
-    resolved: Dict[int, int] = {}
-
-    def resolve(ref: int) -> int:
-        # the escape distribution of `ref` as a node over visible slots
-        got = resolved.get(ref)
-        if got is not None:
-            return got
-        den, nums = mix(head[ref])
-        if not nums:
-            got = b.add(DEAD)
-        else:
-            branches = [(Fraction(x, den), b.slot(v)) for v, x in sorted(nums.items())]
-            rest = den - sum(nums.values())
-            if rest:
-                branches.append((Fraction(rest, den), b.add(DEAD)))
-            got = branches[0][1] if len(branches) == 1 else b.add(Prob(tuple(branches)))
-        resolved[ref] = got
-        return got
-
-    def content(v: int) -> threads.Node:
-        node = nodes[v]
-        if isinstance(node, Post):
-            return Post(node.action, resolve(node.then_), resolve(node.else_))
-        if isinstance(node, Fork):
-            return Fork(resolve(node.forked), resolve(node.then_), resolve(node.else_))
-        return node
-
-    root = resolve(n.root)
-    b.expand(content)
-    return threads.normalize(threads.trim(b.graph(root)))
+    # the result is the quotient of the nodes that the escape
+    # distributions of the root and of visible nodes' children reach
+    supports: Dict[int, Tuple[int, Dict[int, int]]] = {}
+    dets: Dict[int, threads.Node] = {}
+    todo = [n.root]
+    while todo:
+        ref = todo.pop()
+        if ref not in supports:
+            supports[ref] = mix(head[ref])
+            for v in supports[ref][1]:
+                if v not in dets:
+                    dets[v] = nodes[v]
+                    todo.extend(threads._children(nodes[v]))
+    return threads.quotient(dets, supports, n.root)

@@ -43,7 +43,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 from . import meadow, threads
-from .errors import MissingTurnWeights, ParseError, WeightSumNotOne
+from .errors import MalformedProbability, MissingTurnWeights, ParseError, WeightSumNotOne
 from .threads import (
     Action,
     DEAD,
@@ -388,10 +388,11 @@ def scheduler_from_table(table: dict) -> SchedulerSpec:
                   "next": {"basic": "s0", "fork": "s0",
                            "termination": "s0", "inaction": "s0"}}}}
 
-    A turn list holds one rational string per thread.  Missing `next`
-    entries keep the current state, and every `next` entry must name a
-    defined state.  Turn weights for a thread count the table does not
-    list are an error at use time.
+    A turn list holds one rational string per thread, each in [0, 1],
+    summing to exactly 1, all checked when the table is parsed.  Missing
+    `next` entries keep the current state, and every `next` entry must
+    name a defined state.  Turn weights for a thread count the table
+    does not list are an error at use time.
     """
     states = _table_object(_table_object(table, "table")["states"], "'states'")
     initial = table["initial"]
@@ -406,13 +407,18 @@ def scheduler_from_table(table: dict) -> SchedulerSpec:
         _table_object(entry, where)
         parsed[name] = {}
         for count, weights in _table_object(entry.get("turn", {}), f"{where}: 'turn'").items():
-            n = int(count)
+            try:
+                n = int(count)
+            except ValueError:
+                raise ValueError(f"{where}: thread count {count!r} is not an integer") from None
             strings = isinstance(weights, list) and all(isinstance(w, str) for w in weights)
             if not strings or len(weights) != n:
                 raise ValueError(f"{where}: turn weights for {n} threads are not {n} rationals")
             try:
-                parsed[name][n] = tuple(meadow.parse_rational(w) for w in weights)
-            except ParseError as exc:
+                parsed[name][n] = tuple(threads.probability_weights(
+                    [meadow.parse_rational(w) for w in weights]
+                ))
+            except (ParseError, MalformedProbability, WeightSumNotOne) as exc:
                 raise ValueError(f"{where}: turn weights for {n} threads: {exc}") from exc
         for category, target in _table_object(entry.get("next", {}), f"{where}: 'next'").items():
             if not isinstance(target, Hashable) or target not in states:

@@ -15,7 +15,8 @@ order on nodes, behaviourally equal nodes identified, and the internal
 action's two branches made equal (the environment always answers True
 to it).  Two regular threads have the same behaviour exactly when
 their canonical graphs are equal; `bisimilar` decides this, and
-`equal_up_to` compares finite-depth approximations.
+`equal_up_to` compares finite-depth approximations.  Abstraction feeds
+its core, `quotient`, with escape distributions directly.
 
 `head_distributions` flattens choice layers for `normalize`, for
 abstraction and for outcome analysis alike: each reference gets its
@@ -668,14 +669,23 @@ def normalize(g: ThreadGraph) -> ThreadGraph:
         node = _tau_closed(g.nodes[r])
         if not isinstance(node, Prob):
             dets[r] = node
-    head = head_distributions(g, order)
+    return quotient(dets, head_distributions(g, order), g.root)
 
+
+def quotient(dets: Dict[int, Node], head, root: int) -> ThreadGraph:
+    """The canonical graph of the tau-closed deterministic `dets`, from `root`.
+
+    `head` maps `root` and every child of a node in `dets` to its
+    distribution over `dets` as `(den, {ref: numerator})`, as
+    `head_distributions` does.  Equal behaviours are lumped by partition
+    refinement; the numbering depends on neither refs nor denominators.
+    """
     refs = sorted(dets)
     slots = {r: _children(dets[r]) for r in refs}
     # every support weight becomes an integer numerator over `den`, the
     # lcm of their denominators; only the quotient's choices see a Fraction
     children = {c for r in refs for c in slots[r]}
-    children.add(g.root)
+    children.add(root)
     den = lcm(*{head[c][0] for c in children})
     supports = {}
     for c in children:
@@ -720,7 +730,7 @@ def normalize(g: ThreadGraph) -> ThreadGraph:
     for r in refs:
         rep.setdefault(block[r], r)
     slot_ranks = {c: [rank[x] for x in slots[r]] for c, r in rep.items()}
-    root_rank = rank[g.root]
+    root_rank = rank[root]
 
     # the tau closure can orphan classes: keep only those reachable in
     # the quotient, compressing ids while preserving the rank order
@@ -768,8 +778,10 @@ def normalize(g: ThreadGraph) -> ThreadGraph:
         else:
             k0, k1, k2 = slot_ranks[c]
             nodes[new] = Fork(resolve(k0), resolve(k1), resolve(k2))
+    # numerators repeat across choices: build each weight's Fraction once
+    weight = {w: Fraction(w, den) for w in {w for b in branches.values() for w, _ in b}}
     for k, i in prob_id.items():
-        nodes[i] = Prob(tuple((Fraction(w, den), c) for w, c in branches[k]))
+        nodes[i] = Prob(tuple((weight[w], c) for w, c in branches[k]))
     out = ThreadGraph(tuple(nodes), resolve(root_rank))
     object.__setattr__(out, "canonical", True)
     return out

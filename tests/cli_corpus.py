@@ -8,6 +8,7 @@ ALL_COMMANDS = [
     ("normalize", str(DATA / "retry.term")),
     ("normalize", str(DATA / "choice.term")),
     ("extract", str(DATA / "coin.pglb")),
+    ("extract", str(DATA / "retry.pglb")),
     ("extract", str(DATA / "loop.pglb"), "--no-abstraction"),
     ("extract", str(DATA / "register.pglb"), "--no-random"),
     ("use", str(DATA / "register.pglb"), "--no-random", "--services", "{r1: Register(false)}"),

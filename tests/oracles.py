@@ -6,7 +6,10 @@ Fraction sums and ranks signatures that hold Fractions.
 `oracle_solve` is the first dense Gauss-Jordan solve behind
 `interaction.abstract_tau`, and `oracle_abstract_tau` the
 `abstract_tau` that normalized its input as well as its output and
-solved its whole tau region as one linear system over Fractions.  `oracle_outcome_distribution`,
+solved its whole tau region as one linear system over Fractions;
+`oracle_resolve_abstract_tau` is the component-by-component
+`abstract_tau` that turned its escape distributions back into a
+Fraction-weighted graph and normalized it.  `oracle_outcome_distribution`,
 `oracle_sample_run` and `oracle_sample_outcomes` are the first
 `analysis` walkers: a memoised recursion over `(node, depth)` with
 Fraction masses, and a sampler that compares each 64-bit draw as an
@@ -32,6 +35,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Sequence, Set, Tuple
 
 from threadalg import interleaving, meadow, threads
@@ -397,6 +401,162 @@ def oracle_abstract_tau(g: ThreadGraph) -> ThreadGraph:
             )
         b.fill(placed[v], content)
 
+    return threads.normalize(threads.trim(b.graph(root)))
+
+
+def oracle_resolve_abstract_tau(g: ThreadGraph) -> ThreadGraph:
+    """The `abstract_tau` that built its result as a second graph.
+
+    Escape distributions are solved component by component on integer
+    numerators, as `interaction.abstract_tau` solves them, then turned
+    back into Fraction-weighted `Prob` nodes over the visible nodes in a
+    `GraphBuilder`, which is trimmed and normalized.
+    """
+    n = threads.trim(g)
+    nodes = n.nodes
+    tau_refs = [
+        r
+        for r, node in enumerate(nodes)
+        if isinstance(node, Post) and node.action.is_tau
+    ]
+    if not tau_refs:
+        return threads.normalize(n)
+    tau_set = set(tau_refs)
+    head = threads.head_distributions(n, range(len(nodes)))
+    # escape distributions over visible nodes as (den, {ref: numerator}),
+    # reduced so that den is the lcm of the reduced denominators; a
+    # visible node escapes to itself, and a node that never escapes is
+    # left out, so it contributes nothing
+    escape: Dict[int, Tuple[int, Dict[int, int]]] = {
+        r: (1, {r: 1})
+        for r, node in enumerate(nodes)
+        if not isinstance(node, Prob) and r not in tau_set
+    }
+
+    # one-step distribution of each internal node, as (den, {ref: numerator})
+    step = {t: head[nodes[t].then_] for t in tau_refs}
+
+    # internal nodes from which some visible node is reachable, by one
+    # backward search from those that step to one
+    preds: Dict[int, List[int]] = {t: [] for t in tau_refs}
+    todo = []
+    for t in tau_refs:
+        for d in step[t][1]:
+            if d in tau_set:
+                preds[d].append(t)
+        if any(d in escape for d in step[t][1]):
+            todo.append(t)
+    escaping = set(todo)
+    while todo:
+        for t in preds[todo.pop()]:
+            if t not in escaping:
+                escaping.add(t)
+                todo.append(t)
+
+    def mix(dist: Tuple[int, Dict[int, int]]) -> Tuple[int, Dict[int, int]]:
+        # the sum of x/den * escape[d] over the head distribution's support
+        den, nums = dist
+        return threads.weighted_sum(
+            [(x, den * escape[d][0], escape[d][1]) for d, x in nums.items() if d in escape]
+        )
+
+    def solve(comp: List[int]) -> None:
+        # every component that `comp` reaches is solved already
+        if len(comp) == 1 and comp[0] not in step[comp[0]][1]:
+            escape[comp[0]] = mix(step[comp[0]])
+            return
+        pos = {t: i for i, t in enumerate(comp)}
+        targets: Dict[int, int] = {}
+        a: List[Dict[int, Fraction]] = []
+        rhs: List[Dict[int, Fraction]] = []
+        for t in comp:
+            row = {pos[t]: meadow.ONE}
+            col: Dict[int, Fraction] = {}
+            sden, snums = step[t]
+            for d, y in snums.items():
+                if d in pos:
+                    row[pos[d]] = row.get(pos[d], meadow.ZERO) - Fraction(y, sden)
+                elif d in escape:
+                    den, nums = escape[d]
+                    for v, x in nums.items():
+                        j = targets.setdefault(v, len(targets))
+                        col[j] = col.get(j, meadow.ZERO) + Fraction(y * x, sden * den)
+            a.append(row)
+            rhs.append(col)
+        columns = list(targets)
+        for t, x in zip(comp, _solve(a, rhs)):
+            den = lcm(*(q.denominator for q in x.values()))
+            escape[t] = (
+                den,
+                {columns[j]: q.numerator * (den // q.denominator) for j, q in x.items()},
+            )
+
+    # Tarjan's search on an explicit stack emits each component of the
+    # escaping region after every component it reaches; a node it has
+    # entered is still on its stack until solved into `escape`
+    index: Dict[int, int] = {}
+    low: Dict[int, int] = {}
+    stack: List[int] = []
+    work = []
+
+    def enter(t: int) -> None:
+        index[t] = low[t] = len(index)
+        stack.append(t)
+        work.append((t, iter(step[t][1])))
+
+    for s in tau_refs:
+        if s in escaping and s not in index:
+            enter(s)
+        while work:
+            v, it = work[-1]
+            for d in it:
+                if d not in escaping:
+                    continue
+                if d not in index:
+                    enter(d)
+                    break
+                if d not in escape and index[d] < low[v]:
+                    low[v] = index[d]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    solve(comp)
+
+    b = GraphBuilder()
+    resolved: Dict[int, int] = {}
+
+    def resolve(ref: int) -> int:
+        # the escape distribution of `ref` as a node over visible slots
+        got = resolved.get(ref)
+        if got is not None:
+            return got
+        den, nums = mix(head[ref])
+        if not nums:
+            got = b.add(DEAD)
+        else:
+            branches = [(Fraction(x, den), b.slot(v)) for v, x in sorted(nums.items())]
+            rest = den - sum(nums.values())
+            if rest:
+                branches.append((Fraction(rest, den), b.add(DEAD)))
+            got = branches[0][1] if len(branches) == 1 else b.add(Prob(tuple(branches)))
+        resolved[ref] = got
+        return got
+
+    def content(v: int) -> threads.Node:
+        node = nodes[v]
+        if isinstance(node, Post):
+            return Post(node.action, resolve(node.then_), resolve(node.else_))
+        if isinstance(node, Fork):
+            return Fork(resolve(node.forked), resolve(node.then_), resolve(node.else_))
+        return node
+
+    root = resolve(n.root)
+    b.expand(content)
     return threads.normalize(threads.trim(b.graph(root)))
 
 

@@ -1,6 +1,9 @@
 """The command-line front end: behaviour, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ from cli_corpus import ALL_COMMANDS
 from threadalg import cli
 
 DATA = Path(__file__).parent / "data"
+SRC = str(Path(__file__).parent.parent / "src")
 
 
 def run(capsys, *argv):
@@ -271,6 +275,22 @@ def test_every_subcommand_is_byte_deterministic(capsys, argv):
     assert first_out
 
 
+@pytest.mark.parametrize("argv", ALL_COMMANDS, ids=lambda a: f"{a[0]} {Path(a[1]).name}")
+def test_stdout_does_not_depend_on_the_string_hash_seed(argv):
+    # one interpreter per hash seed: within one process every string
+    # hashes alike, so only separate runs can expose an order that
+    # follows hash values
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC)
+        done = subprocess.run(
+            [sys.executable, "-m", "threadalg.cli", *argv], env=env, capture_output=True
+        )
+        outs.append((done.returncode, done.stdout))
+    assert outs[0] == outs[1]
+    assert outs[0][1]
+
+
 def test_negative_depth_is_usage_error(capsys):
     code, _, err = run(capsys, "dist", DATA / "coin.pglb", "--depth", "-1")
     assert code == 2
@@ -354,13 +374,27 @@ def test_scheduler_table_without_turn_weights_for_thread_count(capsys, tmp_path)
             {"initial": "s0", "states": {"s0": {"turn": {"2": ["1/2", "1/0"]}}}},
             "state 's0': turn weights for 2 threads: zero denominator in rational '1/0'",
         ),
+        (
+            {"initial": "s0", "states": {"s0": {"turn": {"2": ["3/2", "-1/2"]}}}},
+            "state 's0': turn weights for 2 threads: weight 3/2 outside [0, 1]",
+        ),
+        (
+            {"initial": "s0", "states": {"s0": {"turn": {"2": ["1/3", "1/3"]}}}},
+            "state 's0': turn weights for 2 threads: weights sum to 2/3, not 1",
+        ),
+        (
+            {"initial": "s0", "states": {"s0": {"turn": {"x": ["1"]}}}},
+            "state 's0': thread count 'x' is not an integer",
+        ),
         ({"initial": "s0", "states": {"s0": []}}, "state 's0' is not a JSON object"),
         ({"initial": ["s0"], "states": {"s0": {}}}, "initial state ['s0'] not defined"),
         ({"initial": "s0", "digest": [], "states": {"s0": {}}}, "unknown digest []"),
     ],
     ids=[
         "not-an-object", "states-not-an-object", "wrong-length", "turn-not-a-list",
-        "malformed-turn-weight", "zero-denominator-turn-weight", "state-not-an-object", "unhashable-initial", "unhashable-digest",
+        "malformed-turn-weight", "zero-denominator-turn-weight", "turn-weight-out-of-range",
+        "turn-weights-not-summing-to-one", "thread-count-not-an-integer", "state-not-an-object",
+        "unhashable-initial", "unhashable-digest",
     ],
 )
 def test_malformed_scheduler_table_is_rejected_when_parsed(capsys, tmp_path, table, message):

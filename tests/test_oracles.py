@@ -6,8 +6,10 @@ denominators, and return the graphs it made unchanged;
 `interaction.abstract_tau`, which only trims its input and solves its
 tau region component by component on integer numerators, must agree
 with the version that normalized its input and solved the whole region
-at once, also on inputs with unreachable junk, on tau regions of each
-shape and on `.pglb` retry loops;
+at once, and with the version that built its escape distributions
+into a second graph and normalized that, also on inputs with
+unreachable junk, on tau regions of each shape, on never-escaping mass
+next to visible inaction and on `.pglb` retry loops;
 the sparse `interaction._solve` must return exactly the solution of
 the dense Gauss-Jordan elimination, and the integer-numerator
 `analysis` kernel and integer-cutoff sampler must return exactly what
@@ -37,6 +39,7 @@ from pathlib import Path
 import pytest
 
 import genlib
+import oracles
 import threadalg as ta
 from oracles import (
     OracleGraphBuilder,
@@ -48,6 +51,7 @@ from oracles import (
     oracle_outcome_distribution,
     oracle_positional_interleave,
     oracle_print_term,
+    oracle_resolve_abstract_tau,
     oracle_sample_outcomes,
     oracle_sample_run,
     oracle_solve,
@@ -64,6 +68,7 @@ from threadalg.errors import (
     WeightSumNotOne,
 )
 from threadalg.threads import (
+    DEAD,
     STOP,
     Post,
     Prob,
@@ -204,9 +209,17 @@ def pipeline_inputs():
 def test_abstract_tau_matches_oracle_pipeline(monkeypatch):
     cases = [(g, interaction.abstract_tau(g)) for g in pipeline_inputs()]
     monkeypatch.setattr(threads, "normalize", oracle_normalize)
-    monkeypatch.setattr(interaction, "_solve", _dense_solve)
+    monkeypatch.setattr(oracles, "_solve", _dense_solve)
     for g, got in cases:
-        assert got == interaction.abstract_tau(g)
+        assert got == oracle_abstract_tau(g)
+
+
+def test_abstract_tau_matches_the_oracle_that_resolves_into_a_graph():
+    rng = random.Random(27)
+    graphs = pipeline_inputs()
+    graphs += [with_junk(rng, g) for g in graphs]
+    for g in graphs + UNGUARDED:
+        assert outcome(interaction.abstract_tau, g) == outcome(oracle_resolve_abstract_tau, g)
 
 
 HALF = Fraction(1, 2)
@@ -327,13 +340,66 @@ TAU_REGIONS = {
         tau(6),
         choice(("1/2", "A"), ("1/2", "B")),
     ),
+    # the action at 4 is reached only through the SCC {0, 2}, and its
+    # True branch leads back into it
+    "visible node behind an SCC": region(
+        tau(1),
+        choice(("1/2", 2), ("1/2", 4)),
+        tau(3),
+        choice(("1/3", 0), ("2/3", 4)),
+        Post(ta.basic("main", "c"), 0, 5),
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(TAU_REGIONS))
 def test_abstract_tau_matches_oracle_on_tau_regions(name):
     g = TAU_REGIONS[name]
-    assert interaction.abstract_tau(g) == oracle_abstract_tau(g)
+    got = interaction.abstract_tau(g)
+    assert got == oracle_abstract_tau(g)
+    assert got == oracle_resolve_abstract_tau(g)
+
+
+def test_visible_node_behind_an_scc_is_kept():
+    got = interaction.abstract_tau(TAU_REGIONS["visible node behind an SCC"])
+    want = "rec X { X = post(main.c, X, prefix(main.a, S)); } in X"
+    assert got == threads.normalize(ta.parse_thread(want))
+
+
+# mass that never escapes, next to visible inaction: node 0 is the
+# root, 1 a tau loop that never escapes and 2 visible inaction; the
+# other nodes terminate, some after an action
+INACTION = {
+    "choice": (
+        [tau(5), tau(1), DEAD, Post(ta.basic("main", "a"), 4, 4), STOP,
+         choice(("1/3", 1), ("1/3", 2), ("1/3", 3))],
+        "prob(2/3: D, 1/3: prefix(main.a, S))",
+    ),
+    "choice of inactions": (
+        [tau(5), tau(1), DEAD, STOP, STOP, choice(("1/4", 1), ("3/4", 2))],
+        "D",
+    ),
+    "action branches": (
+        [Post(ta.basic("main", "b"), 1, 2), tau(1), DEAD, STOP],
+        "prefix(main.b, D)",
+    ),
+    "branch into both": (
+        [Post(ta.basic("main", "b"), 5, 3), tau(1), DEAD, Post(ta.basic("main", "a"), 4, 4),
+         STOP, choice(("1/2", 1), ("1/2", 2))],
+        "post(main.b, D, prefix(main.a, S))",
+    ),
+    "root never escapes": ([tau(1), tau(1)], "D"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INACTION))
+def test_remainder_mass_and_visible_inaction_are_one_class(name):
+    nodes, want = INACTION[name]
+    g = ThreadGraph(tuple(nodes), 0)
+    got = interaction.abstract_tau(g)
+    assert terms.print_term(got) == want
+    assert got == oracle_abstract_tau(g)
+    assert got == oracle_resolve_abstract_tau(g)
 
 
 def test_mass_of_a_region_that_never_escapes_becomes_inaction():
@@ -365,7 +431,9 @@ def test_abstract_tau_matches_oracle_on_nested_retry_loops():
     for _ in range(40):
         program = pglb.parse_program(retry_program(rng, rng.randint(4, 16)))
         g = interaction.use(pglb.extract_at(1, program), family)
-        assert interaction.abstract_tau(g) == oracle_abstract_tau(g)
+        got = interaction.abstract_tau(g)
+        assert got == oracle_abstract_tau(g)
+        assert got == oracle_resolve_abstract_tau(g)
 
 
 def test_abstract_tau_matches_oracle_on_the_choice_chain():
@@ -374,7 +442,9 @@ def test_abstract_tau_matches_oracle_on_the_choice_chain():
         pglb.extract_at(1, program),
         services.singleton(pglb.RANDOM_FOCUS, services.RANDOM),
     )
-    assert interaction.abstract_tau(g) == oracle_abstract_tau(g)
+    got = interaction.abstract_tau(g)
+    assert got == oracle_abstract_tau(g)
+    assert got == oracle_resolve_abstract_tau(g)
 
 
 # ---------------------------------------------------------------------------
