@@ -7,7 +7,10 @@ continuations, weighted by the service's reply probability, while the
 service advances to its derived state.  Actions with unnamed foci pass
 through untouched.  The construction is a product over pairs of a
 thread node and a family state, so it stays finite exactly when the
-reachable service states do.
+reachable service states do.  Services are pure values, so a reply and
+a derived state depend only on the family state and the action: each
+distinct family state is numbered once, when first reached, and each
+(state, action) pair is resolved once, whichever node asks.
 
 `abstract_tau` conceals tau steps.  On a finite graph a region of tau
 and choice nodes is an absorbing chain; the probability with which
@@ -44,6 +47,10 @@ from .threads import (
 
 DEFAULT_STATE_BOUND = 100_000
 
+# the moves of `use` other than a reply
+_PASS = object()
+_NO_REPLY = object()
+
 
 def use(
     g: ThreadGraph,
@@ -53,57 +60,75 @@ def use(
 ) -> ThreadGraph:
     """The thread `g` with its actions processed by the named services.
 
+    Slots are keyed on (node, state number), a family state being
+    numbered when first reached.  What an action does in a state (pass
+    through, no reply, or branch weights and a derived state) is
+    resolved once, at the first node that asks, and reused at the rest.
+
     Raises NonRegularProduct when the reachable (node, family-state)
     pairs exceed `state_bound`.
     """
     b = GraphBuilder(state_bound, "(node, service-state) pairs")
+    states: List[ServiceFamily] = []
+    state_id: Dict[ServiceFamily, int] = {}
+    moves: Dict[Tuple[int, str, str], object] = {}
 
-    def content(key: Tuple[int, ServiceFamily]) -> threads.Node:
-        ref, fam = key
+    def number(fam: ServiceFamily) -> int:
+        sid = state_id.setdefault(fam, len(states))
+        if sid == len(states):
+            states.append(fam)
+        return sid
+
+    def resolve(sid: int, focus: str, method: str) -> object:
+        # (derived state, kept (weight, 0 for then / 1 for else) pairs)
+        fam = states[sid]
+        service = fam.get(focus)
+        if service is None:
+            return _PASS
+        p = service.reply(method)
+        if p is None:
+            return _NO_REPLY
+        p = meadow.as_probability(p)
+        derived = number(fam.replace(focus, service.derive(method)))
+        return derived, tuple((w, i) for i, w in enumerate((p, 1 - p)) if w != 0)
+
+    def content(key: Tuple[int, int]) -> threads.Node:
+        ref, sid = key
         node = g.nodes[ref]
         if isinstance(node, (Stop, DeadEnd)):
             return node
         if isinstance(node, Prob):
-            return Prob(tuple((w, b.slot((t, fam))) for w, t in node.branches))
+            return Prob(tuple((w, b.slot((t, sid))) for w, t in node.branches))
         if isinstance(node, Fork):
             return Fork(
-                b.slot((node.forked, fam)),
-                b.slot((node.then_, fam)),
-                b.slot((node.else_, fam)),
+                b.slot((node.forked, sid)),
+                b.slot((node.then_, sid)),
+                b.slot((node.else_, sid)),
             )
-        if node.action.is_tau:
-            t = b.slot((node.then_, fam))
+        action = node.action
+        if action.is_tau:
+            t = b.slot((node.then_, sid))
             return Post(TAU, t, t)
-        service = fam.get(node.action.focus)
-        if service is None:
-            return Post(
-                node.action, b.slot((node.then_, fam)), b.slot((node.else_, fam))
-            )
-        p = service.reply(node.action.method)
-        if p is None:
+        move_key = (sid, action.focus, action.method)
+        move = moves.get(move_key)
+        if move is None:
+            move = moves[move_key] = resolve(*move_key)
+        if move is _PASS:
+            return Post(action, b.slot((node.then_, sid)), b.slot((node.else_, sid)))
+        if move is _NO_REPLY:
             dead = b.add(DEAD)
             return Post(TAU, dead, dead)
-        p = meadow.as_probability(p)
-        derived = fam.replace(
-            node.action.focus, service.derive(node.action.method)
-        )
-        branches = [
-            (w, target)
-            for w, target in (
-                (p, node.then_),
-                (1 - p, node.else_),
-            )
-            if w != 0
-        ]
-        if len(branches) == 1:
-            inner = b.slot((branches[0][1], derived))
+        derived, kept = move
+        targets = (node.then_, node.else_)
+        if len(kept) == 1:
+            inner = b.slot((targets[kept[0][1]], derived))
         else:
             inner = b.add(
-                Prob(tuple((w, b.slot((t, derived))) for w, t in branches))
+                Prob(tuple((w, b.slot((targets[i], derived))) for w, i in kept))
             )
         return Post(TAU, inner, inner)
 
-    root = b.slot((g.root, family))
+    root = b.slot((g.root, number(family)))
     b.expand(content)
     return threads.trim(b.graph(root))
 

@@ -27,7 +27,9 @@ from .meadow import ONE, ZERO
 class Service:
     """A method processor with probabilistic Boolean replies.
 
-    Services are immutable values; `derive` returns a new service.
+    Services are immutable, hashable values; `derive` returns a new
+    service, and `reply` and `derive` depend only on the service and the
+    method, so `interaction.use` asks each state each method once.
     Concrete services subclass this and implement both methods.
     """
 

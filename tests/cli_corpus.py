@@ -19,6 +19,7 @@ ALL_COMMANDS = [
     ("dist", str(DATA / "coin.pglb"), "--depth", "3"),
     ("dist", str(DATA / "retry.term"), "--depth", "4", "--env", str(DATA / "env.table"), "--traces"),
     ("dist", str(DATA / "left.term"), str(DATA / "right.term"), "--scheduler", "uniform", "--depth", "3", "--env", str(DATA / "env.table")),
+    ("dist", str(DATA / "registers.pglb"), "--no-random", "--no-abstraction", "--services", "{r1: Register(false), r2: Register(true), random: Random}", "--depth", "6", "--env", str(DATA / "env.table")),
     ("equiv", str(DATA / "alt1.term"), str(DATA / "alt2.term"), "--depth", "4"),
     ("equiv", str(DATA / "coin.pglb"), str(DATA / "choice.term"), "--depth", "4"),
     ("sample", str(DATA / "coin.pglb"), "--depth", "3", "--seed", "11", "--runs", "50"),

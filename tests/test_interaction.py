@@ -2,15 +2,18 @@
 
 import random
 import sys
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import pytest
 
 import genlib
 import threadalg as ta
-from threadalg import services
+from oracles import oracle_use
+from threadalg import pglb, services
 from threadalg import threads as T
-from threadalg.errors import NonRegularProduct
+from threadalg.errors import NonRegularProduct, OutOfRange
 from threadalg.interaction import abstract_tau, use
 from threadalg.services import RANDOM, compose, make_register, singleton
 from threadalg.threads import (
@@ -149,6 +152,72 @@ def test_use_state_bound():
     )
     with pytest.raises(NonRegularProduct):
         use(counter, singleton("r1", make_register(False)), state_bound=1)
+
+
+@dataclass(frozen=True)
+class Counting(services.Service):
+    """`inner`, counting each `reply` and `derive` it is asked in `calls`,
+    which every service derived from it shares."""
+
+    inner: services.Service
+    calls: Counter = field(compare=False, repr=False)
+
+    def reply(self, method):
+        self.calls["reply", self.inner, method] += 1
+        return self.inner.reply(method)
+
+    def derive(self, method):
+        self.calls["derive", self.inner, method] += 1
+        return Counting(self.inner.derive(method), self.calls)
+
+
+def test_use_asks_each_family_state_and_method_once():
+    # r1 is set and read in a cycle, and every block asks the same
+    # methods again; Random keeps its one state, so a family state is
+    # r1's value: each register question is asked at most once, each
+    # Random question at most once per value of r1
+    block = "+r1.get ; #2 ; r1.set:true ; +random.get(1/3) ; r1.set:false ; a"
+    program = pglb.parse_program(" ; ".join([block] * 4) + " ; \\24")
+    g = pglb.extract_at(1, program)
+
+    def family(calls):
+        return compose(
+            singleton("r1", Counting(make_register(False), calls)),
+            singleton("random", Counting(RANDOM, calls)),
+        )
+
+    calls = Counter()
+    got = use(g, family(calls))
+    assert {kind for kind, _, _ in calls} == {"reply", "derive"}
+    for (kind, inner, method), n in calls.items():
+        assert n <= (2 if inner == RANDOM else 1), (kind, inner, method, n)
+    asked = Counter()
+    assert got == oracle_use(g, family(asked))
+    # the node-by-node construction asks again at every node
+    assert max(asked.values()) > 2
+
+
+@dataclass(frozen=True)
+class Overflowing(services.Service):
+    """Replies 3/2, which is no probability, to every method."""
+
+    def reply(self, method):
+        return Fraction(3, 2)
+
+    def derive(self, method):
+        return self
+
+
+def test_use_rejects_a_reply_out_of_range_as_the_oracle_does():
+    g = ta.build(
+        prefix(ta.basic("random", "get(1/2)"), TPost(ta.basic("odd", "m"), TStop(), TDead()))
+    )
+    fam = compose(singleton("random", RANDOM), singleton("odd", Overflowing()))
+    with pytest.raises(OutOfRange) as got:
+        use(g, fam)
+    with pytest.raises(OutOfRange) as expected:
+        oracle_use(g, fam)
+    assert str(got.value) == str(expected.value) == "3/2 is not a probability in [0, 1]"
 
 
 # ---------------------------------------------------------------------------

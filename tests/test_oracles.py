@@ -455,7 +455,8 @@ PRODUCT_BOUNDS = (1, 2, 3, 5, 8)
 
 def use_inputs():
     """Threads with service actions and forks, recursive ones too, each
-    with a random family."""
+    with a random family, and a `.pglb` chain that asks one Random
+    method at many nodes."""
     rng = random.Random(27)
     cases = []
     for _ in range(150):
@@ -466,6 +467,8 @@ def use_inputs():
     for _ in range(50):
         g = ta.build(rec_term(rng, rng.randint(1, 3), mk_action=genlib.service_action))
         cases.append((g, genlib.family(rng)))
+    chain = pglb.parse_program(" ; ".join(["+%1/3 ; #2 ; a"] * 20) + " ; !")
+    cases.append((pglb.extract_at(1, chain), services.parse_family("{random: Random}")))
     return cases
 
 
