@@ -107,16 +107,8 @@ def _cmd_extract(args) -> int:
     return _print_thread(g)
 
 
-def _cmd_use(args) -> int:
-    g = _load_thread(args.input, args)
-    family = services.parse_family(args.services)
-    return _print_thread(interaction.use(g, family))
-
-
-def _cmd_interleave(args) -> int:
-    loaded = [_load_thread(path, args) for path in args.inputs]
-    g = interleaving.interleave(_scheduler(args.scheduler), loaded)
-    return _print_thread(g)
+def _cmd_pipeline(args) -> int:
+    return _print_thread(_pipeline(args))
 
 
 def _cmd_dist(args) -> int:
@@ -199,16 +191,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("use", help="run a thread against named services")
-    p.add_argument("input")
+    p.add_argument("inputs", nargs=1, metavar="input")
     p.add_argument("--services", required=True)
     _add_extraction_flags(p)
-    p.set_defaults(func=_cmd_use)
+    p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("interleave", help="schedule several threads into one")
     p.add_argument("inputs", nargs="+")
     p.add_argument("--scheduler", required=True)
     _add_extraction_flags(p)
-    p.set_defaults(func=_cmd_interleave)
+    p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("dist", help="exact outcome distribution at a depth bound")
     p.add_argument("inputs", nargs="+")

@@ -130,7 +130,7 @@ def use(
 
     root = b.slot((g.root, number(family)))
     b.expand(content)
-    return threads.trim(b.graph(root))
+    return b.graph(root)
 
 
 # ---------------------------------------------------------------------------
@@ -185,27 +185,26 @@ def abstract_tau(g: ThreadGraph) -> ThreadGraph:
     Exact on regular threads: escape probabilities out of internal
     regions are solved component by component, and non-escaping mass
     maps to inaction.  They depend only on behaviour, so the input is
-    only trimmed and no graph is built before the canonical quotient.
+    walked from its root and no graph is built before the canonical
+    quotient.
     """
-    n = threads.trim(g)
+    order = threads.reachable(g)
     # one extra inaction node, `dead`, takes the mass that never escapes
-    dead = len(n.nodes)
-    nodes = n.nodes + (DEAD,)
+    dead = len(g.nodes)
+    nodes = g.nodes + (DEAD,)
     tau_refs = [
-        r
-        for r, node in enumerate(nodes)
-        if isinstance(node, Post) and node.action.is_tau
+        r for r in order if isinstance(nodes[r], Post) and nodes[r].action.is_tau
     ]
     tau_set = set(tau_refs)
-    head = threads.head_distributions(n, range(dead))
+    head = threads.head_distributions(g, order)
     # escape distributions over visible nodes as (den, {ref: numerator}),
     # reduced so that den is the lcm of the reduced denominators; a
     # visible node escapes to itself, and a node that never escapes
     # goes to `dead`
     escape: Dict[int, Tuple[int, Dict[int, int]]] = {
         r: (1, {r: 1})
-        for r, node in enumerate(nodes)
-        if not isinstance(node, Prob) and r not in tau_set
+        for r in order
+        if not isinstance(nodes[r], Prob) and r not in tau_set
     }
 
     # one-step distribution of each internal node, as (den, {ref: numerator})
@@ -307,7 +306,7 @@ def abstract_tau(g: ThreadGraph) -> ThreadGraph:
     # distributions of the root and of visible nodes' children reach
     supports: Dict[int, Tuple[int, Dict[int, int]]] = {}
     dets: Dict[int, threads.Node] = {}
-    todo = [n.root]
+    todo = [g.root]
     while todo:
         ref = todo.pop()
         if ref not in supports:
@@ -316,4 +315,4 @@ def abstract_tau(g: ThreadGraph) -> ThreadGraph:
                 if v not in dets:
                     dets[v] = nodes[v]
                     todo.extend(threads._children(nodes[v]))
-    return threads.quotient(dets, supports, n.root)
+    return threads.quotient(dets, supports, g.root)

@@ -225,7 +225,7 @@ class _Engine:
 
     def run(self, root: int) -> ThreadGraph:
         self.b.expand(self.content)
-        return threads.trim(self.b.graph(root))
+        return self.b.graph(root)
 
 
 def interleave(

@@ -188,8 +188,7 @@ def extract_at(position: int, program: Program) -> ThreadGraph:
 
     root = target(position)
     b.expand(content)
-    # trim renumbers in breadth-first order, so the fill order is invisible
-    return threads.trim(b.graph(root))
+    return b.graph(root)
 
 
 def extract(

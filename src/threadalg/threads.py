@@ -239,10 +239,15 @@ def reachable(g: ThreadGraph) -> List[int]:
 
 
 def trim(g: ThreadGraph) -> ThreadGraph:
-    """Drop unreachable nodes, renumbering in breadth-first order."""
+    """Drop unreachable nodes, renumbering in breadth-first order.
+
+    Only `build` needs this: `_assemble` copies each `rec` equation's
+    node into the slot reserved for it, which leaves the original
+    unreachable, and assembles equations the body never reaches.  The
+    product constructions and every consumer walk from the root, so
+    their graphs are passed on as built.
+    """
     order = reachable(g)
-    if len(order) == len(g.nodes) and order == list(range(len(order))):
-        return g
     mapping = {old: new for new, old in enumerate(order)}
     nodes = tuple(_map_refs(g.nodes[old], mapping) for old in order)
     return ThreadGraph(nodes, 0)

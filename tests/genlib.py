@@ -1,4 +1,4 @@
-"""Seeded random generators shared by the law suites."""
+"""Seeded random generators, and a graph comparison, shared by the law suites."""
 
 from fractions import Fraction
 
@@ -15,6 +15,7 @@ from threadalg.threads import (
     TProb,
     TStop,
     ThreadGraph,
+    trim,
 )
 
 
@@ -149,3 +150,16 @@ def chain_share(n, k, j):
     """The mass `choice_chain(n)` gives leaf j from choice k."""
     # the count of i in k..n with i % 3 == j
     return Fraction((n - j) // 3 - (k - 1 - j) // 3, n + 1 - k)
+
+
+def renumbered(g):
+    """`g` numbered breadth-first from its root, as the oracles number
+    their graphs, after checking that no node of `g` is unreachable;
+    an error verdict passes through unchanged.  Comparing `renumbered(g)`
+    with an oracle's graph checks every node, branch weight, shared node
+    and the root, up to a one-to-one renaming of node ids."""
+    if not isinstance(g, ThreadGraph):
+        return g
+    out = trim(g)
+    assert len(out.nodes) == len(g.nodes), "unreachable nodes"
+    return out

@@ -3,21 +3,24 @@
 `threads.normalize` must return exactly the graph of the original
 Fraction-signature refinement, also on weights with large coprime
 denominators, and return the graphs it made unchanged;
-`interaction.abstract_tau`, which only trims its input and solves its
-tau region component by component on integer numerators, must agree
-with the version that normalized its input and solved the whole region
-at once, and with the version that built its escape distributions
-into a second graph and normalized that, also on inputs with
-unreachable junk, on tau regions of each shape, on never-escaping mass
+`interaction.abstract_tau`, which walks its input from the root and
+solves its tau region component by component on integer numerators,
+must agree with the version that normalized its input and solved the
+whole region at once, and with the version that built its escape
+distributions into a second graph and normalized that, also on inputs
+with unreachable junk, on tau regions of each shape, on never-escaping mass
 next to visible inaction and on `.pglb` retry loops;
 the sparse `interaction._solve` must return exactly the solution of
 the dense Gauss-Jordan elimination, and the integer-numerator
 `analysis` kernel and integer-cutoff sampler must return exactly what
 the recursive Fraction walkers return, raising the same error first
-where they raise.  `use`, `interleave` and `positional_interleave`,
-which share `GraphBuilder`'s keyed worklist, must return exactly the
-graphs of the constructions that kept their own, and overrun a small
-state bound on exactly the same inputs.  The shared integer weight check
+where they raise, also on copies of their inputs renumbered and padded
+with unreachable junk.  `use`, `interleave` and `positional_interleave`,
+which share `GraphBuilder`'s keyed worklist and return their graphs as
+built, must return the graphs of the constructions that kept their own
+up to a renaming of node ids, with no unreachable node, also on inputs
+renumbered and padded with unreachable junk, and overrun a small state
+bound on exactly the same inputs.  The shared integer weight check
 behind `Prob`, `GraphBuilder.prob`, `build` and `nary_prob` must accept
 and reject exactly what the first Fraction checks did, with the same
 exception type and message.  `terms.print_term`, which walks the graph
@@ -473,15 +476,18 @@ def use_inputs():
 
 
 def test_use_matches_oracle():
-    for g, fam in use_inputs():
-        assert interaction.use(g, fam) == oracle_use(g, fam)
+    cases = use_inputs()
+    junk = random.Random(28)
+    cases += [(with_junk(junk, g), fam) for g, fam in cases]
+    for g, fam in cases:
+        assert genlib.renumbered(interaction.use(g, fam)) == oracle_use(g, fam)
 
 
 def test_use_state_bound_matches_oracle():
     overruns = 0
     for g, fam in use_inputs()[::3]:
         for bound in PRODUCT_BOUNDS:
-            got = outcome(interaction.use, g, fam, state_bound=bound)
+            got = genlib.renumbered(outcome(interaction.use, g, fam, state_bound=bound))
             assert got == outcome(oracle_use, g, fam, state_bound=bound)
             if raised(got):
                 assert got[0] is NonRegularProduct
@@ -499,9 +505,10 @@ PRODUCT_SCHEDULERS = {
 def interleave_inputs(kind):
     """Pools of 1-3 threads: recursive ones, and finite ones with forks.
 
-    The last two pools hold the same thread twice and two threads whose
+    The next two pools hold the same thread twice and two threads whose
     choices have equal weights, so that a choice made by either thread,
-    once it runs alone, is one shared node.
+    once it runs alone, is one shared node.  Then come copies of the
+    pools renumbered at random and padded with unreachable nodes.
     """
     rng = random.Random(f"interleave {kind}")
     pools = []
@@ -518,7 +525,7 @@ def interleave_inputs(kind):
         ta.parse_thread("prefix(a, prob(1/3: S, 2/3: D))"),
         ta.parse_thread("post(b, prob(1/3: S, 2/3: D), prob(1/3: D, 2/3: prefix(c, S)))"),
     ])
-    return pools
+    return pools + [[with_junk(rng, g) for g in pool] for pool in pools]
 
 
 def products(pool):
@@ -534,7 +541,7 @@ def test_interleave_matches_oracle(kind):
     spec = PRODUCT_SCHEDULERS[kind]()
     for pool in interleave_inputs(kind):
         for product, oracle, pos in products(pool):
-            assert product(spec, *pos, pool) == oracle(spec, *pos, pool)
+            assert genlib.renumbered(product(spec, *pos, pool)) == oracle(spec, *pos, pool)
 
 
 @pytest.mark.parametrize("kind", sorted(PRODUCT_SCHEDULERS))
@@ -544,7 +551,7 @@ def test_interleave_state_bound_matches_oracle(kind):
     for pool in interleave_inputs(kind)[::2]:
         for product, oracle, pos in products(pool):
             for bound in PRODUCT_BOUNDS:
-                got = outcome(product, spec, *pos, pool, state_bound=bound)
+                got = genlib.renumbered(outcome(product, spec, *pos, pool, state_bound=bound))
                 assert got == outcome(oracle, spec, *pos, pool, state_bound=bound)
                 if raised(got):
                     assert got[0] is NonRegularProduct
@@ -682,23 +689,27 @@ def reply_env(rng, g, skip=0.0):
     return analysis.Environment(replies)
 
 
-def assert_same_analysis(g, env):
-    for depth in range(9):
-        for with_traces in (False, True):
-            got = outcome(analysis.outcome_distribution, g, env, depth, with_traces=with_traces)
-            want = outcome(oracle_outcome_distribution, g, env, depth, with_traces=with_traces)
-            assert got == want, (depth, with_traces)
+def assert_same_analysis(g, env, junk):
+    """`g`, and a `with_junk` copy drawn with the rng `junk`, analyse as
+    the oracle analyses them."""
+    for h in (g, with_junk(junk, g)):
+        for depth in range(9):
+            for traces in (False, True):
+                got = outcome(analysis.outcome_distribution, h, env, depth, with_traces=traces)
+                want = outcome(oracle_outcome_distribution, h, env, depth, with_traces=traces)
+                assert got == want, (depth, traces)
 
 
 def test_outcome_distribution_matches_oracle_on_random_threads():
-    rng = random.Random(30)
+    rng, junk = random.Random(30), random.Random(130)
     for g in random_threads(rng, 60):
         # forks and missing replies must fail with the oracle's first error
-        assert_same_analysis(g, reply_env(rng, g, skip=0.3 if rng.random() < 0.4 else 0.0))
+        env = reply_env(rng, g, skip=0.3 if rng.random() < 0.4 else 0.0)
+        assert_same_analysis(g, env, junk)
 
 
 def test_outcome_distribution_matches_oracle_on_use_outputs():
-    rng = random.Random(31)
+    rng, junk = random.Random(31), random.Random(131)
     for _ in range(40):
         if rng.random() < 0.5:
             term = rec_term(rng, rng.randint(1, 3), mk_action=genlib.service_action)
@@ -710,17 +721,17 @@ def test_outcome_distribution_matches_oracle_on_use_outputs():
                 family, services.singleton(focus, genlib.register_service(rng))
             )
         g = interaction.use(ta.build(term), family)
-        assert_same_analysis(g, reply_env(rng, g))
+        assert_same_analysis(g, reply_env(rng, g), junk)
 
 
 @pytest.mark.parametrize("kind", [1, 2], ids=["uniform", "lottery"])
 def test_outcome_distribution_matches_oracle_on_interleave_outputs(kind):
-    rng = random.Random(32 + kind)
+    rng, junk = random.Random(32 + kind), random.Random(132 + kind)
     spec = _schedulers()[kind]
     for _ in range(4):
         pool = [ta.build(rec_term(rng, rng.randint(1, 3))) for _ in range(rng.randint(2, 3))]
         g = interleaving.interleave(spec, pool)
-        assert_same_analysis(g, reply_env(rng, g))
+        assert_same_analysis(g, reply_env(rng, g), junk)
 
 
 A, B, C = (ta.basic("main", m) for m in "abc")
@@ -784,7 +795,9 @@ def sampling_threads():
 
 
 def test_sampling_matches_oracle():
-    for g, env in sampling_threads():
+    junk = random.Random(134)
+    cases = [(h, env) for g, env in sampling_threads() for h in (g, with_junk(junk, g))]
+    for g, env in cases:
         for depth in (0, 3, 12):
             for seed in range(200):
                 assert outcome(analysis.sample_run, g, env, depth, seed) == outcome(
@@ -815,7 +828,8 @@ class ScriptedRandom:
 
 
 def test_sampling_matches_oracle_on_cutoff_draws(monkeypatch):
-    cases = list(sampling_threads())[:3]
+    junk = random.Random(135)
+    cases = [(h, env) for g, env in list(sampling_threads())[:3] for h in (g, with_junk(junk, g))]
     monkeypatch.setattr(random, "Random", ScriptedRandom)
     for g, env in cases:
         for seed in range(200):
