@@ -24,4 +24,6 @@ ALL_COMMANDS = [
     ("equiv", str(DATA / "coin.pglb"), str(DATA / "choice.term"), "--depth", "4"),
     ("sample", str(DATA / "coin.pglb"), "--depth", "3", "--seed", "11", "--runs", "50"),
     ("sample", str(DATA / "register.pglb"), "--services", "{r1: Register(false)}", "--depth", "10", "--seed", "1"),
+    # 550 trace lines sharing 53 distinct masses
+    ("dist", str(DATA / "retry3.term"), "--depth", "6", "--env", str(DATA / "retry3.table"), "--traces"),
 ]

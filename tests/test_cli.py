@@ -291,6 +291,21 @@ def test_stdout_does_not_depend_on_the_string_hash_seed(argv):
     assert outs[0][1]
 
 
+# Checked-in stdout of every corpus command, one file each, named (like
+# the test ids) by index, subcommand and the first argument's file name.
+GOLDEN = [
+    (f"{i:02d}-{argv[0]}-{Path(argv[1]).name}", argv)
+    for i, argv in enumerate(ALL_COMMANDS)
+]
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN, ids=[name for name, _ in GOLDEN])
+def test_stdout_matches_the_golden_file(capsys, name, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.encode("utf-8") == (DATA / "expected" / f"{name}.out").read_bytes()
+
+
 def test_negative_depth_is_usage_error(capsys):
     code, _, err = run(capsys, "dist", DATA / "coin.pglb", "--depth", "-1")
     assert code == 2
