@@ -47,8 +47,12 @@ class Environment:
 
     @classmethod
     def from_table(cls, text: str) -> "Environment":
-        """Parse lines of the form `f.m = p`; `//` starts a comment."""
+        """Parse lines of the form `f.m = p`; `//` starts a comment.
+
+        Each basic action gets at most one line, and `tau` none.
+        """
         replies: Dict[Action, Fraction] = {}
+        first_line: Dict[Action, int] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("//", 1)[0].strip()
             if not line:
@@ -57,6 +61,16 @@ class Environment:
             if not eq:
                 raise ParseError(f"line {lineno}: expected `action = probability`")
             action = threads.action_from_name(name.strip())
+            if action.is_tau:
+                raise ParseError(
+                    f"line {lineno}: tau takes no reply probability: it always replies True"
+                )
+            if action in first_line:
+                raise ParseError(
+                    f"line {lineno}: second reply for {action} "
+                    f"(first on line {first_line[action]})"
+                )
+            first_line[action] = lineno
             replies[action] = meadow.as_probability(
                 meadow.parse_rational(value.strip())
             )
@@ -87,6 +101,18 @@ class OutcomeDistribution:
 _FORK_MESSAGE = "a fork node can only be executed under strategic interleaving"
 
 
+def _merged_traces(
+    coef: Tuple[Tuple[int, int], ...], step: Trace, tables: Dict[int, Dict[Trace, int]]
+) -> Dict[Trace, int]:
+    """The trace table of `step` followed by the `coef`-weighted `tables`."""
+    table: Dict[Trace, int] = {}
+    for c, m in coef:
+        for trace, v in tables[m].items():
+            key = step + trace
+            table[key] = table.get(key, 0) + c * v
+    return table
+
+
 def outcome_distribution(
     g: ThreadGraph,
     env: Environment,
@@ -111,8 +137,9 @@ def outcome_distribution(
     masses of every reached node with `k` actions left are integers
     over `L**(k - low)`, computed from the previous level only, from
     `low`, the lowest level the bound reaches, up to `depth`.  Memory
-    follows the levels reached, not `depth`.  Each mass becomes one
-    Fraction at the end.
+    follows the levels reached, not `depth`.  Trace tables are kept
+    only `with_traces`.  Each mass becomes one Fraction at the end, and
+    each distinct trace mass one Fraction shared by all its traces.
     """
     if depth < 0:
         raise ValueError("depth must be a natural number")
@@ -173,54 +200,54 @@ def outcome_distribution(
     coefs = {ref: scaled(coef) for ref, coef in exact.items()}
 
     # iteration: numerators over scale = step_den**(k - low) of
-    # (terminate, deadlock, surviving) and of the trace table, for the
-    # nodes reached with k actions left, from those of level k - 1.  The
-    # lowest level reached holds no action to perform (every action
-    # reaches the level below), so it needs no predecessor, and dividing
-    # every scale by step_den**low leaves each Fraction as it was.
+    # (terminate, deadlock, surviving) and, with traces, of the trace
+    # table, for the nodes reached with k actions left, from those of
+    # level k - 1.  The lowest level reached holds no action to perform
+    # (every action reaches the level below), so it needs no predecessor,
+    # and dividing every scale by step_den**low leaves each Fraction as
+    # it was.
+    steps = {ref: (str(nodes[ref].action),) for ref in coefs} if with_traces else {}
     prev: Dict[int, Tuple[int, int, int]] = {}
     prev_tables: Dict[int, Dict[Trace, int]] = {}
-
-    def combine(coef: Tuple[Tuple[int, int], ...], step: Trace):
-        t = d = s = 0
-        table: Dict[Trace, int] = {}
-        for c, m in coef:
-            mt, md, ms = prev[m]
-            t += c * mt
-            d += c * md
-            s += c * ms
-            if with_traces:
-                for trace, v in prev_tables[m].items():
-                    key = step + trace
-                    table[key] = table.get(key, 0) + c * v
-        return (t, d, s), table
-
     low = min(reached)
     scale = 1
     for k in range(low, depth + 1):
+        acting = coefs if k else {}
         cur: Dict[int, Tuple[int, int, int]] = {}
-        tables: Dict[int, Dict[Trace, int]] = {}
         for ref in reached[k]:
-            node = nodes[ref]
-            if k and isinstance(node, Post):
-                cur[ref], tables[ref] = combine(coefs[ref], (str(node.action),))
-                continue
-            if isinstance(node, Stop):
+            coef = acting.get(ref)
+            if coef is not None:
+                t = d = s = 0
+                for c, m in coef:
+                    mt, md, ms = prev[m]
+                    t += c * mt
+                    d += c * md
+                    s += c * ms
+                cur[ref] = (t, d, s)
+            elif isinstance(nodes[ref], Stop):
                 cur[ref] = (scale, 0, 0)
-            elif isinstance(node, DeadEnd):
+            elif isinstance(nodes[ref], DeadEnd):
                 cur[ref] = (0, scale, 0)
             else:  # an action beyond the bound
                 cur[ref] = (0, 0, scale)
-            tables[ref] = {(): scale}
-        prev, prev_tables = cur, tables
+        if with_traces:
+            prev_tables = {
+                ref: _merged_traces(acting[ref], steps[ref], prev_tables)
+                if ref in acting
+                else {(): scale}
+                for ref in reached[k]
+            }
+        prev = cur
         scale *= step_den
 
-    (t, d, s), top = combine(scaled(root), ())
-    table_out = (
-        tuple((trace, Fraction(v, scale)) for trace, v in sorted(top.items()))
-        if with_traces
-        else None
-    )
+    top = scaled(root)
+    t, d, s = (sum(c * prev[m][i] for c, m in top) for i in range(3))
+    table_out = None
+    if with_traces:
+        merged = _merged_traces(top, (), prev_tables)
+        # one Fraction per distinct mass, shared by every trace with it
+        mass = {v: Fraction(v, scale) for v in set(merged.values())}
+        table_out = tuple([(trace, mass[v]) for trace, v in sorted(merged.items())])
     return OutcomeDistribution(
         Fraction(t, scale), Fraction(d, scale), Fraction(s, scale), table_out
     )

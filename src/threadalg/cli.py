@@ -120,9 +120,9 @@ def _cmd_dist(args) -> int:
     print(f"deadlock: {dist.deadlock}")
     print(f"surviving: {dist.surviving}")
     if args.traces:
-        for trace, mass in dist.traces or ():
-            label = "trace" if not trace else "trace " + " ".join(trace)
-            print(f"{label}: {mass}")
+        sys.stdout.write(
+            "".join(f"{' '.join(('trace', *trace))}: {mass}\n" for trace, mass in dist.traces)
+        )
     return 0
 
 

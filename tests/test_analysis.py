@@ -20,7 +20,7 @@ from threadalg.analysis import (
     sample_outcomes,
     sample_run,
 )
-from threadalg.errors import MissingReply, UnresolvedFork
+from threadalg.errors import MissingReply, ParseError, UnresolvedFork
 from threadalg.threads import TDead, TFork, TPost, TRec, TStop, TVar
 
 A = ta.basic("main", "a")
@@ -46,6 +46,22 @@ def test_environment_table_parsing():
 
 def test_environment_tau_always_true():
     assert EMPTY_ENVIRONMENT.reply(ta.TAU) == Fraction(1)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("main.a = 1/2\nmain.a = 1/3\n", "line 2: second reply for main.a (first on line 1)"),
+        # a bare name has the focus main; comments and blank lines count
+        ("a = 1/2 // first\n\nb = 1\nmain.a = 1/2\n", "line 4: second reply for main.a (first on line 1)"),
+        ("main.a = 1/2\ntau = 1/2\n", "line 2: tau takes no reply probability: it always replies True"),
+    ],
+    ids=["repeated", "repeated-bare-name", "tau"],
+)
+def test_environment_table_rejects_repeated_and_tau_lines(text, message):
+    with pytest.raises(ParseError) as info:
+        Environment.from_table(text)
+    assert str(info.value) == message
 
 
 def test_environment_missing_reply():

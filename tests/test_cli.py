@@ -249,6 +249,14 @@ def test_domain_errors_exit_one(capsys, tmp_path):
             code, _, err = run(capsys, *argv)
             assert code == 1, argv
             assert err.startswith(f"error: {unreadable}:"), argv
+    # a second reply for one action
+    loop = tmp_path / "loop.term"
+    loop.write_text("rec X { X = post(a, X, S); } in X")
+    env = tmp_path / "env.table"
+    env.write_text("main.a = 1/2\nmain.a = 1/3\n")
+    code, out, err = run(capsys, "dist", loop, "--depth", "2", "--env", env)
+    assert (code, out) == (1, "")
+    assert err == "error: line 2: second reply for main.a (first on line 1)\n"
 
 
 @pytest.mark.parametrize("literal", ["{1x: Random}", "{: Random}", "{a.b: Random}"])

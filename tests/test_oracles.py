@@ -689,15 +689,20 @@ def reply_env(rng, g, skip=0.0):
     return analysis.Environment(replies)
 
 
-def assert_same_analysis(g, env, junk):
+def assert_same_analysis(g, env, junk, deep=()):
     """`g`, and a `with_junk` copy drawn with the rng `junk`, analyse as
-    the oracle analyses them."""
-    for h in (g, with_junk(junk, g)):
-        for depth in range(9):
-            for traces in (False, True):
-                got = outcome(analysis.outcome_distribution, h, env, depth, with_traces=traces)
-                want = outcome(oracle_outcome_distribution, h, env, depth, with_traces=traces)
-                assert got == want, (depth, traces)
+    the oracle analyses them at depths 0-8, with and without traces;
+    `g` also at the `deep` depths, without traces (on the largest
+    products the recursive oracle takes seconds there)."""
+    shallow = [(depth, traces) for depth in range(9) for traces in (False, True)]
+    for h, cases in (
+        (g, shallow + [(depth, False) for depth in deep]),
+        (with_junk(junk, g), shallow),
+    ):
+        for depth, traces in cases:
+            got = outcome(analysis.outcome_distribution, h, env, depth, with_traces=traces)
+            want = outcome(oracle_outcome_distribution, h, env, depth, with_traces=traces)
+            assert got == want, (depth, traces)
 
 
 def test_outcome_distribution_matches_oracle_on_random_threads():
@@ -705,7 +710,14 @@ def test_outcome_distribution_matches_oracle_on_random_threads():
     for g in random_threads(rng, 60):
         # forks and missing replies must fail with the oracle's first error
         env = reply_env(rng, g, skip=0.3 if rng.random() < 0.4 else 0.0)
-        assert_same_analysis(g, env, junk)
+        assert_same_analysis(g, env, junk, deep=(16, 32))
+
+
+def test_outcome_distribution_matches_oracle_on_the_retry_term():
+    # three retry loops: the trace masses repeat across many traces
+    g = ta.parse_thread((DATA / "retry3.term").read_text())
+    env = analysis.Environment.from_table((DATA / "retry3.table").read_text())
+    assert_same_analysis(g, env, random.Random(136))
 
 
 def test_outcome_distribution_matches_oracle_on_use_outputs():
@@ -731,7 +743,7 @@ def test_outcome_distribution_matches_oracle_on_interleave_outputs(kind):
     for _ in range(4):
         pool = [ta.build(rec_term(rng, rng.randint(1, 3))) for _ in range(rng.randint(2, 3))]
         g = interleaving.interleave(spec, pool)
-        assert_same_analysis(g, reply_env(rng, g), junk)
+        assert_same_analysis(g, reply_env(rng, g), junk, deep=(16, 32))
 
 
 A, B, C = (ta.basic("main", m) for m in "abc")
