@@ -210,24 +210,6 @@ def abstract_tau(g: ThreadGraph) -> ThreadGraph:
     # one-step distribution of each internal node, as (den, {ref: numerator})
     step = {t: head[nodes[t].then_] for t in tau_refs}
 
-    # internal nodes from which some visible node is reachable, by one
-    # backward search from those that step to one
-    preds: Dict[int, List[int]] = {t: [] for t in tau_refs}
-    todo = []
-    for t in tau_refs:
-        for d in step[t][1]:
-            if d in tau_set:
-                preds[d].append(t)
-        if any(d in escape for d in step[t][1]):
-            todo.append(t)
-    escaping = set(todo)
-    while todo:
-        for t in preds[todo.pop()]:
-            if t not in escaping:
-                escaping.add(t)
-                todo.append(t)
-    escape.update((t, (1, {dead: 1})) for t in tau_refs if t not in escaping)
-
     def mix(dist: Tuple[int, Dict[int, int]]) -> Tuple[int, Dict[int, int]]:
         # the sum of x/den * escape[d] over the head distribution's support
         den, nums = dist
@@ -258,6 +240,10 @@ def abstract_tau(g: ThreadGraph) -> ThreadGraph:
                         col[j] = col.get(j, meadow.ZERO) + Fraction(y * x, sden * den)
             a.append(row)
             rhs.append(col)
+        if not targets:
+            # a closed component: its mass never escapes
+            escape.update((t, (1, {dead: 1})) for t in comp)
+            return
         columns = list(targets)
         for t, x in zip(comp, _solve(a, rhs)):
             den = lcm(*(q.denominator for q in x.values()))
@@ -267,7 +253,7 @@ def abstract_tau(g: ThreadGraph) -> ThreadGraph:
             )
 
     # Tarjan's search on an explicit stack emits each component of the
-    # escaping region after every component it reaches; a node it has
+    # internal nodes after every component it reaches; a node it has
     # entered is still on its stack until solved into `escape`
     index: Dict[int, int] = {}
     low: Dict[int, int] = {}
@@ -280,12 +266,12 @@ def abstract_tau(g: ThreadGraph) -> ThreadGraph:
         work.append((t, iter(step[t][1])))
 
     for s in tau_refs:
-        if s in escaping and s not in index:
+        if s not in index:
             enter(s)
         while work:
             v, it = work[-1]
             for d in it:
-                if d not in escaping:
+                if d not in step:
                     continue
                 if d not in index:
                     enter(d)

@@ -150,7 +150,9 @@ class _Parser:
 
     # ---- terms -------------------------------------------------------
 
-    def term(self, scope: Set[str]) -> Term:
+    def term(self, scope: Set[str]):
+        # a generator: sub-terms are yielded to `threads.run_stackless`,
+        # so nesting depth costs no Python stack
         tok = self.peek()
         if tok.text == "S":
             self.next()
@@ -163,9 +165,9 @@ class _Parser:
             self.expect("(")
             a = self.action()
             self.expect(",")
-            t1 = self.term(scope)
+            t1 = yield self.term(scope)
             self.expect(",")
-            t2 = self.term(scope)
+            t2 = yield self.term(scope)
             self.expect(")")
             return TPost(a, t1, t2)
         if tok.text == "prefix":
@@ -173,30 +175,30 @@ class _Parser:
             self.expect("(")
             a = self.action()
             self.expect(",")
-            t = self.term(scope)
+            t = yield self.term(scope)
             self.expect(")")
             return TPost(a, t, t)
         if tok.text == "fork":
             self.next()
             self.expect("(")
-            tf = self.term(scope)
+            tf = yield self.term(scope)
             self.expect(",")
-            t1 = self.term(scope)
+            t1 = yield self.term(scope)
             self.expect(",")
-            t2 = self.term(scope)
+            t2 = yield self.term(scope)
             self.expect(")")
             return TFork(tf, t1, t2)
         if tok.text == "prob":
             self.next()
             self.expect("(")
-            branches = [self.branch(scope)]
+            branches = [(yield self.branch(scope))]
             while self.peek().text == ",":
                 self.next()
-                branches.append(self.branch(scope))
+                branches.append((yield self.branch(scope)))
             self.expect(")")
             return TProb(tuple(branches))
         if tok.text == "rec":
-            return self.rec(scope)
+            return (yield self.rec(scope))
         if tok.kind == "name" and tok.text not in KEYWORDS:
             self.next()
             if tok.text not in scope:
@@ -207,32 +209,34 @@ class _Parser:
     def branch(self, scope: Set[str]):
         w = self.rational()
         self.expect(":")
-        return (w, self.term(scope))
+        return (w, (yield self.term(scope)))
 
-    def rec(self, scope: Set[str]) -> Term:
+    def rec(self, scope: Set[str]):
         self.expect("rec")
         head = self.next()
         if head.kind != "name" or head.text in KEYWORDS:
             raise ParseError(f"expected a variable, found {head.text!r}", head.pos)
         self.expect("{")
-        names: List[str] = []
+        names: Set[str] = set()
         # collect the variable names first so equations may refer forward
         mark = self.i
         while self.peek().text != "}":
             vtok = self.next()
             if vtok.kind != "name" or vtok.text in KEYWORDS:
                 raise ParseError(f"expected a variable, found {vtok.text!r}", vtok.pos)
-            names.append(vtok.text)
+            if vtok.text in names:
+                raise ParseError(f"duplicate equation variable {vtok.text!r}", vtok.pos)
+            names.add(vtok.text)
             self.expect("=")
             self.skip_term()
             self.expect(";")
         self.i = mark
-        inner = scope | set(names)
+        inner = scope | names
         equations: List[Tuple[str, Term]] = []
         while self.peek().text != "}":
             vtok = self.next()
             self.expect("=")
-            equations.append((vtok.text, self.term(inner)))
+            equations.append((vtok.text, (yield self.term(inner))))
             self.expect(";")
         self.expect("}")
         self.expect("in")
@@ -262,7 +266,7 @@ class _Parser:
 def parse_term(text: str) -> Term:
     """Parse the textual syntax into a term."""
     p = _Parser(text)
-    t = p.term(set())
+    t = threads.run_stackless(p.term(set()))
     tok = p.peek()
     if tok.kind != "eof":
         raise ParseError(f"trailing input {tok.text!r}", tok.pos)

@@ -32,7 +32,7 @@ from collections.abc import Hashable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Set, Tuple, Union
 
 from . import meadow
 from .errors import (
@@ -241,16 +241,39 @@ def reachable(g: ThreadGraph) -> List[int]:
 def trim(g: ThreadGraph) -> ThreadGraph:
     """Drop unreachable nodes, renumbering in breadth-first order.
 
-    Only `build` needs this: `_assemble` copies each `rec` equation's
-    node into the slot reserved for it, which leaves the original
-    unreachable, and assembles equations the body never reaches.  The
-    product constructions and every consumer walk from the root, so
-    their graphs are passed on as built.
+    Only `build` needs this: it copies each `rec` equation's right-hand
+    side into the slot reserved for it, which can leave the original
+    unreachable, and it assembles zero-weight branches and equations
+    the body never reaches.  The product constructions and every
+    consumer walk from the root, so their graphs are passed on as built.
     """
     order = reachable(g)
     mapping = {old: new for new, old in enumerate(order)}
     nodes = tuple(_map_refs(g.nodes[old], mapping) for old in order)
     return ThreadGraph(nodes, 0)
+
+
+def run_stackless(walk: Generator):
+    """Run a recursion coded as generators on an explicit stack.
+
+    Each `yield sub` in a generator suspends it until the generator
+    `sub` has run the same way, then resumes it with the value `sub`
+    returned; the result is what `walk` returns.  An exception raised
+    in any of them propagates out of `run_stackless`.
+    """
+    stack = [walk]
+    value = None
+    while True:
+        try:
+            sub = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            value = done.value
+        else:
+            stack.append(sub)
+            value = None
 
 
 class GraphBuilder:
@@ -386,125 +409,6 @@ def tchoice(left: Term, weight: Fraction, right: Term) -> Term:
     return TProb(((w, left), (1 - w, right)))
 
 
-def _unguarded_free(term: Term, bound: frozenset) -> frozenset:
-    """Variables occurring in `term` outside any action test.
-
-    Also validates that every variable is bound and that no recursion
-    cycle avoids action tests.  A variable occurrence is guarded only
-    under an action test: probabilistic choices and forks do not guard
-    (their finite-depth approximations consume no depth, so a cycle
-    through them alone has no approximants).
-    """
-    if isinstance(term, TVar):
-        if term.name not in bound:
-            raise ValueError(f"unbound variable {term.name!r}")
-        return frozenset((term.name,))
-    if isinstance(term, TPost):
-        # `tprefix` shares one object between the branches: walk it once
-        _unguarded_free(term.then_, bound)
-        if term.else_ is not term.then_:
-            _unguarded_free(term.else_, bound)
-        return frozenset()
-    if isinstance(term, TFork):
-        return (
-            _unguarded_free(term.forked, bound)
-            | _unguarded_free(term.then_, bound)
-            | _unguarded_free(term.else_, bound)
-        )
-    if isinstance(term, TProb):
-        out = frozenset()
-        for _, t in term.branches:
-            out |= _unguarded_free(t, bound)
-        return out
-    if isinstance(term, TRec):
-        names = [n for n, _ in term.equations]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate equation variable")
-        if term.body not in names:
-            raise ValueError(f"selected variable {term.body!r} has no equation")
-        inner = bound | frozenset(names)
-        exposed = {n: _unguarded_free(rhs, inner) for n, rhs in term.equations}
-        # a cycle along unguarded occurrences has no unique solution
-        state: Dict[str, int] = {}
-
-        def visit(name: str) -> None:
-            if state.get(name) == 1:
-                return
-            if state.get(name) == 0:
-                raise UnguardedRecursion(
-                    f"variable {name!r} recurs without an action test guarding it"
-                )
-            state[name] = 0
-            for dep in exposed[name]:
-                if dep in exposed:
-                    visit(dep)
-            state[name] = 1
-
-        for name in names:
-            visit(name)
-        # outer variables unguardedly reachable from the selected equation
-        seen = set()
-        frontier = [term.body]
-        out = frozenset()
-        while frontier:
-            name = frontier.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            out |= exposed[name] - frozenset(names)
-            frontier.extend(dep for dep in exposed[name] if dep in exposed)
-        return out
-    return frozenset()
-
-
-def _assemble(term: Term, env: Dict[str, int], b: GraphBuilder) -> int:
-    if isinstance(term, TStop):
-        return b.add(STOP)
-    if isinstance(term, TDead):
-        return b.add(DEAD)
-    if isinstance(term, TPost):
-        then_ = _assemble(term.then_, env, b)
-        else_ = then_ if term.else_ is term.then_ else _assemble(term.else_, env, b)
-        return b.add(Post(term.action, then_, else_))
-    if isinstance(term, TFork):
-        return b.add(
-            Fork(
-                _assemble(term.forked, env, b),
-                _assemble(term.then_, env, b),
-                _assemble(term.else_, env, b),
-            )
-        )
-    if isinstance(term, TProb):
-        weights = probability_weights([w for w, _ in term.branches])
-        kept = [
-            (w, _assemble(t, env, b))
-            for w, (_, t) in zip(weights, term.branches)
-            if w != 0
-        ]
-        if len(kept) == 1:
-            return kept[0][1]
-        return b.add(Prob(tuple(kept)))
-    if isinstance(term, TVar):
-        return env[term.name]
-    if isinstance(term, TRec):
-        # alias equations (X = Y) share the target's slot outright
-        aliases = {n: rhs.name for n, rhs in term.equations if isinstance(rhs, TVar)}
-        inner = dict(env)
-        for name, rhs in term.equations:
-            if name not in aliases:
-                inner[name] = b.reserve()
-        for name in aliases:
-            target = aliases[name]
-            while target in aliases:
-                target = aliases[target]
-            inner[name] = inner[target]
-        for name, rhs in term.equations:
-            if name not in aliases:
-                b.copy_into(inner[name], _assemble(rhs, inner, b))
-        return inner[term.body]
-    raise TypeError(f"not a term: {term!r}")
-
-
 def build(term: Term) -> ThreadGraph:
     """Graph whose unfolding is the given closed term.
 
@@ -513,9 +417,92 @@ def build(term: Term) -> ThreadGraph:
     weight of one collapses the choice; weights outside [0, 1] are
     rejected.
     """
-    _unguarded_free(term, frozenset())
     b = GraphBuilder()
-    root = _assemble(term, {}, b)
+    # per equation slot: the ref of its right-hand side, and the slots
+    # that side reaches outside any action test
+    rhs: Dict[int, int] = {}
+    exposed: Dict[int, Set[int]] = {}
+    names: Dict[int, str] = {}
+
+    def walk(term: Term, env: Dict[str, int], sink: Optional[Set[int]]):
+        # the ref of `term`; unguarded slots go into `sink`.  A variable
+        # is guarded only under an action test: choices (zero-weight
+        # branches too) and forks do not guard, since their finite-depth
+        # approximations consume no depth
+        if isinstance(term, TStop):
+            return b.add(STOP)
+        if isinstance(term, TDead):
+            return b.add(DEAD)
+        if isinstance(term, TPost):
+            then_ = yield walk(term.then_, env, None)
+            # `tprefix` shares one object between the branches: walk it once
+            else_ = then_ if term.else_ is term.then_ else (yield walk(term.else_, env, None))
+            return b.add(Post(term.action, then_, else_))
+        if isinstance(term, TProb):
+            weights = probability_weights([w for w, _ in term.branches])
+            kept = []
+            for w, (_, t) in zip(weights, term.branches):
+                ref = yield walk(t, env, sink)
+                if w != 0:
+                    kept.append((w, ref))
+            return kept[0][1] if len(kept) == 1 else b.add(Prob(tuple(kept)))
+        if isinstance(term, TFork):
+            forked = yield walk(term.forked, env, sink)
+            then_ = yield walk(term.then_, env, sink)
+            else_ = yield walk(term.else_, env, sink)
+            return b.add(Fork(forked, then_, else_))
+        if isinstance(term, TVar):
+            if term.name not in env:
+                raise ValueError(f"unbound variable {term.name!r}")
+            ref = env[term.name]
+        elif isinstance(term, TRec):
+            own = [n for n, _ in term.equations]
+            if len(set(own)) != len(own):
+                raise ValueError("duplicate equation variable")
+            if term.body not in own:
+                raise ValueError(f"selected variable {term.body!r} has no equation")
+            inner = {**env, **{n: b.reserve() for n in own}}
+            for name, t in term.equations:
+                slot = inner[name]
+                names[slot] = name
+                exposed[slot] = set()
+                rhs[slot] = yield walk(t, inner, exposed[slot])
+            ref = inner[term.body]
+        else:
+            raise TypeError(f"not a term: {term!r}")
+        # a variable, or a system's selected equation, occurs here
+        if sink is not None:
+            sink.add(ref)
+        return ref
+
+    root = run_stackless(walk(term, {}, None))
+    # a cycle along unguarded occurrences has no unique solution
+    state: Dict[int, bool] = {}  # False while on the search's path
+    for start in exposed:
+        if start in state:
+            continue
+        state[start] = False
+        work = [(start, iter(exposed[start]))]
+        while work:
+            slot, deps = work[-1]
+            for dep in deps:
+                if dep not in state:
+                    state[dep] = False
+                    work.append((dep, iter(exposed[dep])))
+                    break
+                if not state[dep]:
+                    raise UnguardedRecursion(
+                        f"variable {names[dep]!r} recurs without an action test guarding it"
+                    )
+            else:
+                state[slot] = True
+                work.pop()
+    # a right-hand side that collapsed to a slot is an unguarded
+    # occurrence of it, so these chains are acyclic now
+    for slot, ref in rhs.items():
+        while ref in rhs:
+            ref = rhs[ref]
+        b.copy_into(slot, ref)
     return trim(b.graph(root))
 
 
@@ -806,45 +793,32 @@ def project(n: int, g: ThreadGraph) -> ThreadGraph:
     if n < 0:
         raise ValueError("projection depth must be a natural number")
     b = GraphBuilder()
-    memo: Dict[Tuple[int, int], int] = {}
-    # a post-order walk over (node, depth) pairs with an explicit stack,
-    # adding nodes to `b` in the order a recursive walk would
-    expanded = set()
-    stack = [(g.root, n)]
-    while stack:
-        key = stack[-1]
-        if key in memo:
-            stack.pop()
-            continue
-        r, k = key
+    # the ref of each (node, depth) pair; None while its walk is under way
+    memo: Dict[Tuple[int, int], Optional[int]] = {}
+
+    def walk(r: int, k: int):
         node = g.nodes[r]
-        if k == 0:
-            needs: Tuple[Tuple[int, int], ...] = ()
-        elif isinstance(node, Post):
-            needs = ((node.then_, k - 1), (node.else_, k - 1))
-        else:
-            needs = tuple((c, k) for c in _children(node))
-        missing = [c for c in needs if c not in memo]
-        if missing:
-            # met again before its children are done: a depth-free cycle
-            if key in expanded:
-                raise UnguardedRecursion("cycle through probabilistic choices")
-            expanded.add(key)
-            stack.extend(reversed(missing))
-            continue
-        stack.pop()
         if k == 0 or isinstance(node, DeadEnd):
-            out = b.add(DEAD)
-        elif isinstance(node, Stop):
-            out = b.add(STOP)
-        elif isinstance(node, Post):
-            out = b.add(Post(node.action, memo[needs[0]], memo[needs[1]]))
-        elif isinstance(node, Fork):
-            out = b.add(Fork(*(memo[c] for c in needs)))
-        else:
-            out = b.add(Prob(tuple((w, memo[c]) for (w, _), c in zip(node.branches, needs))))
-        memo[key] = out
-    return b.graph(memo[(g.root, n)])
+            return b.add(DEAD)
+        if isinstance(node, Stop):
+            return b.add(STOP)
+        memo[r, k] = None
+        kc = k - 1 if isinstance(node, Post) else k
+        refs = []
+        for c in _children(node):
+            if (c, kc) not in memo:
+                memo[c, kc] = yield walk(c, kc)
+            elif memo[c, kc] is None:
+                # met again inside its own walk: a depth-free cycle
+                raise UnguardedRecursion("cycle through probabilistic choices")
+            refs.append(memo[c, kc])
+        if isinstance(node, Post):
+            return b.add(Post(node.action, *refs))
+        if isinstance(node, Fork):
+            return b.add(Fork(*refs))
+        return b.add(Prob(tuple((w, c) for (w, _), c in zip(node.branches, refs))))
+
+    return b.graph(run_stackless(walk(g.root, n)))
 
 
 def equal_up_to(n: int, g1: ThreadGraph, g2: ThreadGraph) -> bool:

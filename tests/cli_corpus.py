@@ -26,4 +26,6 @@ ALL_COMMANDS = [
     ("sample", str(DATA / "register.pglb"), "--services", "{r1: Register(false)}", "--depth", "10", "--seed", "1"),
     # 550 trace lines sharing 53 distinct masses
     ("dist", str(DATA / "retry3.term"), "--depth", "6", "--env", str(DATA / "retry3.table"), "--traces"),
+    # choices that collapse onto equations defined after them
+    ("normalize", str(DATA / "collapse.term")),
 ]

@@ -13,7 +13,9 @@ from threadalg.threads import (
     TFork,
     TPost,
     TProb,
+    TRec,
     TStop,
+    TVar,
     ThreadGraph,
     trim,
 )
@@ -96,6 +98,51 @@ def term(rng, depth, *, mk_action=action, allow_fork=False):
             for w in weights
         )
     )
+
+
+def rec_system(rng, depth, scope=(), *, faults=False):
+    """A random term of nested `rec` systems over the variables in `scope`.
+
+    Systems have aliases (`X = Y`) and forward references, choices have
+    weight-0 and weight-1 branches, and forks occur, so some terms recur
+    without an action test guarding them.  With `faults`, a few
+    variables are unbound, repeat in one system or are selected without
+    an equation.
+    """
+    k = rng.randrange(9 if depth else 3)
+    if k == 0:
+        return TStop()
+    if k == 1:
+        return TDead()
+    if k == 2:
+        if faults and rng.random() < 0.05:
+            return TVar("U")
+        return TVar(rng.choice(scope)) if scope else TStop()
+
+    def sub():
+        return rec_system(rng, depth - 1, scope, faults=faults)
+
+    if k == 3:
+        return ta.tprefix(action(rng, "ab"), sub())
+    if k == 4:
+        return TPost(action(rng, "ab"), sub(), sub())
+    if k == 5:
+        return TFork(sub(), sub(), sub())
+    if k == 6:
+        weights = distribution(rng, rng.randint(1, 3)) + [Fraction(0)] * rng.randint(0, 1)
+        rng.shuffle(weights)
+        return TProb(tuple((w, sub()) for w in weights))
+    names = rng.sample("XYZ", rng.randint(1, 3))
+    if faults and rng.random() < 0.05:
+        names.append(names[0])
+    inner = tuple(dict.fromkeys((*scope, *names)))
+    equations = tuple(
+        (n, TVar(rng.choice(names)) if rng.random() < 0.2
+         else rec_system(rng, depth - 1, inner, faults=faults))
+        for n in names
+    )
+    body = "W" if faults and rng.random() < 0.05 else rng.choice(names)
+    return TRec(equations, body)
 
 
 def thread(rng, depth, **kw):

@@ -24,9 +24,16 @@ slot dict, auxiliary-node interning, queue and state bound.
 along the graph while searching and rendering.
 `oracle_head_distributions` is the first `threads.head_distributions`,
 which recursed along nested choices and multiplied Fraction weights;
-`oracle_normalize` and `oracle_abstract_tau` flatten choices with it.  All are slow and
-obviously correct; the production versions must agree with them
-exactly.
+`oracle_normalize` and `oracle_abstract_tau` flatten choices with it.
+`oracle_build` is the `threads.build` that checked guards in a first
+recursive walk (`_unguarded_free`), then assembled in a second
+(`_assemble`), giving alias equations their target's slot and copying
+each other right-hand side into its slot as soon as it was built; it
+fails with "unfilled slot" on a choice that collapses onto a later
+equation.  `oracle_project` is the `threads.project` that walked
+(node, depth) pairs in post-order on a hand-made stack.  All are slow
+and obviously correct; the production versions must agree with them
+exactly, but for that one failure of `oracle_build`.
 """
 
 from __future__ import annotations
@@ -78,10 +85,20 @@ from threadalg.threads import (
     STOP,
     Stop,
     TAU,
+    TDead,
+    TFork,
+    TPost,
+    TProb,
+    TRec,
+    TStop,
+    TVar,
+    Term,
     ThreadGraph,
     _children,
     _tau_closed,
+    probability_weights,
     reachable,
+    trim,
 )
 
 
@@ -1020,3 +1037,187 @@ def oracle_print_term(g: ThreadGraph) -> str:
         f"{names[r]} = {render(r, as_def=True)};" for r in sorted(named, key=pre.get)
     )
     return f"rec {main} {{ {eqs} }} in {main}"
+
+
+def _unguarded_free(term: Term, bound: frozenset) -> frozenset:
+    """Variables occurring in `term` outside any action test.
+
+    Also validates that every variable is bound and that no recursion
+    cycle avoids action tests.  A variable occurrence is guarded only
+    under an action test: probabilistic choices and forks do not guard
+    (their finite-depth approximations consume no depth, so a cycle
+    through them alone has no approximants).
+    """
+    if isinstance(term, TVar):
+        if term.name not in bound:
+            raise ValueError(f"unbound variable {term.name!r}")
+        return frozenset((term.name,))
+    if isinstance(term, TPost):
+        # `tprefix` shares one object between the branches: walk it once
+        _unguarded_free(term.then_, bound)
+        if term.else_ is not term.then_:
+            _unguarded_free(term.else_, bound)
+        return frozenset()
+    if isinstance(term, TFork):
+        return (
+            _unguarded_free(term.forked, bound)
+            | _unguarded_free(term.then_, bound)
+            | _unguarded_free(term.else_, bound)
+        )
+    if isinstance(term, TProb):
+        out = frozenset()
+        for _, t in term.branches:
+            out |= _unguarded_free(t, bound)
+        return out
+    if isinstance(term, TRec):
+        names = [n for n, _ in term.equations]
+        if len(set(names)) != len(names):
+            raise ValueError("duplicate equation variable")
+        if term.body not in names:
+            raise ValueError(f"selected variable {term.body!r} has no equation")
+        inner = bound | frozenset(names)
+        exposed = {n: _unguarded_free(rhs, inner) for n, rhs in term.equations}
+        # a cycle along unguarded occurrences has no unique solution
+        state: Dict[str, int] = {}
+
+        def visit(name: str) -> None:
+            if state.get(name) == 1:
+                return
+            if state.get(name) == 0:
+                raise UnguardedRecursion(
+                    f"variable {name!r} recurs without an action test guarding it"
+                )
+            state[name] = 0
+            for dep in exposed[name]:
+                if dep in exposed:
+                    visit(dep)
+            state[name] = 1
+
+        for name in names:
+            visit(name)
+        # outer variables unguardedly reachable from the selected equation
+        seen = set()
+        frontier = [term.body]
+        out = frozenset()
+        while frontier:
+            name = frontier.pop()
+            if name in seen:
+                continue
+            seen.add(name)
+            out |= exposed[name] - frozenset(names)
+            frontier.extend(dep for dep in exposed[name] if dep in exposed)
+        return out
+    return frozenset()
+
+
+def _assemble(term: Term, env: Dict[str, int], b: GraphBuilder) -> int:
+    if isinstance(term, TStop):
+        return b.add(STOP)
+    if isinstance(term, TDead):
+        return b.add(DEAD)
+    if isinstance(term, TPost):
+        then_ = _assemble(term.then_, env, b)
+        else_ = then_ if term.else_ is term.then_ else _assemble(term.else_, env, b)
+        return b.add(Post(term.action, then_, else_))
+    if isinstance(term, TFork):
+        return b.add(
+            Fork(
+                _assemble(term.forked, env, b),
+                _assemble(term.then_, env, b),
+                _assemble(term.else_, env, b),
+            )
+        )
+    if isinstance(term, TProb):
+        weights = probability_weights([w for w, _ in term.branches])
+        kept = [
+            (w, _assemble(t, env, b))
+            for w, (_, t) in zip(weights, term.branches)
+            if w != 0
+        ]
+        if len(kept) == 1:
+            return kept[0][1]
+        return b.add(Prob(tuple(kept)))
+    if isinstance(term, TVar):
+        return env[term.name]
+    if isinstance(term, TRec):
+        # alias equations (X = Y) share the target's slot outright
+        aliases = {n: rhs.name for n, rhs in term.equations if isinstance(rhs, TVar)}
+        inner = dict(env)
+        for name, rhs in term.equations:
+            if name not in aliases:
+                inner[name] = b.reserve()
+        for name in aliases:
+            target = aliases[name]
+            while target in aliases:
+                target = aliases[target]
+            inner[name] = inner[target]
+        for name, rhs in term.equations:
+            if name not in aliases:
+                b.copy_into(inner[name], _assemble(rhs, inner, b))
+        return inner[term.body]
+    raise TypeError(f"not a term: {term!r}")
+
+
+def oracle_build(term: Term) -> ThreadGraph:
+    """Graph whose unfolding is the given closed term.
+
+    Recursion must be guarded: no dependency cycle among equations may
+    avoid action tests.  Zero-weight branches are dropped on input; a
+    weight of one collapses the choice; weights outside [0, 1] are
+    rejected.
+    """
+    _unguarded_free(term, frozenset())
+    b = GraphBuilder()
+    root = _assemble(term, {}, b)
+    return trim(b.graph(root))
+
+
+def oracle_project(n: int, g: ThreadGraph) -> ThreadGraph:
+    """The approximation of `g` cut off after `n` action steps.
+
+    Depth zero is inaction.  Performing an action consumes one level;
+    probabilistic choices and forks are passed through unchanged, so
+    only action tests count towards the depth.
+    """
+    if n < 0:
+        raise ValueError("projection depth must be a natural number")
+    b = GraphBuilder()
+    memo: Dict[Tuple[int, int], int] = {}
+    # a post-order walk over (node, depth) pairs with an explicit stack,
+    # adding nodes to `b` in the order a recursive walk would
+    expanded = set()
+    stack = [(g.root, n)]
+    while stack:
+        key = stack[-1]
+        if key in memo:
+            stack.pop()
+            continue
+        r, k = key
+        node = g.nodes[r]
+        if k == 0:
+            needs: Tuple[Tuple[int, int], ...] = ()
+        elif isinstance(node, Post):
+            needs = ((node.then_, k - 1), (node.else_, k - 1))
+        else:
+            needs = tuple((c, k) for c in _children(node))
+        missing = [c for c in needs if c not in memo]
+        if missing:
+            # met again before its children are done: a depth-free cycle
+            if key in expanded:
+                raise UnguardedRecursion("cycle through probabilistic choices")
+            expanded.add(key)
+            stack.extend(reversed(missing))
+            continue
+        stack.pop()
+        if k == 0 or isinstance(node, DeadEnd):
+            out = b.add(DEAD)
+        elif isinstance(node, Stop):
+            out = b.add(STOP)
+        elif isinstance(node, Post):
+            out = b.add(Post(node.action, memo[needs[0]], memo[needs[1]]))
+        elif isinstance(node, Fork):
+            out = b.add(Fork(*(memo[c] for c in needs)))
+        else:
+            out = b.add(Prob(tuple((w, memo[c]) for (w, _), c in zip(node.branches, needs))))
+        memo[key] = out
+    return b.graph(memo[(g.root, n)])

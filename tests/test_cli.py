@@ -227,10 +227,11 @@ def test_usage_errors_exit_two(capsys):
 
 def test_domain_errors_exit_one(capsys, tmp_path):
     bad = tmp_path / "bad.term"
-    bad.write_text("prob(1/2: S)")
-    code, _, err = run(capsys, "normalize", bad)
-    assert code == 1
-    assert err.startswith("error:")
+    for text in ("prob(1/2: S)", "rec X { X = S; X = D; } in X"):
+        bad.write_text(text)
+        code, _, err = run(capsys, "normalize", bad)
+        assert code == 1
+        assert err.startswith("error:")
     missing = tmp_path / "absent.term"
     code, _, err = run(capsys, "normalize", missing)
     assert code == 1

@@ -30,7 +30,15 @@ denominator on an explicit stack, must give the recursive Fraction
 version's weights in its key order, with the lcm of their denominators
 as the denominator; interleaving pools with twin threads and with
 equal choice weights check that the engine's int-keyed interning shares
-nodes as the oracle engine does.
+nodes as the oracle engine does.  `threads.build`, one generator walk
+under `threads.run_stackless` with the guard check after it, must
+accept the terms the two-walk build accepts, with equal canonical
+forms, and reject the ones it rejects, on random nested `rec` systems
+with aliases, forward references, zero and one weights, forks and
+faults; the one difference allowed is a choice collapsing onto a later
+equation, which only `build` can build.  `threads.project`, a
+generator walk as well, must return exactly the graph of the hand-made
+post-order walk.
 """
 
 import json
@@ -948,3 +956,43 @@ def test_weight_checks_match_oracles_on_random_vectors():
 )
 def test_weight_checks_match_oracles_on_edge_vectors(ws):
     assert_weight_checks_match(ws)
+
+
+def test_build_matches_oracle_on_rec_systems():
+    # The oracle checks guards in a first walk and fills each slot as it
+    # assembles; `build` checks guards after its one walk and fills the
+    # slots last.  So a term with several faults may report another
+    # fault first, and a forward collapse that the oracle copies before
+    # filling it (its "unfilled slot") builds.
+    rng = random.Random(13)
+    seen = set()
+    for _ in range(4000):
+        term = genlib.rec_system(rng, rng.randint(1, 4), faults=True)
+        got, want = verdict(threads.build, term), verdict(oracles.oracle_build, term)
+        if raised(want) == (AssertionError, "unfilled slot"):
+            assert not raised(got), term
+            seen.add("collapse")
+        elif raised(want):
+            assert raised(got) and issubclass(got[0], (Error, ValueError)), term
+            if want[0] is ValueError:
+                assert got[0] is ValueError, term
+            if got[0] is UnguardedRecursion:
+                assert want[0] is UnguardedRecursion, term
+            seen.add(want[0])
+        else:
+            assert not raised(got), term
+            assert ta.normalize(got) == ta.normalize(want), term
+            seen.add("built")
+    assert seen == {"built", "collapse", ValueError, UnguardedRecursion}
+
+
+def test_project_matches_oracle():
+    rng = random.Random(14)
+    graphs = [genlib.thread(rng, d, allow_fork=True) for d in range(5) for _ in range(300)]
+    while len(graphs) < 1800:
+        g = verdict(threads.build, genlib.rec_system(rng, 3))
+        if not raised(g):
+            graphs.append(g)
+    for g in graphs:
+        for k in range(5):
+            assert threads.project(k, g) == oracles.oracle_project(k, g)

@@ -72,6 +72,17 @@ def test_parse_forward_reference():
 
 
 @pytest.mark.parametrize(
+    "text, same",
+    [
+        ("rec X { X = prob(1: Y); Y = prefix(a, X); } in X", "rec X { X = prefix(a, X); } in X"),
+        ("rec X { X = prob(1: Y, 0: S); Y = prefix(a, S); } in X", "prefix(a, S)"),
+    ],
+)
+def test_choice_collapsing_onto_a_later_equation(text, same):
+    assert ta.bisimilar(terms.parse_thread(text), terms.parse_thread(same))
+
+
+@pytest.mark.parametrize(
     "text",
     [
         "",
@@ -84,6 +95,9 @@ def test_parse_forward_reference():
         "post(in, S, D)",
         "prob(1/0: S)",
         "X",
+        "rec X { X = S; X = D; } in X",
+        # checked although its branch has weight zero
+        "prob(1: S, 0: prob(1/2: S))",
     ],
 )
 def test_parse_errors(text):

@@ -10,7 +10,7 @@ import pytest
 
 import genlib
 import threadalg as ta
-from threadalg import analysis
+from threadalg import analysis, cli, terms
 from threadalg import threads as T
 from threadalg.interaction import abstract_tau
 from threadalg.errors import (
@@ -363,14 +363,53 @@ def test_deep_choice_chains_need_no_recursion():
         ta.normalize,
         lambda g: abstract_tau(T.ThreadGraph(g.nodes + (Post(ta.TAU, 0, 0),), len(g.nodes))),
         lambda g: analysis.outcome_distribution(g, analysis.EMPTY_ENVIRONMENT, 3),
+        lambda g: T.project(3, g),
     ],
-    ids=["head_distributions", "normalize", "abstract_tau", "outcome_distribution"],
+    ids=["head_distributions", "normalize", "abstract_tau", "outcome_distribution", "project"],
 )
 def test_deep_choice_cycle_is_unguarded_recursion(stage):
     g = genlib.choice_chain(5000, cycle=True)
     with shallow_stack(), pytest.raises(UnguardedRecursion) as info:
         stage(g)
     assert str(info.value) == "cycle through probabilistic choices"
+
+
+DEEP = 5000
+
+DEEP_TERMS = {
+    "prefix": "prefix(a, " * DEEP + "S" + ")" * DEEP,
+    "post": "post(a, " * DEEP + "S" + ", D)" * DEEP,
+    "fork": "fork(S, " * DEEP + "S" + ", D)" * DEEP,
+    "prob": "prob(1/2: " * DEEP + "S" + ", 1/2: S)" * DEEP,
+    # each system's one equation is the next system; the innermost
+    # loops back to the outermost
+    "rec": "".join(f"rec X{i} {{ X{i} = " for i in range(1000))
+    + "prefix(a, X0)"
+    + "".join(f"; }} in X{i}" for i in reversed(range(1000))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DEEP_TERMS))
+def test_deep_terms_need_no_recursion(kind, tmp_path, capsys):
+    path = tmp_path / f"{kind}.term"
+    path.write_text(DEEP_TERMS[kind])
+    table = tmp_path / "env.table"
+    table.write_text("main.a = 1/2\n")
+    with shallow_stack():
+        g = terms.parse_thread(DEEP_TERMS[kind])
+        cut = T.project(DEEP + 1, g)
+        if kind == "prob":
+            assert cli.main(["normalize", str(path)]) == 0
+            assert capsys.readouterr().out == "S\n"
+        if kind == "post":
+            assert cli.main(["dist", str(path), "--depth", "3", "--env", str(table)]) == 0
+            assert capsys.readouterr().out.startswith("terminate: 0\n")
+    if kind == "rec":
+        assert g == terms.parse_thread("rec X { X = prefix(a, X); } in X")
+        assert len(cut) == DEEP + 2
+    else:
+        # loop-free and shallower than the cut: projecting changes nothing
+        assert T.trim(cut) == g
 
 
 # ---------------------------------------------------------------------------
