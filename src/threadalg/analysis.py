@@ -60,7 +60,10 @@ class Environment:
             name, eq, value = line.partition("=")
             if not eq:
                 raise ParseError(f"line {lineno}: expected `action = probability`")
-            action = threads.action_from_name(name.strip())
+            try:
+                action = threads.action_from_name(name.strip())
+            except ValueError:  # an empty focus or method
+                raise ParseError(f"line {lineno}: malformed action name {name.strip()!r}") from None
             if action.is_tau:
                 raise ParseError(
                     f"line {lineno}: tau takes no reply probability: it always replies True"
@@ -71,9 +74,11 @@ class Environment:
                     f"(first on line {first_line[action]})"
                 )
             first_line[action] = lineno
-            replies[action] = meadow.as_probability(
-                meadow.parse_rational(value.strip())
-            )
+            try:
+                reply = meadow.parse_rational(value.strip())
+            except ParseError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
+            replies[action] = meadow.as_probability(reply)
         return cls(replies)
 
 

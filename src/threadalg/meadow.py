@@ -93,18 +93,27 @@ def as_probability(v: MeadowValue) -> Probability:
     return v
 
 
-def parse_rational(text: str) -> MeadowValue:
+def parse_int(digits: str, position=None) -> int:
+    """The integer `digits` spells; one longer than Python converts
+    (`sys.get_int_max_str_digits`) is a ParseError at `position`."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer of {len(digits)} characters is too long", position) from None
+
+
+def parse_rational(text: str, position=None) -> MeadowValue:
     """Parse `num` or `num/den`; a zero denominator is rejected."""
     s = text.strip()
     if not _RATIONAL_RE.fullmatch(s):
-        raise ParseError(f"malformed rational {text!r}")
+        raise ParseError(f"malformed rational {text!r}", position)
     num, slash, den = s.partition("/")
     if slash:
-        d = int(den)
+        d = parse_int(den, position)
         if d == 0:
-            raise ParseError(f"zero denominator in rational {text!r}")
-        return Fraction(int(num), d)
-    return Fraction(int(num))
+            raise ParseError(f"zero denominator in rational {text!r}", position)
+        return Fraction(parse_int(num, position), d)
+    return Fraction(parse_int(num, position))
 
 
 def format_rational(v: MeadowValue) -> str:

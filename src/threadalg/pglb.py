@@ -116,11 +116,11 @@ def parse_program(text: str) -> Program:
         if piece == "!":
             instructions.append(HALT)
         elif m.group("fwd") is not None:
-            instructions.append(JumpInstr(False, int(m.group("fwd"))))
+            instructions.append(JumpInstr(False, meadow.parse_int(m.group("fwd"), pos)))
         elif m.group("bwd") is not None:
-            instructions.append(JumpInstr(True, int(m.group("bwd"))))
+            instructions.append(JumpInstr(True, meadow.parse_int(m.group("bwd"), pos)))
         elif m.group("rprob") is not None:
-            p = meadow.parse_rational(m.group("rprob"))
+            p = meadow.parse_rational(m.group("rprob"), pos)
             if not meadow.is_probability(p):
                 raise ParseError(f"choice probability {piece!r} outside [0, 1]", pos)
             test = {"+": "pos", "-": "neg", None: "plain"}[m.group("rtest")]

@@ -12,7 +12,10 @@ Grammar::
     action   := 'tau' | NAME ['.' NAME ['(' rational ')']]
     rational := ['-'] INT ['/' INT]
 
-An action name without a dot gets the focus `main`.  The printer names
+An action name without a dot gets the focus `main`.  A `rec` equation
+may refer to any variable of its own or an enclosing system, before or
+after that variable's equation; the parser reads each token once, so
+nested systems parse in linear time.  The printer names
 graph nodes only where cycles or sharing require it, so acyclic graphs
 print as plain nested terms.
 """
@@ -20,7 +23,7 @@ print as plain nested terms.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Set
 
 from . import meadow, threads
 from .errors import ParseError
@@ -82,6 +85,8 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.open = 0  # `rec` systems whose equations are being read
+        self.pending: List[_Token] = []  # their variable occurrences
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -110,14 +115,14 @@ class _Parser:
         tok = self.next()
         if tok.kind != "int":
             raise ParseError(f"expected a number, found {tok.text!r}", tok.pos)
-        num = int(tok.text)
+        num = meadow.parse_int(tok.text, tok.pos)
         den = 1
         if self.peek().text == "/":
             self.next()
             dtok = self.next()
             if dtok.kind != "int":
                 raise ParseError(f"expected a denominator, found {dtok.text!r}", dtok.pos)
-            den = int(dtok.text)
+            den = meadow.parse_int(dtok.text, dtok.pos)
             if den == 0:
                 raise ParseError("zero denominator", dtok.pos)
         value = meadow.rat(num, den)
@@ -150,7 +155,7 @@ class _Parser:
 
     # ---- terms -------------------------------------------------------
 
-    def term(self, scope: Set[str]):
+    def term(self):
         # a generator: sub-terms are yielded to `threads.run_stackless`,
         # so nesting depth costs no Python stack
         tok = self.peek()
@@ -165,9 +170,9 @@ class _Parser:
             self.expect("(")
             a = self.action()
             self.expect(",")
-            t1 = yield self.term(scope)
+            t1 = yield self.term()
             self.expect(",")
-            t2 = yield self.term(scope)
+            t2 = yield self.term()
             self.expect(")")
             return TPost(a, t1, t2)
         if tok.text == "prefix":
@@ -175,98 +180,83 @@ class _Parser:
             self.expect("(")
             a = self.action()
             self.expect(",")
-            t = yield self.term(scope)
+            t = yield self.term()
             self.expect(")")
             return TPost(a, t, t)
         if tok.text == "fork":
             self.next()
             self.expect("(")
-            tf = yield self.term(scope)
+            tf = yield self.term()
             self.expect(",")
-            t1 = yield self.term(scope)
+            t1 = yield self.term()
             self.expect(",")
-            t2 = yield self.term(scope)
+            t2 = yield self.term()
             self.expect(")")
             return TFork(tf, t1, t2)
         if tok.text == "prob":
             self.next()
             self.expect("(")
-            branches = [(yield self.branch(scope))]
+            branches = [(yield self.branch())]
             while self.peek().text == ",":
                 self.next()
-                branches.append((yield self.branch(scope)))
+                branches.append((yield self.branch()))
             self.expect(")")
             return TProb(tuple(branches))
         if tok.text == "rec":
-            return (yield self.rec(scope))
+            return (yield self.rec())
         if tok.kind == "name" and tok.text not in KEYWORDS:
             self.next()
-            if tok.text not in scope:
+            if not self.open:
                 raise ParseError(f"unbound variable {tok.text!r}", tok.pos)
+            # the open systems may bind it further on
+            self.pending.append(tok)
             return TVar(tok.text)
         raise ParseError(f"expected a term, found {tok.text or 'end of input'!r}", tok.pos)
 
-    def branch(self, scope: Set[str]):
+    def branch(self):
         w = self.rational()
         self.expect(":")
-        return (w, (yield self.term(scope)))
+        return (w, (yield self.term()))
 
-    def rec(self, scope: Set[str]):
+    def rec(self):
         self.expect("rec")
         head = self.next()
         if head.kind != "name" or head.text in KEYWORDS:
             raise ParseError(f"expected a variable, found {head.text!r}", head.pos)
         self.expect("{")
-        names: Set[str] = set()
-        # collect the variable names first so equations may refer forward
-        mark = self.i
+        self.open += 1
+        mark = len(self.pending)
+        equations: Dict[str, Term] = {}
         while self.peek().text != "}":
             vtok = self.next()
             if vtok.kind != "name" or vtok.text in KEYWORDS:
                 raise ParseError(f"expected a variable, found {vtok.text!r}", vtok.pos)
-            if vtok.text in names:
+            if vtok.text in equations:
                 raise ParseError(f"duplicate equation variable {vtok.text!r}", vtok.pos)
-            names.add(vtok.text)
             self.expect("=")
-            self.skip_term()
-            self.expect(";")
-        self.i = mark
-        inner = scope | names
-        equations: List[Tuple[str, Term]] = []
-        while self.peek().text != "}":
-            vtok = self.next()
-            self.expect("=")
-            equations.append((vtok.text, (yield self.term(inner))))
+            equations[vtok.text] = yield self.term()
             self.expect(";")
         self.expect("}")
         self.expect("in")
         body = self.next()
-        if body.text not in names:
+        if body.text not in equations:
             raise ParseError(f"selected variable {body.text!r} has no equation", body.pos)
-        if head.text not in names:
+        if head.text not in equations:
             raise ParseError(f"variable {head.text!r} has no equation", head.pos)
-        return TRec(tuple(equations), body.text)
-
-    def skip_term(self) -> None:
-        # skim tokens of one equation body: balanced parens up to ';'
-        depth = 0
-        while True:
-            tok = self.peek()
-            if tok.kind == "eof":
-                raise ParseError("unterminated equation", tok.pos)
-            if depth == 0 and tok.text in (";", "}"):
-                return
-            if tok.text in "({":
-                depth += 1
-            elif tok.text in ")}":
-                depth -= 1
-            self.next()
+        # occurrences this system binds are resolved; the rest wait for
+        # an enclosing system, and with none left they are unbound
+        self.pending[mark:] = [t for t in self.pending[mark:] if t.text not in equations]
+        self.open -= 1
+        if not self.open and self.pending:
+            tok = self.pending[0]
+            raise ParseError(f"unbound variable {tok.text!r}", tok.pos)
+        return TRec(tuple(equations.items()), body.text)
 
 
 def parse_term(text: str) -> Term:
     """Parse the textual syntax into a term."""
     p = _Parser(text)
-    t = threads.run_stackless(p.term(set()))
+    t = threads.run_stackless(p.term())
     tok = p.peek()
     if tok.kind != "eof":
         raise ParseError(f"trailing input {tok.text!r}", tok.pos)

@@ -92,19 +92,19 @@ def action_from_name(name: str) -> Action:
 # Choice weights and graph nodes
 
 _RANGE = {True: "[0, 1]", False: "(0, 1]"}
+_EXACT = (Fraction, int, bool)  # the types a weight may have
 
 
 def check_weights(weights: Sequence[Fraction], closed: bool, label: str) -> None:
-    """Require weights in [0, 1] (`closed`) or (0, 1] that sum to exactly 1.
+    """Require rational weights in [0, 1] (`closed`) or (0, 1] that sum to exactly 1.
 
-    Rationals are compared as integers and summed as numerators over
-    the lcm of their denominators; any other number (`Prob` takes
-    floats) switches to plain comparisons and one Fraction sum.
+    They are compared as integers and summed as numerators over the lcm
+    of their denominators; any other number is a MalformedProbability.
     """
     low, num, den = (0 if closed else 1), 0, 1
     for w in weights:
-        if type(w) is not Fraction and type(w) is not int:
-            break
+        if type(w) not in _EXACT:
+            raise MalformedProbability(f"{label} {w!r} is not an exact rational")
         n, d = w.numerator, w.denominator
         if not low <= n <= d:
             raise MalformedProbability(f"{label} {w} outside {_RANGE[closed]}")
@@ -113,17 +113,8 @@ def check_weights(weights: Sequence[Fraction], closed: bool, label: str) -> None
         else:
             g = gcd(den, d)
             num, den = num * (d // g) + n * (den // g), den // g * d
-    else:
-        if num != den:
-            raise WeightSumNotOne(f"{label}s sum to {Fraction(num, den)}, not 1")
-        return
-    total = Fraction(0)
-    for w in weights:
-        if not (0 <= w if closed else 0 < w) or not w <= 1:
-            raise MalformedProbability(f"{label} {w} outside {_RANGE[closed]}")
-        total += w
-    if total != 1:
-        raise WeightSumNotOne(f"{label}s sum to {total}, not 1")
+    if num != den:
+        raise WeightSumNotOne(f"{label}s sum to {Fraction(num, den)}, not 1")
 
 
 def probability_weights(weights: Sequence) -> List[Fraction]:
@@ -418,13 +409,14 @@ def build(term: Term) -> ThreadGraph:
     rejected.
     """
     b = GraphBuilder()
+    env: Dict[str, int] = {}  # the slot each variable in scope names
     # per equation slot: the ref of its right-hand side, and the slots
     # that side reaches outside any action test
     rhs: Dict[int, int] = {}
     exposed: Dict[int, Set[int]] = {}
     names: Dict[int, str] = {}
 
-    def walk(term: Term, env: Dict[str, int], sink: Optional[Set[int]]):
+    def walk(term: Term, sink: Optional[Set[int]]):
         # the ref of `term`; unguarded slots go into `sink`.  A variable
         # is guarded only under an action test: choices (zero-weight
         # branches too) and forks do not guard, since their finite-depth
@@ -434,22 +426,22 @@ def build(term: Term) -> ThreadGraph:
         if isinstance(term, TDead):
             return b.add(DEAD)
         if isinstance(term, TPost):
-            then_ = yield walk(term.then_, env, None)
+            then_ = yield walk(term.then_, None)
             # `tprefix` shares one object between the branches: walk it once
-            else_ = then_ if term.else_ is term.then_ else (yield walk(term.else_, env, None))
+            else_ = then_ if term.else_ is term.then_ else (yield walk(term.else_, None))
             return b.add(Post(term.action, then_, else_))
         if isinstance(term, TProb):
             weights = probability_weights([w for w, _ in term.branches])
             kept = []
             for w, (_, t) in zip(weights, term.branches):
-                ref = yield walk(t, env, sink)
+                ref = yield walk(t, sink)
                 if w != 0:
                     kept.append((w, ref))
             return kept[0][1] if len(kept) == 1 else b.add(Prob(tuple(kept)))
         if isinstance(term, TFork):
-            forked = yield walk(term.forked, env, sink)
-            then_ = yield walk(term.then_, env, sink)
-            else_ = yield walk(term.else_, env, sink)
+            forked = yield walk(term.forked, sink)
+            then_ = yield walk(term.then_, sink)
+            else_ = yield walk(term.else_, sink)
             return b.add(Fork(forked, then_, else_))
         if isinstance(term, TVar):
             if term.name not in env:
@@ -461,13 +453,18 @@ def build(term: Term) -> ThreadGraph:
                 raise ValueError("duplicate equation variable")
             if term.body not in own:
                 raise ValueError(f"selected variable {term.body!r} has no equation")
-            inner = {**env, **{n: b.reserve() for n in own}}
+            shadowed = {n: env[n] for n in own if n in env}
+            env.update((n, b.reserve()) for n in own)
             for name, t in term.equations:
-                slot = inner[name]
+                # inner systems restore what they shadow: still ours
+                slot = env[name]
                 names[slot] = name
                 exposed[slot] = set()
-                rhs[slot] = yield walk(t, inner, exposed[slot])
-            ref = inner[term.body]
+                rhs[slot] = yield walk(t, exposed[slot])
+            ref = env[term.body]
+            for n in own:
+                del env[n]
+            env.update(shadowed)
         else:
             raise TypeError(f"not a term: {term!r}")
         # a variable, or a system's selected equation, occurs here
@@ -475,8 +472,11 @@ def build(term: Term) -> ThreadGraph:
             sink.add(ref)
         return ref
 
-    root = run_stackless(walk(term, {}, None))
-    # a cycle along unguarded occurrences has no unique solution
+    root = run_stackless(walk(term, None))
+    # a cycle along unguarded occurrences has no unique solution.  A
+    # slot is filled once the search leaves it: the slots its side
+    # reaches unguarded are filled by then, and a side that collapsed
+    # to a slot is one of them
     state: Dict[int, bool] = {}  # False while on the search's path
     for start in exposed:
         if start in state:
@@ -496,13 +496,8 @@ def build(term: Term) -> ThreadGraph:
                     )
             else:
                 state[slot] = True
+                b.copy_into(slot, rhs[slot])
                 work.pop()
-    # a right-hand side that collapsed to a slot is an unguarded
-    # occurrence of it, so these chains are acyclic now
-    for slot, ref in rhs.items():
-        while ref in rhs:
-            ref = rhs[ref]
-        b.copy_into(slot, ref)
     return trim(b.graph(root))
 
 

@@ -145,6 +145,26 @@ def rec_system(rng, depth, scope=(), *, faults=False):
     return TRec(equations, body)
 
 
+def term_text(term):
+    """The textual syntax of `term`, which `terms.parse_term` reads back."""
+    if isinstance(term, TStop):
+        return "S"
+    if isinstance(term, TDead):
+        return "D"
+    if isinstance(term, TVar):
+        return term.name
+    if isinstance(term, TPost):
+        if term.then_ == term.else_:
+            return f"prefix({term.action}, {term_text(term.then_)})"
+        return f"post({term.action}, {term_text(term.then_)}, {term_text(term.else_)})"
+    if isinstance(term, TFork):
+        return f"fork({term_text(term.forked)}, {term_text(term.then_)}, {term_text(term.else_)})"
+    if isinstance(term, TProb):
+        return "prob(" + ", ".join(f"{w}: {term_text(t)}" for w, t in term.branches) + ")"
+    eqs = " ".join(f"{n} = {term_text(t)};" for n, t in term.equations)
+    return f"rec {term.body} {{ {eqs} }} in {term.body}"
+
+
 def thread(rng, depth, **kw):
     return ta.build(term(rng, depth, **kw))
 

@@ -31,7 +31,11 @@ recursive walk (`_unguarded_free`), then assembled in a second
 each other right-hand side into its slot as soon as it was built; it
 fails with "unfilled slot" on a choice that collapses onto a later
 equation.  `oracle_project` is the `threads.project` that walked
-(node, depth) pairs in post-order on a hand-made stack.  All are slow
+(node, depth) pairs in post-order on a hand-made stack.
+`oracle_parse_term` (with `OracleParser`) is the first `terms.parse_term`,
+whose `rec` skimmed every equation body once to collect the system's
+names before parsing it, and which passed the set of names in scope
+down every sub-parse.  All are slow
 and obviously correct; the production versions must agree with them
 exactly, but for that one failure of `oracle_build`.
 """
@@ -57,6 +61,7 @@ from threadalg.analysis import (
 from threadalg.errors import (
     MalformedProbability,
     NonRegularProduct,
+    ParseError,
     UnguardedRecursion,
     UnresolvedFork,
     WeightSumNotOne,
@@ -73,8 +78,9 @@ from threadalg.interleaving import (
     StepKind,
 )
 from threadalg.services import ServiceFamily
-from threadalg.terms import _action_text
+from threadalg.terms import KEYWORDS, _action_text, _tokenize
 from threadalg.threads import (
+    Action,
     DEAD,
     DeadEnd,
     Fork,
@@ -1221,3 +1227,198 @@ def oracle_project(n: int, g: ThreadGraph) -> ThreadGraph:
             out = b.add(Prob(tuple((w, memo[c]) for (w, _), c in zip(node.branches, needs))))
         memo[key] = out
     return b.graph(memo[(g.root, n)])
+
+
+class OracleParser:
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.i = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.i]
+
+    def next(self) -> _Token:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, text: str) -> _Token:
+        tok = self.next()
+        if tok.text != text:
+            raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.pos)
+        return tok
+
+    def fail(self, message: str):
+        raise ParseError(message, self.peek().pos)
+
+    # ---- rationals ---------------------------------------------------
+
+    def rational(self):
+        negative = False
+        if self.peek().text == "-":
+            self.next()
+            negative = True
+        tok = self.next()
+        if tok.kind != "int":
+            raise ParseError(f"expected a number, found {tok.text!r}", tok.pos)
+        num = int(tok.text)
+        den = 1
+        if self.peek().text == "/":
+            self.next()
+            dtok = self.next()
+            if dtok.kind != "int":
+                raise ParseError(f"expected a denominator, found {dtok.text!r}", dtok.pos)
+            den = int(dtok.text)
+            if den == 0:
+                raise ParseError("zero denominator", dtok.pos)
+        value = meadow.rat(num, den)
+        return -value if negative else value
+
+    # ---- actions -----------------------------------------------------
+
+    def action(self) -> Action:
+        tok = self.next()
+        if tok.kind != "name":
+            raise ParseError(f"expected an action, found {tok.text!r}", tok.pos)
+        if tok.text == "tau":
+            return TAU
+        if tok.text in KEYWORDS:
+            raise ParseError(f"keyword {tok.text!r} cannot name an action", tok.pos)
+        focus = tok.text
+        if self.peek().text != ".":
+            return threads.basic(threads.MAIN_FOCUS, focus)
+        self.next()
+        mtok = self.next()
+        if mtok.kind != "name":
+            raise ParseError(f"expected a method name, found {mtok.text!r}", mtok.pos)
+        method = mtok.text
+        if self.peek().text == "(":
+            self.next()
+            p = self.rational()
+            self.expect(")")
+            method = f"{method}({meadow.format_rational(p)})"
+        return threads.basic(focus, method)
+
+    # ---- terms -------------------------------------------------------
+
+    def term(self, scope: Set[str]):
+        # a generator: sub-terms are yielded to `threads.run_stackless`,
+        # so nesting depth costs no Python stack
+        tok = self.peek()
+        if tok.text == "S":
+            self.next()
+            return TStop()
+        if tok.text == "D":
+            self.next()
+            return TDead()
+        if tok.text == "post":
+            self.next()
+            self.expect("(")
+            a = self.action()
+            self.expect(",")
+            t1 = yield self.term(scope)
+            self.expect(",")
+            t2 = yield self.term(scope)
+            self.expect(")")
+            return TPost(a, t1, t2)
+        if tok.text == "prefix":
+            self.next()
+            self.expect("(")
+            a = self.action()
+            self.expect(",")
+            t = yield self.term(scope)
+            self.expect(")")
+            return TPost(a, t, t)
+        if tok.text == "fork":
+            self.next()
+            self.expect("(")
+            tf = yield self.term(scope)
+            self.expect(",")
+            t1 = yield self.term(scope)
+            self.expect(",")
+            t2 = yield self.term(scope)
+            self.expect(")")
+            return TFork(tf, t1, t2)
+        if tok.text == "prob":
+            self.next()
+            self.expect("(")
+            branches = [(yield self.branch(scope))]
+            while self.peek().text == ",":
+                self.next()
+                branches.append((yield self.branch(scope)))
+            self.expect(")")
+            return TProb(tuple(branches))
+        if tok.text == "rec":
+            return (yield self.rec(scope))
+        if tok.kind == "name" and tok.text not in KEYWORDS:
+            self.next()
+            if tok.text not in scope:
+                raise ParseError(f"unbound variable {tok.text!r}", tok.pos)
+            return TVar(tok.text)
+        raise ParseError(f"expected a term, found {tok.text or 'end of input'!r}", tok.pos)
+
+    def branch(self, scope: Set[str]):
+        w = self.rational()
+        self.expect(":")
+        return (w, (yield self.term(scope)))
+
+    def rec(self, scope: Set[str]):
+        self.expect("rec")
+        head = self.next()
+        if head.kind != "name" or head.text in KEYWORDS:
+            raise ParseError(f"expected a variable, found {head.text!r}", head.pos)
+        self.expect("{")
+        names: Set[str] = set()
+        # collect the variable names first so equations may refer forward
+        mark = self.i
+        while self.peek().text != "}":
+            vtok = self.next()
+            if vtok.kind != "name" or vtok.text in KEYWORDS:
+                raise ParseError(f"expected a variable, found {vtok.text!r}", vtok.pos)
+            if vtok.text in names:
+                raise ParseError(f"duplicate equation variable {vtok.text!r}", vtok.pos)
+            names.add(vtok.text)
+            self.expect("=")
+            self.skip_term()
+            self.expect(";")
+        self.i = mark
+        inner = scope | names
+        equations: List[Tuple[str, Term]] = []
+        while self.peek().text != "}":
+            vtok = self.next()
+            self.expect("=")
+            equations.append((vtok.text, (yield self.term(inner))))
+            self.expect(";")
+        self.expect("}")
+        self.expect("in")
+        body = self.next()
+        if body.text not in names:
+            raise ParseError(f"selected variable {body.text!r} has no equation", body.pos)
+        if head.text not in names:
+            raise ParseError(f"variable {head.text!r} has no equation", head.pos)
+        return TRec(tuple(equations), body.text)
+
+    def skip_term(self) -> None:
+        # skim tokens of one equation body: balanced parens up to ';'
+        depth = 0
+        while True:
+            tok = self.peek()
+            if tok.kind == "eof":
+                raise ParseError("unterminated equation", tok.pos)
+            if depth == 0 and tok.text in (";", "}"):
+                return
+            if tok.text in "({":
+                depth += 1
+            elif tok.text in ")}":
+                depth -= 1
+            self.next()
+
+
+def oracle_parse_term(text: str) -> Term:
+    """Parse the textual syntax into a term."""
+    p = OracleParser(text)
+    t = threads.run_stackless(p.term(set()))
+    tok = p.peek()
+    if tok.kind != "eof":
+        raise ParseError(f"trailing input {tok.text!r}", tok.pos)
+    return t

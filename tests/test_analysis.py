@@ -55,8 +55,12 @@ def test_environment_tau_always_true():
         # a bare name has the focus main; comments and blank lines count
         ("a = 1/2 // first\n\nb = 1\nmain.a = 1/2\n", "line 4: second reply for main.a (first on line 1)"),
         ("main.a = 1/2\ntau = 1/2\n", "line 2: tau takes no reply probability: it always replies True"),
+        # an empty action name, focus or method
+        ("main.a = 1/2\n = 1\n", "line 2: malformed action name ''"),
+        (".b = 1/2\n", "line 1: malformed action name '.b'"),
+        ("// i.\ni. = 3/4\n", "line 2: malformed action name 'i.'"),
     ],
-    ids=["repeated", "repeated-bare-name", "tau"],
+    ids=["repeated", "repeated-bare-name", "tau", "empty-name", "empty-focus", "empty-method"],
 )
 def test_environment_table_rejects_repeated_and_tau_lines(text, message):
     with pytest.raises(ParseError) as info:

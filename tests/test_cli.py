@@ -2,14 +2,18 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cli_corpus import ALL_COMMANDS
-from threadalg import cli
+from threadalg import analysis, cli, pglb, services, terms
+from threadalg.errors import Error
 
 DATA = Path(__file__).parent / "data"
 SRC = str(Path(__file__).parent.parent / "src")
@@ -258,6 +262,44 @@ def test_domain_errors_exit_one(capsys, tmp_path):
     code, out, err = run(capsys, "dist", loop, "--depth", "2", "--env", env)
     assert (code, out) == (1, "")
     assert err == "error: line 2: second reply for main.a (first on line 1)\n"
+    # an action name with an empty method
+    env.write_text("main.a = 1/2\nmain. = 1/3\n")
+    for command in (("dist",), ("sample", "--seed", "1")):
+        code, out, err = run(capsys, *command, loop, "--depth", "2", "--env", env)
+        assert (code, out) == (1, ""), command
+        assert err == "error: line 2: malformed action name 'main.'\n", command
+
+
+LONG = "9" * 5000  # more digits than `int` converts on Python 3.11+
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="int converts any length here"
+)
+@pytest.mark.parametrize(
+    "name, text, where",
+    [
+        ("weight.term", f"prob({LONG}: S)", "(at offset 5)"),
+        ("parameter.term", f"prefix(a.b(1/{LONG}), S)", "(at offset 13)"),
+        ("random.pglb", f"a ; +%1/{LONG} ; !", "(at offset 4)"),
+        ("forward.pglb", f"a ; #{LONG}", "(at offset 4)"),
+        ("backward.pglb", f"a ; \\{LONG}", "(at offset 4)"),
+        ("reply.table", f"main.a = 1/2\nmain.b = {LONG}/{LONG}\n", "line 2: "),
+    ],
+    ids=["term-weight", "term-action", "pglb-choice", "pglb-jump", "pglb-back-jump", "env-reply"],
+)
+def test_overlong_integers_are_parse_errors(capsys, tmp_path, name, text, where):
+    path = tmp_path / name
+    path.write_text(text)
+    argv = {
+        ".term": ("normalize", path),
+        ".pglb": ("extract", path),
+        ".table": ("dist", DATA / "left.term", "--depth", "2", "--env", path),
+    }[path.suffix]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "integer of 5000 characters is too long" in err
+    assert where in err
 
 
 @pytest.mark.parametrize("literal", ["{1x: Random}", "{: Random}", "{a.b: Random}"])
@@ -430,3 +472,57 @@ def test_malformed_scheduler_table_is_rejected_when_parsed(capsys, tmp_path, tab
     )
     assert code == 1
     assert err == f"error: scheduler table {path}: {message}\n"
+
+
+# Each text boundary with well-formed texts to edit, and pieces to edit
+# them with: every piece of its syntax, and an integer too long to convert
+TEXT_BOUNDARIES = {
+    "term": (
+        terms.parse_thread,
+        [
+            "prob(1/2: prefix(r1.get(1/3), S), 1/2: fork(S, D, S))",
+            "prob(1/3: S, 2/3: D)",
+            "rec X { X = post(a, Y, S); Y = prefix(tau, X); } in X",
+        ],
+        ["S", "X", "Y", "rec", "in", "post", "prob", "(", ")", "{", "}", ",", ";", ":", "=", ".", "/", "-", "0"],
+    ),
+    "pglb": (
+        pglb.parse_program,
+        ["+%1/2 ; #2 ; a ; \\1 ; !", "r1.set:true ; -r1.get ; random.get(1/3) ; #0 // c"],
+        ["#", "\\", "%", "+", "-", "!", ";", ".", "(", ")", "/", "0", "a", "//", "\n"],
+    ),
+    "environment": (
+        analysis.Environment.from_table,
+        ["main.a = 1/2\nr1.get = 1 // c\n\nb = 0\n"],
+        ["=", ".", "/", "-", "0", "a", "tau", "//", "\n"],
+    ),
+    "family": (
+        services.parse_family,
+        ["{random: Random, r1: Register(true)}", "{}"],
+        ["{", "}", ":", ",", "(", ")", "Random", "Register(false)", "r1", "1x"],
+    ),
+}
+
+
+@st.composite
+def edited(draw, bases, pieces):
+    """One of `bases`, with up to four of its words or characters
+    replaced by a piece, or a piece put before them."""
+    words = re.findall(r"\w+|\s+|.", draw(st.sampled_from(bases)))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(words)))
+        piece = draw(st.one_of(st.just(LONG), st.sampled_from(pieces + ["", " "])))
+        words[i : i + draw(st.integers(0, 1))] = [piece]
+    return "".join(words)
+
+
+@pytest.mark.parametrize("boundary", sorted(TEXT_BOUNDARIES))
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(data=st.data())
+def test_text_boundaries_raise_only_domain_errors(boundary, data):
+    parse, bases, pieces = TEXT_BOUNDARIES[boundary]
+    text = data.draw(edited(bases, pieces))
+    try:
+        parse(text)
+    except Error:
+        pass

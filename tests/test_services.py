@@ -1,6 +1,7 @@
 """Service behaviour and the family algebra laws."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,16 @@ def test_random_rejects_other_methods():
     assert RANDOM.reply("set:true") is None
     assert RANDOM.derive("set:true") == EMPTY_SERVICE
     assert RANDOM.reply("get(3/2)") is None  # outside [0, 1]
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="int converts any length here"
+)
+def test_random_rejects_an_overlong_probability():
+    # a denominator longer than `int` converts names no probability
+    method = f"get(1/{'9' * 5000})"
+    assert RANDOM.reply(method) is None
+    assert RANDOM.derive(method) == EMPTY_SERVICE
 
 
 def test_register_reads_its_state():

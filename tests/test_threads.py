@@ -383,10 +383,27 @@ DEEP_TERMS = {
     "prob": "prob(1/2: " * DEEP + "S" + ", 1/2: S)" * DEEP,
     # each system's one equation is the next system; the innermost
     # loops back to the outermost
-    "rec": "".join(f"rec X{i} {{ X{i} = " for i in range(1000))
+    "rec": "".join(f"rec X{i} {{ X{i} = " for i in range(DEEP))
     + "prefix(a, X0)"
-    + "".join(f"; }} in X{i}" for i in reversed(range(1000))),
+    + "".join(f"; }} in X{i}" for i in reversed(range(DEEP))),
 }
+
+
+def test_rec_nest_parses_reading_each_token_once(monkeypatch):
+    text = DEEP_TERMS["rec"]
+    tokens = len(terms._tokenize(text))
+    calls = 0
+    read = terms._Parser.next
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        assert calls <= tokens, "a token was read twice"
+        return read(self)
+
+    monkeypatch.setattr(terms._Parser, "next", counted)
+    terms.parse_term(text)
+    assert calls == tokens - 1  # all but the end of input
 
 
 @pytest.mark.parametrize("kind", sorted(DEEP_TERMS))
