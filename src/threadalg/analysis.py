@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import meadow, threads
-from .errors import MissingReply, ParseError, UnresolvedFork
+from .errors import MissingReply, OutOfRange, ParseError, UnresolvedFork
 from .threads import Action, DeadEnd, Fork, Post, Prob, Stop, ThreadGraph
 
 TERMINATE = "terminate"
@@ -75,10 +75,9 @@ class Environment:
                 )
             first_line[action] = lineno
             try:
-                reply = meadow.parse_rational(value.strip())
-            except ParseError as exc:
+                replies[action] = meadow.as_probability(meadow.parse_rational(value.strip()))
+            except (ParseError, OutOfRange) as exc:
                 raise ParseError(f"line {lineno}: {exc}") from None
-            replies[action] = meadow.as_probability(reply)
         return cls(replies)
 
 

@@ -18,17 +18,16 @@ each node escapes to each visible successor is computed exactly, and
 mass that can never escape becomes inaction (every finite-depth
 approximation of a pure internal loop is cut to inaction, so its limit
 is inaction).  The region is solved one strongly connected component
-at a time, in reverse topological order, on integer numerators over a
-reduced common denominator: a single node is a weighted sum of the
-distributions solved below it, and only a loop solves its own small
-linear system over the rationals.  `threads.quotient` lumps the
-visible nodes under their escape distributions into the result.
+at a time, in reverse topological order, by one integer elimination:
+rows are integer numerators over a reduced common denominator, each
+member in turn divides out its self-loop and is substituted into the
+rows that still name it, and a member whose row only loops back never
+escapes.  `threads.quotient` gathers, from the root, the visible nodes
+that the escape distributions reach and lumps them into the result.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
 from typing import Dict, List, Tuple
 
 from . import meadow, threads
@@ -137,48 +136,6 @@ def use(
 # Abstraction
 
 
-def _solve(
-    a: List[Dict[int, Fraction]], b: List[Dict[int, Fraction]]
-) -> List[Dict[int, Fraction]]:
-    """Solve a @ x = b exactly by Gauss-Jordan elimination on sparse rows.
-
-    Row i of `a` maps a column in range(len(a)) to its coefficient and
-    row i of `b` maps a right-hand-side column (a natural number) to its
-    value; zeros are left out.  Row i of the result maps each
-    right-hand-side column to the nonzero entries of unknown i.  Only
-    nonzero entries are stored and touched; pivots are chosen as in the
-    dense method, and the solution is unique, so it is exactly the dense
-    one.  Raises ArithmeticError when a column has no pivot.
-    """
-    n = len(a)
-    rows = [dict(row) for row in a]
-    for row, rhs in zip(rows, b):
-        for j, v in rhs.items():
-            row[n + j] = v
-    for col in range(n):
-        piv = next((r for r in range(col, n) if col in rows[r]), None)
-        if piv is None:
-            raise ArithmeticError("singular linear system")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        pivot = rows[col]
-        factor = pivot[col]
-        if factor != 1:
-            pivot = {k: v / factor for k, v in pivot.items()}
-            rows[col] = pivot
-        for r, row in enumerate(rows):
-            f = row.get(col)
-            if f is None or r == col:
-                continue
-            for k, v in pivot.items():
-                old = row.get(k)
-                x = -f * v if old is None else old - f * v
-                if x:
-                    row[k] = x
-                else:
-                    del row[k]
-    return [{k - n: v for k, v in row.items() if k >= n} for row in rows]
-
-
 def abstract_tau(g: ThreadGraph) -> ThreadGraph:
     """The thread `g` with every internal step concealed.
 
@@ -218,39 +175,25 @@ def abstract_tau(g: ThreadGraph) -> ThreadGraph:
         )
 
     def solve(comp: List[int]) -> None:
-        # every component that `comp` reaches is solved already
-        if len(comp) == 1 and comp[0] not in step[comp[0]][1]:
-            escape[comp[0]] = mix(step[comp[0]])
-            return
-        pos = {t: i for i, t in enumerate(comp)}
-        targets: Dict[int, int] = {}
-        a: List[Dict[int, Fraction]] = []
-        rhs: List[Dict[int, Fraction]] = []
+        # every component that `comp` reaches is solved already.  Each
+        # member stands for itself in the rows until it is eliminated:
+        # its self-loop is divided out, or, when all of its row's mass
+        # loops back, it never escapes; then it is substituted into every
+        # row that still names it.  A component with an exit keeps every
+        # pivot positive, so no pivoting is needed
         for t in comp:
-            row = {pos[t]: meadow.ONE}
-            col: Dict[int, Fraction] = {}
-            sden, snums = step[t]
-            for d, y in snums.items():
-                if d in pos:
-                    row[pos[d]] = row.get(pos[d], meadow.ZERO) - Fraction(y, sden)
-                else:
-                    den, nums = escape[d]
-                    for v, x in nums.items():
-                        j = targets.setdefault(v, len(targets))
-                        col[j] = col.get(j, meadow.ZERO) + Fraction(y * x, sden * den)
-            a.append(row)
-            rhs.append(col)
-        if not targets:
-            # a closed component: its mass never escapes
-            escape.update((t, (1, {dead: 1})) for t in comp)
-            return
-        columns = list(targets)
-        for t, x in zip(comp, _solve(a, rhs)):
-            den = lcm(*(q.denominator for q in x.values()))
-            escape[t] = (
-                den,
-                {columns[j]: q.numerator * (den // q.denominator) for j, q in x.items()},
-            )
+            escape[t] = (1, {t: 1})
+        rows = {t: mix(step[t]) for t in comp}
+        for t in comp:
+            den, nums = rows[t]
+            loop = nums.pop(t, 0)
+            row = (1, {dead: 1}) if loop == den else threads.weighted_sum([(1, den - loop, nums)])
+            rows[t] = row
+            for u, (uden, unums) in rows.items():
+                x = unums.pop(t, None)
+                if x is not None:
+                    rows[u] = threads.weighted_sum([(1, uden, unums), (x, uden * row[0], row[1])])
+        escape.update(rows)
 
     # Tarjan's search on an explicit stack emits each component of the
     # internal nodes after every component it reaches; a node it has
@@ -288,17 +231,6 @@ def abstract_tau(g: ThreadGraph) -> ThreadGraph:
                         comp.append(stack.pop())
                     solve(comp)
 
-    # the result is the quotient of the nodes that the escape
-    # distributions of the root and of visible nodes' children reach
-    supports: Dict[int, Tuple[int, Dict[int, int]]] = {}
-    dets: Dict[int, threads.Node] = {}
-    todo = [g.root]
-    while todo:
-        ref = todo.pop()
-        if ref not in supports:
-            supports[ref] = mix(head[ref])
-            for v in supports[ref][1]:
-                if v not in dets:
-                    dets[v] = nodes[v]
-                    todo.extend(threads._children(nodes[v]))
-    return threads.quotient(dets, supports, g.root)
+    # the result is the quotient of what the escape distributions of
+    # the root and of visible nodes' children reach
+    return threads.quotient(g.root, lambda r: mix(head[r]), nodes.__getitem__)

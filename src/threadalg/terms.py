@@ -85,8 +85,9 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
-        self.open = 0  # `rec` systems whose equations are being read
-        self.pending: List[_Token] = []  # their variable occurrences
+        # one entry per `rec` system whose equations are being read: the
+        # first occurrence of each variable it has not bound yet
+        self.pending: List[Dict[str, _Token]] = []
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -206,10 +207,10 @@ class _Parser:
             return (yield self.rec())
         if tok.kind == "name" and tok.text not in KEYWORDS:
             self.next()
-            if not self.open:
+            if not self.pending:
                 raise ParseError(f"unbound variable {tok.text!r}", tok.pos)
             # the open systems may bind it further on
-            self.pending.append(tok)
+            self.pending[-1].setdefault(tok.text, tok)
             return TVar(tok.text)
         raise ParseError(f"expected a term, found {tok.text or 'end of input'!r}", tok.pos)
 
@@ -224,8 +225,7 @@ class _Parser:
         if head.kind != "name" or head.text in KEYWORDS:
             raise ParseError(f"expected a variable, found {head.text!r}", head.pos)
         self.expect("{")
-        self.open += 1
-        mark = len(self.pending)
+        self.pending.append({})
         equations: Dict[str, Term] = {}
         while self.peek().text != "}":
             vtok = self.next()
@@ -244,11 +244,15 @@ class _Parser:
         if head.text not in equations:
             raise ParseError(f"variable {head.text!r} has no equation", head.pos)
         # occurrences this system binds are resolved; the rest wait for
-        # an enclosing system, and with none left they are unbound
-        self.pending[mark:] = [t for t in self.pending[mark:] if t.text not in equations]
-        self.open -= 1
-        if not self.open and self.pending:
-            tok = self.pending[0]
+        # the enclosing system, behind any earlier occurrence of the same
+        # name there, and with none left the first of them is unbound
+        free = [(v, t) for v, t in self.pending.pop().items() if v not in equations]
+        if self.pending:
+            outer = self.pending[-1]
+            for v, t in free:
+                outer.setdefault(v, t)
+        elif free:
+            tok = free[0][1]
             raise ParseError(f"unbound variable {tok.text!r}", tok.pos)
         return TRec(tuple(equations.items()), body.text)
 

@@ -15,8 +15,11 @@ order on nodes, behaviourally equal nodes identified, and the internal
 action's two branches made equal (the environment always answers True
 to it).  Two regular threads have the same behaviour exactly when
 their canonical graphs are equal; `bisimilar` decides this, and
-`equal_up_to` compares finite-depth approximations.  Abstraction feeds
-its core, `quotient`, with escape distributions directly.
+`equal_up_to` compares finite-depth approximations.  The core of
+`normalize`, `quotient`, gathers from the root the nodes that a
+distribution function reaches and lumps them; `normalize` gives it
+head distributions over tau-closed nodes, and abstraction gives it
+escape distributions directly.
 
 `head_distributions` flattens choice layers for `normalize`, for
 abstraction and for outcome analysis alike: each reference gets its
@@ -650,33 +653,39 @@ def normalize(g: ThreadGraph) -> ThreadGraph:
     """
     if g.canonical:
         return g
-    order = reachable(g)
-    dets: Dict[int, Node] = {}
-    for r in order:
-        node = _tau_closed(g.nodes[r])
-        if not isinstance(node, Prob):
-            dets[r] = node
-    return quotient(dets, head_distributions(g, order), g.root)
+    head = head_distributions(g, reachable(g))
+    return quotient(g.root, head.__getitem__, lambda r: _tau_closed(g.nodes[r]))
 
 
-def quotient(dets: Dict[int, Node], head, root: int) -> ThreadGraph:
-    """The canonical graph of the tau-closed deterministic `dets`, from `root`.
+def quotient(root: int, support, det) -> ThreadGraph:
+    """The canonical graph of the behaviour at `root`.
 
-    `head` maps `root` and every child of a node in `dets` to its
-    distribution over `dets` as `(den, {ref: numerator})`, as
-    `head_distributions` does.  Equal behaviours are lumped by partition
-    refinement; the numbering depends on neither refs nor denominators.
+    `support(ref)` is the distribution of `ref` over deterministic refs
+    as `(den, {ref: numerator})`, as `head_distributions` gives it, and
+    `det(ref)` is the tau-closed deterministic node at such a ref.  The
+    nodes gathered are those that the supports of the root, and of the
+    gathered nodes' children, reach, so every class of the result is
+    reachable.  Equal behaviours are lumped by partition refinement;
+    the numbering depends on neither refs nor denominators.
     """
+    head: Dict[int, Tuple[int, Dict[int, int]]] = {}
+    dets: Dict[int, Node] = {}
+    todo = [root]
+    while todo:
+        ref = todo.pop()
+        if ref not in head:
+            head[ref] = support(ref)
+            for v in head[ref][1]:
+                if v not in dets:
+                    dets[v] = det(v)
+                    todo.extend(_children(dets[v]))
     refs = sorted(dets)
     slots = {r: _children(dets[r]) for r in refs}
     # every support weight becomes an integer numerator over `den`, the
     # lcm of their denominators; only the quotient's choices see a Fraction
-    children = {c for r in refs for c in slots[r]}
-    children.add(root)
-    den = lcm(*{head[c][0] for c in children})
+    den = lcm(*{hden for hden, _ in head.values()})
     supports = {}
-    for c in children:
-        hden, nums = head[c]
+    for c, (hden, nums) in head.items():
         f = den // hden
         supports[c] = tuple((d, x * f) for d, x in nums.items())
 
@@ -712,64 +721,41 @@ def quotient(dets: Dict[int, Node], head, root: int) -> ThreadGraph:
         block = new_block
 
     # the last round ran on the final blocks, so its ranks and
-    # distributions describe the quotient
+    # distributions describe the quotient: class c is node c, and every
+    # distribution rank is some class's slot or the root's
     rep: Dict[int, int] = {}
     for r in refs:
         rep.setdefault(block[r], r)
-    slot_ranks = {c: [rank[x] for x in slots[r]] for c, r in rep.items()}
-    root_rank = rank[root]
-
-    # the tau closure can orphan classes: keep only those reachable in
-    # the quotient, compressing ids while preserving the rank order
-    live = {c for c, _ in dists[root_rank]}
-    frontier = list(live)
-    while frontier:
-        c = frontier.pop()
-        for k in slot_ranks[c]:
-            for c2, _ in dists[k]:
-                if c2 not in live:
-                    live.add(c2)
-                    frontier.append(c2)
-    remap = {c: i for i, c in enumerate(sorted(live))}
-    n_classes = len(remap)
+    n_classes = len(rep)
 
     # choice nodes are interned by distribution rank and numbered in
     # the order of their (weight, target) branch tuples, which over the
     # common denominator is the order of their (numerator, target) tuples
-    used = {k for c in live for k in slot_ranks[c]}
-    used.add(root_rank)
-    branches = {
-        k: tuple((w, remap[c]) for c, w in dists[k]) for k in used if len(dists[k]) > 1
-    }
+    branches = {k: tuple((w, c) for c, w in d) for k, d in enumerate(dists) if len(d) > 1}
     prob_id = {
         k: n_classes + i for i, k in enumerate(sorted(branches, key=branches.__getitem__))
     }
 
-    def resolve(k: int) -> int:
-        d = dists[k]
-        if len(d) == 1:
-            return remap[d[0][0]]
-        return prob_id[k]
+    def resolve(ref: int) -> int:
+        k = rank[ref]
+        return dists[k][0][0] if len(dists[k]) == 1 else prob_id[k]
 
     nodes: List[Node] = [None] * (n_classes + len(prob_id))  # type: ignore[list-item]
-    for c in live:
-        node = dets[rep[c]]
-        new = remap[c]
+    for c, r in rep.items():
+        node = dets[r]
         if isinstance(node, Stop):
-            nodes[new] = STOP
+            nodes[c] = STOP
         elif isinstance(node, DeadEnd):
-            nodes[new] = DEAD
+            nodes[c] = DEAD
         elif isinstance(node, Post):
-            k1, k2 = slot_ranks[c]
-            nodes[new] = Post(node.action, resolve(k1), resolve(k2))
+            nodes[c] = Post(node.action, resolve(node.then_), resolve(node.else_))
         else:
-            k0, k1, k2 = slot_ranks[c]
-            nodes[new] = Fork(resolve(k0), resolve(k1), resolve(k2))
+            nodes[c] = Fork(resolve(node.forked), resolve(node.then_), resolve(node.else_))
     # numerators repeat across choices: build each weight's Fraction once
     weight = {w: Fraction(w, den) for w in {w for b in branches.values() for w, _ in b}}
     for k, i in prob_id.items():
         nodes[i] = Prob(tuple((weight[w], c) for w, c in branches[k]))
-    out = ThreadGraph(tuple(nodes), resolve(root_rank))
+    out = ThreadGraph(tuple(nodes), resolve(root))
     object.__setattr__(out, "canonical", True)
     return out
 

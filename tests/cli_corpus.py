@@ -28,4 +28,8 @@ ALL_COMMANDS = [
     ("dist", str(DATA / "retry3.term"), "--depth", "6", "--env", str(DATA / "retry3.table"), "--traces"),
     # choices that collapse onto equations defined after them
     ("normalize", str(DATA / "collapse.term")),
+    # ten overlapping retry loops: one 19-node tau component
+    ("extract", str(DATA / "ring.pglb")),
+    # nodes that only the else branches of tau steps reach
+    ("normalize", str(DATA / "orphan.term")),
 ]

@@ -7,6 +7,8 @@ from threadalg import services
 from threadalg.threads import (
     DEAD,
     STOP,
+    TAU,
+    Fork,
     Post,
     Prob,
     TDead,
@@ -17,6 +19,8 @@ from threadalg.threads import (
     TStop,
     TVar,
     ThreadGraph,
+    _children,
+    _map_refs,
     trim,
 )
 
@@ -217,6 +221,99 @@ def chain_share(n, k, j):
     """The mass `choice_chain(n)` gives leaf j from choice k."""
     # the count of i in k..n with i % 3 == j
     return Fraction((n - j) // 3 - (k - 1 - j) // 3, n + 1 - k)
+
+
+def tau_region(rng, sizes):
+    """A thread whose internal steps form one component per entry of `sizes`.
+
+    Component i is a ring of `sizes[i]` tau steps.  Each step goes,
+    through a choice when it has several targets, to its successor on
+    the ring, and at random to itself, to a chord target on the ring
+    and to exits: steps of later components and, by the component's
+    kind, visible nodes (an open component), nothing (a closed one) or
+    only inaction (a dead end, or later components that are closed or
+    lead only to inaction).  A one-step component may have no
+    self-loop.  The visible nodes perform `main.a`, `main.b` or `main.c`
+    and continue into any step, terminate or are inactive, so a
+    component is entered at several of its steps.
+    """
+    nodes = []
+
+    def reserve():
+        nodes.append(None)
+        return len(nodes) - 1
+
+    stop, dead = reserve(), reserve()
+    nodes[stop], nodes[dead] = STOP, DEAD
+    visible = [reserve() for _ in range(3)]
+    rings = [[reserve() for _ in range(m)] for m in sizes]
+    kinds = [rng.choice(["open", "open", "closed", "dead"]) for _ in sizes]
+    # a component leads only to inaction when all the later components
+    # it may enter do too
+    for i in reversed(range(len(sizes))):
+        later = [j for j in range(i + 1, len(sizes)) if kinds[j] in ("closed", "dead")]
+        if kinds[i] == "open":
+            exits = visible + [stop] + [t for ring in rings[i + 1 :] for t in ring]
+        elif kinds[i] == "dead":
+            exits = [dead] + [t for j in later for t in rings[j]]
+        else:
+            exits = []
+        ring = rings[i]
+        for j, t in enumerate(ring):
+            targets = [ring[(j + 1) % len(ring)]] if len(ring) > 1 or rng.random() < 0.5 else []
+            if rng.random() < 0.3:
+                targets.append(t)
+            if rng.random() < 0.3:
+                targets.append(rng.choice(ring))
+            if exits and (j == 0 or rng.random() < 0.4):
+                targets += rng.sample(exits, min(len(exits), rng.randint(1, 2)))
+            if not targets:
+                targets = [t]
+            targets = list(dict.fromkeys(targets))
+            if len(targets) == 1:
+                nodes[t] = Post(TAU, targets[0], targets[0])
+                continue
+            choice = reserve()
+            weights = distribution(rng, len(targets), max_den=6)
+            nodes[choice] = Prob(tuple(zip(weights, targets)))
+            nodes[t] = Post(TAU, choice, choice)
+    entries = [t for ring in rings for t in ring] + [stop, dead]
+    for v, m in zip(visible, "abc"):
+        nodes[v] = Post(ta.basic("main", m), rng.choice(entries), rng.choice(entries))
+    root = rings[0][0] if sizes and rng.random() < 0.7 else rng.choice(visible)
+    return ThreadGraph(tuple(nodes), root)
+
+
+def with_tau_orphans(rng, g, h):
+    """`g` with up to three children rerouted through new tau steps
+    whose else branches enter `h`, which only those branches reach; a
+    few children of `h` lead back into `g`."""
+    n = len(g.nodes)
+    nodes = list(g.nodes) + [_map_refs(node, range(n, n + len(h.nodes))) for node in h.nodes]
+
+    def reroute(r, new_child):
+        # node r with one child c replaced by new_child(c)
+        node = nodes[r]
+        if isinstance(node, Prob):
+            branches = list(node.branches)
+            k = rng.randrange(len(branches))
+            branches[k] = (branches[k][0], new_child(branches[k][1]))
+            nodes[r] = Prob(tuple(branches))
+        elif _children(node):
+            children = list(_children(node))
+            k = rng.randrange(len(children))
+            children[k] = new_child(children[k])
+            nodes[r] = Post(node.action, *children) if isinstance(node, Post) else Fork(*children)
+
+    def orphan_step(c):
+        nodes.append(Post(TAU, c, n + rng.randrange(len(h.nodes))))
+        return len(nodes) - 1
+
+    for r in rng.sample(range(n, n + len(h.nodes)), min(2, len(h.nodes))):
+        reroute(r, lambda c: rng.randrange(n))
+    for r in rng.sample(range(n), min(3, n)):
+        reroute(r, orphan_step)
+    return ThreadGraph(tuple(nodes), g.root)
 
 
 def renumbered(g):

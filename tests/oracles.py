@@ -4,7 +4,9 @@
 round recomputes the block-level distribution of every slot with
 Fraction sums and ranks signatures that hold Fractions.
 `oracle_solve` is the first dense Gauss-Jordan solve behind
-`interaction.abstract_tau`, and `oracle_abstract_tau` the
+`interaction.abstract_tau`, and `_solve` the sparse Gauss-Jordan solve
+over Fractions that came after it and that both `abstract_tau` oracles
+use; `oracle_abstract_tau` is the
 `abstract_tau` that normalized its input as well as its output and
 solved its whole tau region as one linear system over Fractions;
 `oracle_resolve_abstract_tau` is the component-by-component
@@ -66,7 +68,7 @@ from threadalg.errors import (
     UnresolvedFork,
     WeightSumNotOne,
 )
-from threadalg.interaction import DEFAULT_STATE_BOUND, _solve
+from threadalg.interaction import DEFAULT_STATE_BOUND
 from threadalg.interleaving import (
     _DEFAULT,
     FORK_STEP,
@@ -289,6 +291,48 @@ def oracle_normalize(g: ThreadGraph) -> ThreadGraph:
     for br, i in prob_id.items():
         nodes[i] = Prob(br)
     return ThreadGraph(tuple(nodes), resolve(root_dist))
+
+
+def _solve(
+    a: List[Dict[int, Fraction]], b: List[Dict[int, Fraction]]
+) -> List[Dict[int, Fraction]]:
+    """Solve a @ x = b exactly by Gauss-Jordan elimination on sparse rows.
+
+    Row i of `a` maps a column in range(len(a)) to its coefficient and
+    row i of `b` maps a right-hand-side column (a natural number) to its
+    value; zeros are left out.  Row i of the result maps each
+    right-hand-side column to the nonzero entries of unknown i.  Only
+    nonzero entries are stored and touched; pivots are chosen as in the
+    dense method, and the solution is unique, so it is exactly the dense
+    one.  Raises ArithmeticError when a column has no pivot.
+    """
+    n = len(a)
+    rows = [dict(row) for row in a]
+    for row, rhs in zip(rows, b):
+        for j, v in rhs.items():
+            row[n + j] = v
+    for col in range(n):
+        piv = next((r for r in range(col, n) if col in rows[r]), None)
+        if piv is None:
+            raise ArithmeticError("singular linear system")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        pivot = rows[col]
+        factor = pivot[col]
+        if factor != 1:
+            pivot = {k: v / factor for k, v in pivot.items()}
+            rows[col] = pivot
+        for r, row in enumerate(rows):
+            f = row.get(col)
+            if f is None or r == col:
+                continue
+            for k, v in pivot.items():
+                old = row.get(k)
+                x = -f * v if old is None else old - f * v
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+    return [{k - n: v for k, v in row.items() if k >= n} for row in rows]
 
 
 def oracle_solve(a: List[List[Fraction]], b: List[List[Fraction]]) -> List[List[Fraction]]:

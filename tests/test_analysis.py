@@ -59,8 +59,13 @@ def test_environment_tau_always_true():
         ("main.a = 1/2\n = 1\n", "line 2: malformed action name ''"),
         (".b = 1/2\n", "line 1: malformed action name '.b'"),
         ("// i.\ni. = 3/4\n", "line 2: malformed action name 'i.'"),
+        # a reply outside [0, 1]
+        ("main.a = 1/2\n\nmain.b = 3/2\n", "line 3: 3/2 is not a probability in [0, 1]"),
     ],
-    ids=["repeated", "repeated-bare-name", "tau", "empty-name", "empty-focus", "empty-method"],
+    ids=[
+        "repeated", "repeated-bare-name", "tau", "empty-name", "empty-focus", "empty-method",
+        "out-of-range",
+    ],
 )
 def test_environment_table_rejects_repeated_and_tau_lines(text, message):
     with pytest.raises(ParseError) as info:

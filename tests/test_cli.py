@@ -268,6 +268,11 @@ def test_domain_errors_exit_one(capsys, tmp_path):
         code, out, err = run(capsys, *command, loop, "--depth", "2", "--env", env)
         assert (code, out) == (1, ""), command
         assert err == "error: line 2: malformed action name 'main.'\n", command
+    # a reply outside [0, 1]
+    env.write_text("main.a = 3/2\n")
+    code, out, err = run(capsys, "dist", loop, "--depth", "2", "--env", env)
+    assert (code, out) == (1, "")
+    assert err == "error: line 1: 3/2 is not a probability in [0, 1]\n"
 
 
 LONG = "9" * 5000  # more digits than `int` converts on Python 3.11+

@@ -2,16 +2,20 @@
 
 `threads.normalize` must return exactly the graph of the original
 Fraction-signature refinement, also on weights with large coprime
-denominators, and return the graphs it made unchanged;
+denominators and on subgraphs that only the else branches of tau
+steps reach, and return the graphs it made unchanged;
 `interaction.abstract_tau`, which walks its input from the root and
-solves its tau region component by component on integer numerators,
+solves its tau region component by component by integer elimination,
 must agree with the version that normalized its input and solved the
 whole region at once, and with the version that built its escape
 distributions into a second graph and normalized that, also on inputs
-with unreachable junk, on tau regions of each shape, on never-escaping mass
-next to visible inaction and on `.pglb` retry loops;
-the sparse `interaction._solve` must return exactly the solution of
-the dense Gauss-Jordan elimination, and the integer-numerator
+with unreachable junk, on tau regions of each shape, on generated rings
+of up to 40 tau steps with chords and self-loops, closed or escaping
+only to inaction, on never-escaping mass next to visible inaction and
+on `.pglb` retry loops;
+the sparse `oracles._solve`, which the two `abstract_tau` oracles
+share, must return exactly the solution of the dense Gauss-Jordan
+elimination, and the integer-numerator
 `analysis` kernel and integer-cutoff sampler must return exactly what
 the recursive Fraction walkers return, raising the same error first
 where they raise, also on copies of their inputs renumbered and padded
@@ -130,9 +134,21 @@ def random_threads(rng, count):
     return out
 
 
+def tau_orphan_threads(rng, count):
+    """Random threads with tau steps whose else branches alone enter a
+    second random thread, which performs actions the first may not."""
+    def mk_action(rng):
+        return genlib.action(rng, ["a", "a2", "b", "z"])
+
+    return [
+        genlib.with_tau_orphans(rng, g, genlib.thread(rng, rng.randint(1, 4), mk_action=mk_action))
+        for g in random_threads(rng, count)
+    ]
+
+
 def test_normalize_matches_oracle_on_random_threads():
     rng = random.Random(20)
-    for g in random_threads(rng, 150):
+    for g in random_threads(rng, 150) + tau_orphan_threads(rng, 100):
         assert threads.normalize(g) == oracle_normalize(g)
 
 
@@ -223,8 +239,21 @@ def pipeline_inputs():
     return graphs + random_threads(rng, 60)
 
 
+def tau_region_inputs():
+    """Tau regions of rings with chords and self-loops: components of
+    1 to 40 steps, closed ones and ones that escape only to inaction."""
+    rng = random.Random(31)
+    graphs = [genlib.tau_region(rng, sizes) for sizes in ([1], [2], [40], [40, 1], [3, 40, 2])]
+    for _ in range(60):
+        k = rng.randint(1, 4)
+        graphs.append(genlib.tau_region(
+            rng, [rng.randint(1, 40) if rng.random() < 0.2 else rng.randint(1, 6) for _ in range(k)]
+        ))
+    return graphs
+
+
 def test_abstract_tau_matches_oracle_pipeline(monkeypatch):
-    cases = [(g, interaction.abstract_tau(g)) for g in pipeline_inputs()]
+    cases = [(g, interaction.abstract_tau(g)) for g in pipeline_inputs() + tau_region_inputs()]
     monkeypatch.setattr(threads, "normalize", oracle_normalize)
     monkeypatch.setattr(oracles, "_solve", _dense_solve)
     for g, got in cases:
@@ -233,7 +262,7 @@ def test_abstract_tau_matches_oracle_pipeline(monkeypatch):
 
 def test_abstract_tau_matches_the_oracle_that_resolves_into_a_graph():
     rng = random.Random(27)
-    graphs = pipeline_inputs()
+    graphs = pipeline_inputs() + tau_region_inputs()
     graphs += [with_junk(rng, g) for g in graphs]
     for g in graphs + UNGUARDED:
         assert outcome(interaction.abstract_tau, g) == outcome(oracle_resolve_abstract_tau, g)
@@ -661,11 +690,11 @@ def test_sparse_solve_matches_dense_solve():
     for _ in range(200):
         n = rng.randint(1, 14)
         a, b = sparse_system(rng, n, rng.randint(1, 4))
-        assert interaction._solve(a, b) == _dense_solve(a, b)
+        assert oracles._solve(a, b) == _dense_solve(a, b)
 
 
 def test_sparse_solve_of_empty_system():
-    assert interaction._solve([], []) == []
+    assert oracles._solve([], []) == []
 
 
 def test_singular_system_raises():
@@ -675,7 +704,7 @@ def test_singular_system_raises():
     for a in (duplicate_rows, missing_column):
         b = [{0: Fraction(1)}, {0: Fraction(1)}]
         with pytest.raises(ArithmeticError):
-            interaction._solve(a, b)
+            oracles._solve(a, b)
         with pytest.raises(ArithmeticError):
             _dense_solve(a, b)
 

@@ -169,3 +169,47 @@ def test_printing_a_deep_projection_needs_no_recursion():
     loop = terms.parse_thread("rec X { X = prefix(main.a, X); } in X")
     printed = terms.print_term(ta.project(5000, loop))
     assert printed == "prefix(main.a, " * 5000 + "D" + ")" * 5000
+
+
+def _token_reads(monkeypatch, text):
+    """How often the parser reads a token's text while parsing `text`."""
+    slot = terms._Token.__dict__["text"]
+    reads = [0]
+
+    class CountingToken(terms._Token):
+        __slots__ = ()
+
+        @property
+        def text(self):
+            reads[0] += 1
+            return slot.__get__(self)
+
+        @text.setter
+        def text(self, value):
+            slot.__set__(self, value)
+
+    monkeypatch.setattr(terms, "_Token", CountingToken)
+    terms.parse_term(text)
+    return reads[0]
+
+
+def _outer_reference_nest(d):
+    # d nested systems; the innermost equation names the outermost
+    # variable d times, so each of its occurrences waits for every close
+    inner = "X0"
+    for _ in range(d):
+        inner = f"post(a, X0, {inner})"
+    return (
+        "".join(f"rec X{i} {{ X{i} = " for i in range(d))
+        + inner
+        + "".join(f"; }} in X{i}" for i in reversed(range(d)))
+    )
+
+
+def test_closing_a_system_reads_only_its_own_pending_names(monkeypatch):
+    # an occurrence that only an outer system binds is carried up once
+    # per name, not inspected again at every close it passes: doubling
+    # the nest and the occurrences doubles the token reads
+    small = _token_reads(monkeypatch, _outer_reference_nest(200))
+    large = _token_reads(monkeypatch, _outer_reference_nest(400))
+    assert large < 2.5 * small, (small, large)
