@@ -49,7 +49,8 @@ class Environment:
     def from_table(cls, text: str) -> "Environment":
         """Parse lines of the form `f.m = p`; `//` starts a comment.
 
-        Each basic action gets at most one line, and `tau` none.
+        Each basic action gets at most one line, and `tau` none; `f.m(2/4)`
+        and `f.m(1/2)` name one action.
         """
         replies: Dict[Action, Fraction] = {}
         first_line: Dict[Action, int] = {}
@@ -61,9 +62,11 @@ class Environment:
             if not eq:
                 raise ParseError(f"line {lineno}: expected `action = probability`")
             try:
-                action = threads.action_from_name(name.strip())
+                action = threads.action_from_name(threads.canonical_name(name.strip()))
             except ValueError:  # an empty focus or method
                 raise ParseError(f"line {lineno}: malformed action name {name.strip()!r}") from None
+            except ParseError as exc:  # a malformed `(rational)` argument
+                raise ParseError(f"line {lineno}: {exc}") from None
             if action.is_tau:
                 raise ParseError(
                     f"line {lineno}: tau takes no reply probability: it always replies True"

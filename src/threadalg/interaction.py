@@ -195,41 +195,33 @@ def abstract_tau(g: ThreadGraph) -> ThreadGraph:
                     rows[u] = threads.weighted_sum([(1, uden, unums), (x, uden * row[0], row[1])])
         escape.update(rows)
 
-    # Tarjan's search on an explicit stack emits each component of the
-    # internal nodes after every component it reaches; a node it has
-    # entered is still on its stack until solved into `escape`
+    # Tarjan's search emits each component of the internal nodes after
+    # every component it reaches; a node it has entered is on `stack`
+    # until solved into `escape`
     index: Dict[int, int] = {}
     low: Dict[int, int] = {}
     stack: List[int] = []
-    work = []
 
-    def enter(t: int) -> None:
-        index[t] = low[t] = len(index)
-        stack.append(t)
-        work.append((t, iter(step[t][1])))
+    def search(v: int):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        for d in step[v][1]:
+            if d not in step:
+                continue
+            if d not in index:
+                yield search(d)
+                low[v] = min(low[v], low[d])
+            elif d not in escape:
+                low[v] = min(low[v], index[d])
+        if low[v] == index[v]:
+            comp = [stack.pop()]
+            while comp[-1] != v:
+                comp.append(stack.pop())
+            solve(comp)
 
     for s in tau_refs:
         if s not in index:
-            enter(s)
-        while work:
-            v, it = work[-1]
-            for d in it:
-                if d not in step:
-                    continue
-                if d not in index:
-                    enter(d)
-                    break
-                if d not in escape and index[d] < low[v]:
-                    low[v] = index[d]
-            else:
-                work.pop()
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
-                if low[v] == index[v]:
-                    comp = [stack.pop()]
-                    while comp[-1] != v:
-                        comp.append(stack.pop())
-                    solve(comp)
+            threads.run_stackless(search(s))
 
     # the result is the quotient of what the escape distributions of
     # the root and of visible nodes' children reach

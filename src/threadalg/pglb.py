@@ -15,6 +15,8 @@ instructions::
 
 `//` starts a line comment.  Basic instruction names may be dotted
 (`f.m`) to address a named service; bare names get the focus `main`.
+A method's `(rational)` argument is kept in lowest terms, as the term
+syntax spells it.
 
 `extract_at` maps a position in a sequence to the thread it produces:
 out-of-range positions and infinite jump chains give inaction, tests
@@ -127,7 +129,7 @@ def parse_program(text: str) -> Program:
             instructions.append(RandomInstr(test, p))
         else:
             test = {"+": "pos", "-": "neg", None: "plain"}[m.group("btest")]
-            instructions.append(BasicInstr(test, m.group("bname")))
+            instructions.append(BasicInstr(test, threads.canonical_name(m.group("bname"), pos)))
     return Program(tuple(instructions))
 
 

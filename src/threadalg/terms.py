@@ -23,7 +23,8 @@ print as plain nested terms.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Set
+from collections import Counter
+from typing import Dict, List
 
 from . import meadow, threads
 from .errors import ParseError
@@ -102,9 +103,6 @@ class _Parser:
         if tok.text != text:
             raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.pos)
         return tok
-
-    def fail(self, message: str):
-        raise ParseError(message, self.peek().pos)
 
     # ---- rationals ---------------------------------------------------
 
@@ -276,10 +274,6 @@ def parse_thread(text: str) -> ThreadGraph:
 # Printing
 
 
-def _action_text(a: Action) -> str:
-    return str(a)
-
-
 def _print_pieces(node) -> List[object]:
     # the printed form of a node: text and child references alternate,
     # starting and ending with text; an equal-branch test prints only once
@@ -289,8 +283,8 @@ def _print_pieces(node) -> List[object]:
         return ["D"]
     if isinstance(node, Post):
         if node.then_ == node.else_:
-            return [f"prefix({_action_text(node.action)}, ", node.then_, ")"]
-        return [f"post({_action_text(node.action)}, ", node.then_, ", ", node.else_, ")"]
+            return [f"prefix({node.action}, ", node.then_, ")"]
+        return [f"post({node.action}, ", node.then_, ", ", node.else_, ")"]
     if isinstance(node, Fork):
         return ["fork(", node.forked, ", ", node.then_, ", ", node.else_, ")"]
     pieces: List[object] = []
@@ -305,34 +299,17 @@ def _print_pieces(node) -> List[object]:
 def print_term(g: ThreadGraph) -> str:
     """Deterministic textual form of a graph; `parse_thread` inverts it."""
     pieces: Dict[int, List[object]] = {}  # in depth-first preorder
-    color: Dict[int, int] = {}
-    visits: Dict[int, int] = {}
-    named: Set[int] = set()
-    work = []  # the search's stack of (node, children left)
-
-    def enter(r: int) -> None:
-        color[r] = 0
-        pieces[r] = p = _print_pieces(g.nodes[r])
-        work.append((r, iter(p[1::2])))
-
-    visits[g.root] = 1
-    enter(g.root)
-    while work:
-        r, children = work[-1]
-        for ch in children:
-            visits[ch] = visits.get(ch, 0) + 1
-            c = color.get(ch)
-            if c is None:
-                enter(ch)
-                break
-            if c == 0:
-                named.add(ch)
-        else:
-            color[r] = 1
-            work.pop()
-    for r, count in visits.items():
-        if count > 1 and not isinstance(g.nodes[r], (Stop, DeadEnd)):
-            named.add(r)
+    visits = Counter({g.root: 1})  # references to each node
+    todo = [g.root]  # marked when popped, so entered in the recursive preorder
+    while todo:
+        r = todo.pop()
+        if r not in pieces:
+            pieces[r] = p = _print_pieces(g.nodes[r])
+            visits.update(p[1::2])
+            todo += reversed(p[1::2])
+    # a node on a cycle is referenced by the node the search entered it
+    # from (the root by the start) and by the cycle's last edge
+    named = {r for r, k in visits.items() if k > 1 and not isinstance(g.nodes[r], (Stop, DeadEnd))}
     if named:
         named.add(g.root)
     order = [r for r in pieces if r in named]

@@ -41,6 +41,7 @@ from . import meadow
 from .errors import (
     MalformedProbability,
     NonRegularProduct,
+    ParseError,
     UnguardedRecursion,
     WeightSumNotOne,
 )
@@ -89,6 +90,18 @@ def action_from_name(name: str) -> Action:
     if dot:
         return basic(focus, method)
     return basic(MAIN_FOCUS, name)
+
+
+def canonical_name(name: str, position=None) -> str:
+    """`name` with its `(rational)` argument in lowest terms, as the term
+    syntax spells it: `random.get(2/4)` is `random.get(1/2)`.  A
+    malformed argument is a ParseError at `position`."""
+    head, paren, arg = name.partition("(")
+    if paren and not arg.endswith(")"):
+        raise ParseError(f"malformed action name {name!r}", position)
+    if paren:
+        name = f"{head}({meadow.format_rational(meadow.parse_rational(arg[:-1], position))})"
+    return name
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +265,9 @@ def run_stackless(walk: Generator):
 
     Each `yield sub` in a generator suspends it until the generator
     `sub` has run the same way, then resumes it with the value `sub`
-    returned; the result is what `walk` returns.  An exception raised
-    in any of them propagates out of `run_stackless`.
+    returned; the result is what `walk` returns, and an exception raised
+    in any of them propagates.  The term parser, `build` and its guard
+    search, `project` and `abstract_tau`'s component search run on it.
     """
     stack = [walk]
     value = None
@@ -273,8 +287,9 @@ def run_stackless(walk: Generator):
 class GraphBuilder:
     """Accumulates graph nodes, sharing structurally identical ones.
 
-    Reserved slots support cyclic graphs: reserve first, fill once the
-    node content (which may reference the slot itself) is known.
+    Reserved slots support cyclic graphs: `build` reserves one per
+    `rec` equation and copies the equation's node into it with
+    `copy_into` once the guard search has left it.
 
     Keyed slots are the worklist of the product constructions:
     `slot(key)` reserves one node per key and queues the key, and
@@ -303,9 +318,6 @@ class GraphBuilder:
         self._nodes.append(None)  # type: ignore[arg-type]
         return ref
 
-    def fill(self, ref: int, node: Node) -> None:
-        self._nodes[ref] = node
-
     def copy_into(self, dst: int, src: int) -> None:
         self._nodes[dst] = self._nodes[src]
 
@@ -325,15 +337,6 @@ class GraphBuilder:
         while queue:
             key = queue.popleft()
             nodes[slots[key]] = content(key)
-
-    def prob(self, branches: Sequence[Tuple[Fraction, int]]) -> int:
-        """Choice node over branches; zero weights are dropped and a
-        single remaining branch collapses to its target."""
-        weights = probability_weights([w for w, _ in branches])
-        kept = [(w, t) for w, (_, t) in zip(weights, branches) if w != 0]
-        if len(kept) == 1:
-            return kept[0][1]
-        return self.add(Prob(tuple(kept)))
 
     def graph(self, root: int) -> ThreadGraph:
         assert all(n is not None for n in self._nodes), "unfilled slot"
@@ -480,49 +483,44 @@ def build(term: Term) -> ThreadGraph:
     # slot is filled once the search leaves it: the slots its side
     # reaches unguarded are filled by then, and a side that collapsed
     # to a slot is one of them
-    state: Dict[int, bool] = {}  # False while on the search's path
+    done: Dict[int, bool] = {}  # False while on the search's path
+
+    def fill(slot: int):
+        done[slot] = False
+        for dep in exposed[slot]:
+            if dep not in done:
+                yield fill(dep)
+            elif not done[dep]:
+                raise UnguardedRecursion(
+                    f"variable {names[dep]!r} recurs without an action test guarding it"
+                )
+        done[slot] = True
+        b.copy_into(slot, rhs[slot])
+
     for start in exposed:
-        if start in state:
-            continue
-        state[start] = False
-        work = [(start, iter(exposed[start]))]
-        while work:
-            slot, deps = work[-1]
-            for dep in deps:
-                if dep not in state:
-                    state[dep] = False
-                    work.append((dep, iter(exposed[dep])))
-                    break
-                if not state[dep]:
-                    raise UnguardedRecursion(
-                        f"variable {names[dep]!r} recurs without an action test guarding it"
-                    )
-            else:
-                state[slot] = True
-                b.copy_into(slot, rhs[slot])
-                work.pop()
+        if start not in done:
+            run_stackless(fill(start))
     return trim(b.graph(root))
 
 
 def nary_prob(weights: Sequence[Fraction], targets: Sequence[Term]) -> Term:
     """Right-nested binary choices realizing a distribution over targets.
 
-    Built inductively: the first branch keeps its weight and the
-    remaining weights are renormalized by meadow division, so a zero
-    remainder never divides.  Weights must sum to exactly one.
+    Folded in a loop from the last target of positive weight back to
+    the first: each level chooses its target with that target's weight
+    over the mass from there on, which is positive.  Weights must sum to
+    exactly one.
     """
     if not targets or len(weights) != len(targets):
         raise ValueError("weights and targets must be nonempty and equal length")
     ws = probability_weights(weights)
-
-    def rec(ws: List[Fraction], tails: List[Term]) -> Term:
-        if len(tails) == 1 or ws[0] == 1:
-            return tails[0]
-        w0 = ws[0]
-        rest = rec([meadow.div(w, 1 - w0) for w in ws[1:]], tails[1:])
-        return TProb(((w0, tails[0]), (1 - w0, rest)))
-
-    return rec(ws, list(targets))
+    last = max(k for k, w in enumerate(ws) if w)
+    term, left = targets[last], ws[last]
+    for k in reversed(range(last)):
+        left += ws[k]
+        h = ws[k] / left
+        term = TProb(((h, targets[k]), (1 - h, term)))
+    return term
 
 
 # ---------------------------------------------------------------------------
@@ -805,48 +803,6 @@ def project(n: int, g: ThreadGraph) -> ThreadGraph:
 def equal_up_to(n: int, g1: ThreadGraph, g2: ThreadGraph) -> bool:
     """Whether the depth-`n` approximations have equal canonical forms."""
     return normalize(project(n, g1)) == normalize(project(n, g2))
-
-
-# ---------------------------------------------------------------------------
-# Graph combinators: compose whole graphs the way terms compose
-
-
-def _merge_into(b: GraphBuilder, g: ThreadGraph) -> int:
-    # reserve slots first so cyclic references resolve
-    order = reachable(g)
-    memo = {r: b.reserve() for r in order}
-    for r in order:
-        b.fill(memo[r], _map_refs(g.nodes[r], memo))
-    return memo[g.root]
-
-
-def combine_post(action: Action, then_g: ThreadGraph, else_g: ThreadGraph) -> ThreadGraph:
-    """The thread performing `action`, then one of the two graphs."""
-    b = GraphBuilder()
-    t = _merge_into(b, then_g)
-    e = _merge_into(b, else_g)
-    return b.graph(b.add(Post(action, t, e)))
-
-
-def combine_prefix(action: Action, g: ThreadGraph) -> ThreadGraph:
-    b = GraphBuilder()
-    t = _merge_into(b, g)
-    return b.graph(b.add(Post(action, t, t)))
-
-
-def combine_fork(forked_g: ThreadGraph, then_g: ThreadGraph, else_g: ThreadGraph) -> ThreadGraph:
-    b = GraphBuilder()
-    f = _merge_into(b, forked_g)
-    t = _merge_into(b, then_g)
-    e = _merge_into(b, else_g)
-    return b.graph(b.add(Fork(f, t, e)))
-
-
-def combine_prob(branches: Sequence[Tuple[Fraction, ThreadGraph]]) -> ThreadGraph:
-    """One thread choosing among whole graphs with the given weights."""
-    b = GraphBuilder()
-    merged = [(w, _merge_into(b, g)) for w, g in branches]
-    return b.graph(b.prob(merged))
 
 
 def bisimilar(g1: ThreadGraph, g2: ThreadGraph) -> bool:

@@ -32,4 +32,6 @@ ALL_COMMANDS = [
     ("extract", str(DATA / "ring.pglb")),
     # nodes that only the else branches of tau steps reach
     ("normalize", str(DATA / "orphan.term")),
+    # action arguments not in lowest terms
+    ("extract", str(DATA / "spelling.pglb"), "--no-random"),
 ]

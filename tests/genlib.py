@@ -1,8 +1,10 @@
-"""Seeded random generators, and a graph comparison, shared by the law suites."""
+"""Seeded random generators, graph combinators and a graph comparison,
+shared by the law suites."""
 
 from fractions import Fraction
 
 import threadalg as ta
+from oracles import OracleGraphBuilder
 from threadalg import services
 from threadalg.threads import (
     DEAD,
@@ -21,6 +23,7 @@ from threadalg.threads import (
     ThreadGraph,
     _children,
     _map_refs,
+    reachable,
     trim,
 )
 
@@ -327,3 +330,45 @@ def renumbered(g):
     out = trim(g)
     assert len(out.nodes) == len(g.nodes), "unreachable nodes"
     return out
+
+
+# ---------------------------------------------------------------------------
+# Graph combinators: compose whole graphs the way terms compose
+
+
+def _merge_into(b, g):
+    # reserve slots first so cyclic references resolve
+    order = reachable(g)
+    memo = {r: b.reserve() for r in order}
+    for r in order:
+        b.fill(memo[r], _map_refs(g.nodes[r], memo))
+    return memo[g.root]
+
+
+def combine_post(action, then_g, else_g):
+    """The thread performing `action`, then one of the two graphs."""
+    b = OracleGraphBuilder()
+    t = _merge_into(b, then_g)
+    e = _merge_into(b, else_g)
+    return b.graph(b.add(Post(action, t, e)))
+
+
+def combine_prefix(action, g):
+    b = OracleGraphBuilder()
+    t = _merge_into(b, g)
+    return b.graph(b.add(Post(action, t, t)))
+
+
+def combine_fork(forked_g, then_g, else_g):
+    b = OracleGraphBuilder()
+    f = _merge_into(b, forked_g)
+    t = _merge_into(b, then_g)
+    e = _merge_into(b, else_g)
+    return b.graph(b.add(Fork(f, t, e)))
+
+
+def combine_prob(branches):
+    """One thread choosing among whole graphs with the given weights."""
+    b = OracleGraphBuilder()
+    merged = [(w, _merge_into(b, g)) for w, g in branches]
+    return b.graph(b.prob(merged))

@@ -18,7 +18,9 @@ Fraction masses, and a sampler that compares each 64-bit draw as an
 exact dyadic Fraction.  `OracleProb` carries the first
 `Prob.__post_init__` and `OracleGraphBuilder.prob` the first
 `GraphBuilder.prob`, the weight checks that summed Fractions and
-tested the range through the signum encoding.  `oracle_use`,
+tested the range through the signum encoding.  `OracleGraphBuilder`
+also has a `fill`; the library needs neither method, but
+`oracle_abstract_tau` and the graph combinators of `genlib` do.  `oracle_use`,
 `oracle_interleave` and `oracle_positional_interleave` (with
 `OracleEngine`) are the product constructions that each kept their own
 slot dict, auxiliary-node interning, queue and state bound.
@@ -32,7 +34,9 @@ recursive walk (`_unguarded_free`), then assembled in a second
 (`_assemble`), giving alias equations their target's slot and copying
 each other right-hand side into its slot as soon as it was built; it
 fails with "unfilled slot" on a choice that collapses onto a later
-equation.  `oracle_project` is the `threads.project` that walked
+equation.  `oracle_nary_prob` is the first `threads.nary_prob`, which
+recursed once per target and renormalized every remaining weight at
+each level.  `oracle_project` is the `threads.project` that walked
 (node, depth) pairs in post-order on a hand-made stack.
 `oracle_parse_term` (with `OracleParser`) is the first `terms.parse_term`,
 whose `rec` skimmed every equation body once to collect the system's
@@ -80,7 +84,7 @@ from threadalg.interleaving import (
     StepKind,
 )
 from threadalg.services import ServiceFamily
-from threadalg.terms import KEYWORDS, _action_text, _tokenize
+from threadalg.terms import KEYWORDS, _tokenize
 from threadalg.threads import (
     Action,
     DEAD,
@@ -129,6 +133,9 @@ class OracleProb:
 
 
 class OracleGraphBuilder(GraphBuilder):
+    def fill(self, ref: int, node: Node) -> None:
+        self._nodes[ref] = node
+
     def prob(self, branches: Sequence[Tuple[Fraction, int]]) -> int:
         """Choice node over branches; zero weights are dropped and a
         single remaining branch collapses to its target."""
@@ -427,7 +434,7 @@ def oracle_abstract_tau(g: ThreadGraph) -> ThreadGraph:
             # anything else never becomes visible again
         return out
 
-    b = GraphBuilder()
+    b = OracleGraphBuilder()
     placed: Dict[int, int] = {}
     pending: List[int] = []
 
@@ -1068,9 +1075,9 @@ def oracle_print_term(g: ThreadGraph) -> str:
             return "D"
         if isinstance(node, Post):
             if node.then_ == node.else_:
-                return f"prefix({_action_text(node.action)}, {render(node.then_)})"
+                return f"prefix({node.action}, {render(node.then_)})"
             return (
-                f"post({_action_text(node.action)}, "
+                f"post({node.action}, "
                 f"{render(node.then_)}, {render(node.else_)})"
             )
         if isinstance(node, Fork):
@@ -1220,6 +1227,27 @@ def oracle_build(term: Term) -> ThreadGraph:
     b = GraphBuilder()
     root = _assemble(term, {}, b)
     return trim(b.graph(root))
+
+
+def oracle_nary_prob(weights: Sequence[Fraction], targets: Sequence[Term]) -> Term:
+    """Right-nested binary choices realizing a distribution over targets.
+
+    Built inductively: the first branch keeps its weight and the
+    remaining weights are renormalized by meadow division, so a zero
+    remainder never divides.  Weights must sum to exactly one.
+    """
+    if not targets or len(weights) != len(targets):
+        raise ValueError("weights and targets must be nonempty and equal length")
+    ws = probability_weights(weights)
+
+    def rec(ws: List[Fraction], tails: List[Term]) -> Term:
+        if len(tails) == 1 or ws[0] == 1:
+            return tails[0]
+        w0 = ws[0]
+        rest = rec([meadow.div(w, 1 - w0) for w in ws[1:]], tails[1:])
+        return TProb(((w0, tails[0]), (1 - w0, rest)))
+
+    return rec(ws, list(targets))
 
 
 def oracle_project(n: int, g: ThreadGraph) -> ThreadGraph:

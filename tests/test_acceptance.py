@@ -12,6 +12,7 @@ from fractions import Fraction
 import genlib
 import threadalg as ta
 from cli_corpus import ALL_COMMANDS
+from genlib import combine_post, combine_prefix, combine_prob
 from threadalg import analysis, cli, interaction, meadow
 from threadalg import interleaving as IL
 from threadalg import services as S
@@ -27,9 +28,6 @@ from threadalg.threads import (
     TRec,
     TStop,
     TVar,
-    combine_post,
-    combine_prefix,
-    combine_prob,
 )
 
 A = ta.basic("main", "a")
@@ -293,7 +291,7 @@ def test_criterion_5_interleaving_laws():
         elif kind == "fork":
             forked = ta.build(genlib.term(rng, 2))
             cont = ta.build(genlib.term(rng, 2))
-            ts[i] = T.combine_fork(forked, cont, ta.build(genlib.term(rng, 2)))
+            ts[i] = genlib.combine_fork(forked, cont, ta.build(genlib.term(rng, 2)))
             lhs = IL.positional_interleave(spec, i + 1, ts, h, s)
             s2 = spec.update(n, view, s, i + 1, IL.FORK_STEP)
             grown = ts[:i] + [cont] + ts[i + 1 :] + [forked]
@@ -340,7 +338,7 @@ def test_criterion_5_interleaving_laws():
         act = ta.basic("main", rng.choice("ab"))
         ok &= ta.bisimilar(sd(combine_post(act, gx, gy)), combine_post(act, sd(gx), sd(gy)))
         ok &= ta.bisimilar(
-            sd(T.combine_fork(gz, gx, gy)), T.combine_fork(sd(gz), sd(gx), sd(gy))
+            sd(genlib.combine_fork(gz, gx, gy)), genlib.combine_fork(sd(gz), sd(gx), sd(gy))
         )
         pi = genlib.open_probability(rng)
         ok &= ta.bisimilar(

@@ -44,6 +44,12 @@ def test_environment_table_parsing():
     assert env.reply(ta.basic("main", "b")) == Fraction(0)
 
 
+def test_environment_table_reads_action_arguments_in_lowest_terms():
+    env = Environment.from_table("random.get(2/4) = 1/3\nr.m(-6/4) = 1\n")
+    assert env.reply(ta.basic("random", "get(1/2)")) == Fraction(1, 3)
+    assert env.reply(ta.basic("r", "m(-3/2)")) == 1
+
+
 def test_environment_tau_always_true():
     assert EMPTY_ENVIRONMENT.reply(ta.TAU) == Fraction(1)
 
@@ -61,10 +67,19 @@ def test_environment_tau_always_true():
         ("// i.\ni. = 3/4\n", "line 2: malformed action name 'i.'"),
         # a reply outside [0, 1]
         ("main.a = 1/2\n\nmain.b = 3/2\n", "line 3: 3/2 is not a probability in [0, 1]"),
+        # two spellings of one argument name one action
+        (
+            "random.get(2/4) = 1/2\nrandom.get(1/2) = 1/3\n",
+            "line 2: second reply for random.get(1/2) (first on line 1)",
+        ),
+        ("main.a = 1/2\nrandom.get(1/0) = 1/2\n", "line 2: zero denominator in rational '1/0'"),
+        ("r.m(x) = 1\n", "line 1: malformed rational 'x'"),
+        ("r.m(1/2 = 1\n", "line 1: malformed action name 'r.m(1/2'"),
     ],
     ids=[
         "repeated", "repeated-bare-name", "tau", "empty-name", "empty-focus", "empty-method",
-        "out-of-range",
+        "out-of-range", "repeated-spelling", "zero-denominator", "malformed-argument",
+        "unclosed-argument",
     ],
 )
 def test_environment_table_rejects_repeated_and_tau_lines(text, message):

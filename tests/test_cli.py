@@ -289,9 +289,14 @@ LONG = "9" * 5000  # more digits than `int` converts on Python 3.11+
         ("random.pglb", f"a ; +%1/{LONG} ; !", "(at offset 4)"),
         ("forward.pglb", f"a ; #{LONG}", "(at offset 4)"),
         ("backward.pglb", f"a ; \\{LONG}", "(at offset 4)"),
+        ("action.pglb", f"a ;  r.m(1/{LONG}) ; !", "(at offset 5)"),
         ("reply.table", f"main.a = 1/2\nmain.b = {LONG}/{LONG}\n", "line 2: "),
+        ("action.table", f"main.a = 1/2\nr.m({LONG}) = 1\n", "line 2: "),
     ],
-    ids=["term-weight", "term-action", "pglb-choice", "pglb-jump", "pglb-back-jump", "env-reply"],
+    ids=[
+        "term-weight", "term-action", "pglb-choice", "pglb-jump", "pglb-back-jump",
+        "pglb-action", "env-reply", "env-action",
+    ],
 )
 def test_overlong_integers_are_parse_errors(capsys, tmp_path, name, text, where):
     path = tmp_path / name

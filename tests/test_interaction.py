@@ -60,7 +60,7 @@ def test_use_passes_internal_action_through():
         x = genlib.term(rng, 2, mk_action=genlib.service_action)
         fam = genlib.family(rng)
         left = use(ta.build(prefix(ta.TAU, x)), fam)
-        right = T.combine_prefix(ta.TAU, use(ta.build(x), fam))
+        right = genlib.combine_prefix(ta.TAU, use(ta.build(x), fam))
         assert ta.bisimilar(left, right)
 
 
@@ -70,7 +70,7 @@ def test_use_skips_unnamed_foci():
         x, y = genlib.term(rng, 2), genlib.term(rng, 2)
         fam = services.encapsulate({"main"}, genlib.family(rng))
         left = use(ta.build(TPost(A, x, y)), fam)
-        right = T.combine_post(A, use(ta.build(x), fam), use(ta.build(y), fam))
+        right = genlib.combine_post(A, use(ta.build(x), fam), use(ta.build(y), fam))
         assert ta.bisimilar(left, right)
 
 
@@ -89,7 +89,7 @@ def test_use_resolves_named_method():
         derived = compose(singleton(focus, service.derive(method)), rest)
         left = use(ta.build(TPost(ta.basic(focus, method), x, y)), fam)
         inner = use(ta.build(ta.tchoice(x, p, y)), derived)
-        right = T.combine_prefix(ta.TAU, inner)
+        right = genlib.combine_prefix(ta.TAU, inner)
         assert ta.bisimilar(left, right)
 
 
@@ -107,7 +107,7 @@ def test_use_distributes_over_choice_exactly():
         pi = genlib.open_probability(rng)
         fam = genlib.family(rng)
         left = use(ta.build(TProb(((pi, x), (1 - pi, y)))), fam)
-        right = T.combine_prob(
+        right = genlib.combine_prob(
             [(pi, use(ta.build(x), fam)), (1 - pi, use(ta.build(y), fam))]
         )
         assert ta.bisimilar(left, right)
@@ -247,7 +247,7 @@ def test_abstraction_distributes_over_visible_actions():
         x, y = genlib.term(rng, 2), genlib.term(rng, 2)
         action = ta.basic("main", rng.choice("ab"))
         left = abstract_tau(ta.build(TPost(action, x, y)))
-        right = T.combine_post(
+        right = genlib.combine_post(
             action, abstract_tau(ta.build(x)), abstract_tau(ta.build(y))
         )
         assert ta.bisimilar(left, right)
@@ -259,7 +259,7 @@ def test_abstraction_distributes_over_choice():
         x, y = genlib.term(rng, 2), genlib.term(rng, 2)
         pi = genlib.open_probability(rng)
         left = abstract_tau(ta.build(TProb(((pi, x), (1 - pi, y)))))
-        right = T.combine_prob(
+        right = genlib.combine_prob(
             [(pi, abstract_tau(ta.build(x))), (1 - pi, abstract_tau(ta.build(y)))]
         )
         assert ta.bisimilar(left, right)
@@ -384,7 +384,7 @@ def test_abstraction_distributes_over_forks():
     for _ in range(60):
         f, x, y = (genlib.term(rng, 2) for _ in range(3))
         left = abstract_tau(ta.build(TFork(f, x, y)))
-        right = T.combine_fork(
+        right = genlib.combine_fork(
             abstract_tau(ta.build(f)),
             abstract_tau(ta.build(x)),
             abstract_tau(ta.build(y)),

@@ -8,6 +8,7 @@ import pytest
 
 import genlib
 import threadalg as ta
+from genlib import combine_post, combine_prefix, combine_prob
 from threadalg import threads as T
 from threadalg.errors import NonRegularProduct, WeightSumNotOne
 from threadalg.interleaving import (
@@ -37,9 +38,6 @@ from threadalg.threads import (
     TRec,
     TStop,
     TVar,
-    combine_post,
-    combine_prefix,
-    combine_prob,
 )
 
 A = ta.basic("main", "a")
@@ -148,7 +146,7 @@ def test_fork_becomes_internal_step_and_appends_thread():
         forked = ta.build(genlib.term(rng, 2))
         cont = ta.build(genlib.term(rng, 2))
         discarded = ta.build(genlib.term(rng, 2))
-        ts[i] = T.combine_fork(forked, cont, discarded)
+        ts[i] = genlib.combine_fork(forked, cont, discarded)
         h = rand_history(rng, len(ts))
         s = spec.initial_state
         n = len(ts)
@@ -222,7 +220,7 @@ def test_deadlock_at_termination_laws():
             sd(combine_post(action, x, y)), combine_post(action, sd(x), sd(y))
         )
         assert ta.bisimilar(
-            sd(T.combine_fork(z, x, y)), T.combine_fork(sd(z), sd(x), sd(y))
+            sd(genlib.combine_fork(z, x, y)), genlib.combine_fork(sd(z), sd(x), sd(y))
         )
         pi = genlib.open_probability(rng)
         assert ta.bisimilar(

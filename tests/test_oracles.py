@@ -25,18 +25,21 @@ built, must return the graphs of the constructions that kept their own
 up to a renaming of node ids, with no unreachable node, also on inputs
 renumbered and padded with unreachable junk, and overrun a small state
 bound on exactly the same inputs.  The shared integer weight check
-behind `Prob`, `GraphBuilder.prob`, `build` and `nary_prob` must accept
-and reject exactly what the first Fraction checks did, with the same
-exception type and message, but that `Prob` rejects a weight that is
-not an `int` or `Fraction` where the first check took floats.  `terms.print_term`, which walks the graph
-on explicit stacks, must print exactly what the recursive printer did.
+behind `Prob`, `build` and `nary_prob` must accept and reject exactly
+what the first Fraction checks did, with the same exception type and
+message, but that `Prob` rejects a weight that is not an `int` or
+`Fraction` where the first check took floats; `threads.nary_prob`, a
+loop, must return exactly the nest of the recursive version, or raise
+its error, also with zero weights anywhere.  `terms.print_term`, which
+walks the graph once in preorder and renders on an explicit stack,
+must print exactly what the recursive printer did.
 `threads.head_distributions`, integer numerators over one reduced
 denominator on an explicit stack, must give the recursive Fraction
 version's weights in its key order, with the lcm of their denominators
 as the denominator; interleaving pools with twin threads and with
 equal choice weights check that the engine's int-keyed interning shares
 nodes as the oracle engine does.  `threads.build`, one generator walk
-under `threads.run_stackless` with the guard check after it, must
+under `threads.run_stackless` and its guard search after it, must
 accept the terms the two-walk build accepts, with equal canonical
 forms, and reject the ones it rejects, on random nested `rec` systems
 with aliases, forward references, zero and one weights, forks and
@@ -952,18 +955,12 @@ def assert_weight_checks_match(ws):
         # comparing them raised; `Prob` takes exact rationals only
         assert raised(got) and got[0] is MalformedProbability, ws
 
-    def prob(builder):
-        b = builder()
-        return b.prob(branches), b._nodes
-
-    expected = verdict(prob, OracleGraphBuilder)
-    built = verdict(prob, threads.GraphBuilder)
-    assert built == expected, ws
+    expected = verdict(OracleGraphBuilder().prob, branches)
     term = TProb(tuple((w, TStop()) for w in ws))
     assert raised(verdict(threads.build, term)) == raised(expected), ws
     if ws:
         assert raised(verdict(threads.nary_prob, ws, [TStop()] * len(ws))) == raised(expected), ws
-    assert AttributeError not in (got[0], built[0])
+    assert got[0] is not AttributeError, ws
     return raised(expected)
 
 
@@ -997,6 +994,24 @@ def test_weight_checks_match_oracles_on_random_vectors():
 )
 def test_weight_checks_match_oracles_on_edge_vectors(ws):
     assert_weight_checks_match(ws)
+
+
+def test_nary_prob_matches_the_recursive_oracle():
+    rng = random.Random(5)
+    vectors = [weight_vector(rng) for _ in range(2000)]
+    for _ in range(300):
+        # longer distributions with zero weights anywhere, the last included
+        ws = genlib.distribution(rng, rng.randint(2, 12))
+        for _ in range(rng.randint(0, 3)):
+            ws.insert(rng.randint(0, len(ws)), Fraction(0))
+        vectors.append(ws)
+    vectors += [[], [Fraction(1)], [0, 1, 0], [Fraction(1, 2)] * 2 + [0] * 3]
+    for ws in vectors:
+        targets = [ta.tprefix(ta.basic("main", f"a{k}"), TStop()) for k in range(len(ws))]
+        # and one target short, which both reject
+        for ts in (targets, targets[1:]):
+            expected = verdict(oracles.oracle_nary_prob, ws, ts)
+            assert verdict(threads.nary_prob, ws, ts) == expected, ws
 
 
 def test_build_matches_oracle_on_rec_systems():

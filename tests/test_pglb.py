@@ -19,6 +19,7 @@ from threadalg.pglb import (
     parse_program,
     print_program,
 )
+from threadalg.terms import print_term
 from threadalg.threads import Post, TDead, TPost, TStop
 
 
@@ -58,6 +59,28 @@ def test_parse_dotted_names_and_comments():
     p = prog("r1.set:true // store\n ; random.get(1/2) ; !")
     assert p.instructions[0] == BasicInstr("plain", "r1.set:true")
     assert p.instructions[1] == BasicInstr("plain", "random.get(1/2)")
+
+
+def test_action_arguments_are_kept_in_lowest_terms():
+    # spelled as the term syntax spells them, so the two syntaxes agree
+    p = prog("random.get(2/4) ; +r.m(-3/6) ; r.m(4/2) ; !")
+    assert p.instructions[:3] == (
+        BasicInstr("plain", "random.get(1/2)"),
+        BasicInstr("pos", "r.m(-1/2)"),
+        BasicInstr("plain", "r.m(2)"),
+    )
+    assert parse_program(print_program(p)) == p
+    g = extract(prog("random.get(2/4) ; !"), with_random=False)
+    assert g == ta.normalize(ta.parse_thread("prefix(random.get(2/4), S)"))
+    assert print_term(g) == "prefix(random.get(1/2), S)"
+
+
+@pytest.mark.parametrize("text, offset", [("random.get(1/0) ; !", 0), ("a ;  r.m(3/0)", 5)])
+def test_zero_denominator_in_an_action_argument_is_a_parse_error(text, offset):
+    with pytest.raises(ParseError) as info:
+        parse_program(text)
+    assert info.value.position == offset
+    assert "zero denominator" in str(info.value)
 
 
 @pytest.mark.parametrize("text", ["#", "a ;; b", "", "%3/2", "! ; ", "+#1", "a b"])

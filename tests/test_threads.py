@@ -257,6 +257,18 @@ def test_nary_rejects_bad_sum():
         ta.nary_prob([Fraction(1, 2)], [TStop()])
 
 
+def test_nary_prob_of_many_targets_needs_no_recursion():
+    n = 5000
+    targets = [ta.tprefix(ta.basic("main", f"a{k}"), TStop()) for k in range(n)]
+    with shallow_stack():
+        term = ta.nary_prob([Fraction(1, n)] * n, targets)
+    # level k chooses target k with 1/(n - k) of what is left
+    for k in range(n - 1):
+        (head, target), (rest, term) = term.branches
+        assert (head, target, rest) == (Fraction(1, n - k), targets[k], 1 - head)
+    assert term == targets[-1]
+
+
 # ---------------------------------------------------------------------------
 # projections
 
@@ -429,6 +441,46 @@ def test_deep_terms_need_no_recursion(kind, tmp_path, capsys):
         assert T.trim(cut) == g
 
 
+# an alias chain X0 = X1; ...; X(DEEP-1) = X(DEEP), closed by `last`
+def alias_chain(last):
+    eqs = "".join(f"X{i} = X{i + 1}; " for i in range(DEEP))
+    return f"rec X0 {{ {eqs}X{DEEP} = {last}; }} in X0"
+
+
+def test_deep_alias_chain_builds_without_recursion():
+    with shallow_stack():
+        g = terms.parse_thread(alias_chain("prefix(a, X0)"))
+        text = terms.print_term(g)
+    assert text == "rec X0 { X0 = prefix(main.a, X0); } in X0"
+
+
+def test_deep_alias_cycle_is_unguarded_recursion():
+    with shallow_stack(), pytest.raises(UnguardedRecursion) as info:
+        terms.parse_thread(alias_chain("X0"))
+    assert str(info.value) == "variable 'X0' recurs without an action test guarding it"
+
+
+def test_printing_a_deep_action_loop_needs_no_recursion():
+    body = "".join(f"prefix(a{i}, " for i in range(DEEP)) + "X" + ")" * DEEP
+    with shallow_stack():
+        g = terms.parse_thread(f"rec X {{ X = {body}; }} in X")
+        text = terms.print_term(g)
+    expected = "".join(f"prefix(main.a{i}, " for i in range(DEEP)) + "X0" + ")" * DEEP
+    assert text == f"rec X0 {{ X0 = {expected}; }} in X0"
+
+
+def test_abstraction_of_a_long_tau_ring_needs_no_recursion():
+    # each member escapes to `a` with 1/2, else passes to the next
+    n = 1000
+    eqs = " ".join(
+        f"X{i} = prefix(tau, prob(1/2: X{(i + 1) % n}, 1/2: prefix(a, S)));" for i in range(n)
+    )
+    with shallow_stack():
+        g = terms.parse_thread(f"rec X0 {{ {eqs} }} in X0")
+        text = terms.print_term(abstract_tau(g))
+    assert text == "prefix(main.a, S)"
+
+
 # ---------------------------------------------------------------------------
 # equality
 
@@ -504,9 +556,9 @@ def test_unique_solutions_of_guarded_specs():
 def test_combinators_match_term_constructions():
     x = ta.build(ta.tprefix(A, TStop()))
     y = ta.build(TDead())
-    post = T.combine_post(B, x, y)
+    post = genlib.combine_post(B, x, y)
     assert ta.bisimilar(post, ta.build(TPost(B, ta.tprefix(A, TStop()), TDead())))
-    choice = T.combine_prob([(Fraction(1, 3), x), (Fraction(2, 3), y)])
+    choice = genlib.combine_prob([(Fraction(1, 3), x), (Fraction(2, 3), y)])
     assert ta.bisimilar(
         choice, ta.build(bp(ta.tprefix(A, TStop()), Fraction(1, 3), TDead()))
     )
