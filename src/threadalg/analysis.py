@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -50,7 +51,8 @@ class Environment:
         """Parse lines of the form `f.m = p`; `//` starts a comment.
 
         Each basic action gets at most one line, and `tau` none; `f.m(2/4)`
-        and `f.m(1/2)` name one action.
+        and `f.m(1/2)` name one action.  A name must be spelled as in
+        `.pglb`, so that some instruction can perform the action.
         """
         replies: Dict[Action, Fraction] = {}
         first_line: Dict[Action, int] = {}
@@ -61,12 +63,14 @@ class Environment:
             name, eq, value = line.partition("=")
             if not eq:
                 raise ParseError(f"line {lineno}: expected `action = probability`")
+            name = name.strip()
             try:
-                action = threads.action_from_name(threads.canonical_name(name.strip()))
-            except ValueError:  # an empty focus or method
-                raise ParseError(f"line {lineno}: malformed action name {name.strip()!r}") from None
+                spelled = threads.canonical_name(name)
             except ParseError as exc:  # a malformed `(rational)` argument
                 raise ParseError(f"line {lineno}: {exc}") from None
+            if not re.fullmatch(threads.ACTION_NAME, spelled):
+                raise ParseError(f"line {lineno}: malformed action name {name!r}")
+            action = threads.action_from_name(spelled)
             if action.is_tau:
                 raise ParseError(
                     f"line {lineno}: tau takes no reply probability: it always replies True"

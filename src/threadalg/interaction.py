@@ -17,18 +17,18 @@ and choice nodes is an absorbing chain; the probability with which
 each node escapes to each visible successor is computed exactly, and
 mass that can never escape becomes inaction (every finite-depth
 approximation of a pure internal loop is cut to inaction, so its limit
-is inaction).  The region is solved one strongly connected component
-at a time, in reverse topological order, by one integer elimination:
-rows are integer numerators over a reduced common denominator, each
-member in turn divides out its self-loop and is substituted into the
-rows that still name it, and a member whose row only loops back never
-escapes.  `threads.quotient` gathers, from the root, the visible nodes
-that the escape distributions reach and lumps them into the result.
+is inaction).  The region is solved by one integer elimination in the
+finish order of a depth-first search: rows are integer numerators over
+a reduced common denominator, and each node as it finishes divides out
+its self-loop, or never escapes when its row only loops back, and is
+substituted into the finished rows that an index lists as naming it.
+`threads.quotient` gathers, from the root, the visible nodes that the
+escape distributions reach and lumps them into the result.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Set, Tuple
 
 from . import meadow, threads
 from .services import ServiceFamily
@@ -140,32 +140,31 @@ def abstract_tau(g: ThreadGraph) -> ThreadGraph:
     """The thread `g` with every internal step concealed.
 
     Exact on regular threads: escape probabilities out of internal
-    regions are solved component by component, and non-escaping mass
-    maps to inaction.  They depend only on behaviour, so the input is
-    walked from its root and no graph is built before the canonical
-    quotient.
+    regions are solved as a depth-first search finishes each internal
+    node, and non-escaping mass maps to inaction.  They depend only on
+    behaviour, so the input is walked from its root and no graph is
+    built before the canonical quotient.
     """
     order = threads.reachable(g)
     # one extra inaction node, `dead`, takes the mass that never escapes
     dead = len(g.nodes)
     nodes = g.nodes + (DEAD,)
-    tau_refs = [
-        r for r in order if isinstance(nodes[r], Post) and nodes[r].action.is_tau
-    ]
-    tau_set = set(tau_refs)
     head = threads.head_distributions(g, order)
+    # one-step distribution of each internal node, as (den, {ref: numerator})
+    step = {
+        r: head[nodes[r].then_]
+        for r in order
+        if isinstance(nodes[r], Post) and nodes[r].action.is_tau
+    }
     # escape distributions over visible nodes as (den, {ref: numerator}),
     # reduced so that den is the lcm of the reduced denominators; a
     # visible node escapes to itself, and a node that never escapes
     # goes to `dead`
     escape: Dict[int, Tuple[int, Dict[int, int]]] = {
-        r: (1, {r: 1})
-        for r in order
-        if not isinstance(nodes[r], Prob) and r not in tau_set
+        r: (1, {r: 1}) for r in order if not isinstance(nodes[r], Prob) and r not in step
     }
-
-    # one-step distribution of each internal node, as (den, {ref: numerator})
-    step = {t: head[nodes[t].then_] for t in tau_refs}
+    # each internal node on the search path -> the finished rows that name it
+    users: Dict[int, Set[int]] = {}
 
     def mix(dist: Tuple[int, Dict[int, int]]) -> Tuple[int, Dict[int, int]]:
         # the sum of x/den * escape[d] over the head distribution's support
@@ -174,53 +173,35 @@ def abstract_tau(g: ThreadGraph) -> ThreadGraph:
             [(x, den * escape[d][0], escape[d][1]) for d, x in nums.items()]
         )
 
-    def solve(comp: List[int]) -> None:
-        # every component that `comp` reaches is solved already.  Each
-        # member stands for itself in the rows until it is eliminated:
-        # its self-loop is divided out, or, when all of its row's mass
-        # loops back, it never escapes; then it is substituted into every
-        # row that still names it.  A component with an exit keeps every
-        # pivot positive, so no pivoting is needed
-        for t in comp:
-            escape[t] = (1, {t: 1})
-        rows = {t: mix(step[t]) for t in comp}
-        for t in comp:
-            den, nums = rows[t]
-            loop = nums.pop(t, 0)
+    def eliminate(t: int) -> None:
+        # every internal node that `t` steps to has finished, so its row
+        # names only visible nodes and nodes still on the search path;
+        # with no self-loop it is `mix`'s reduced row as it is.  A pivot
+        # is positive unless all of the row's mass loops back
+        den, nums = row = mix(step[t])
+        loop = nums.pop(t, 0)
+        if loop:
             row = (1, {dead: 1}) if loop == den else threads.weighted_sum([(1, den - loop, nums)])
-            rows[t] = row
-            for u, (uden, unums) in rows.items():
-                x = unums.pop(t, None)
-                if x is not None:
-                    rows[u] = threads.weighted_sum([(1, uden, unums), (x, uden * row[0], row[1])])
-        escape.update(rows)
+        escape[t] = row
+        touched = users.pop(t, set())
+        for u in touched:
+            uden, unums = escape[u]
+            x = unums.pop(t)
+            escape[u] = threads.weighted_sum([(1, uden, unums), (x, uden * row[0], row[1])])
+        touched.add(t)
+        for v in row[1]:
+            if v in step:
+                users.setdefault(v, set()).update(touched)
 
-    # Tarjan's search emits each component of the internal nodes after
-    # every component it reaches; a node it has entered is on `stack`
-    # until solved into `escape`
-    index: Dict[int, int] = {}
-    low: Dict[int, int] = {}
-    stack: List[int] = []
-
-    def search(v: int):
-        index[v] = low[v] = len(index)
-        stack.append(v)
-        for d in step[v][1]:
-            if d not in step:
-                continue
-            if d not in index:
+    def search(t: int):
+        escape[t] = (1, {t: 1})  # `t` stands for itself until it finishes
+        for d in step[t][1]:
+            if d in step and d not in escape:
                 yield search(d)
-                low[v] = min(low[v], low[d])
-            elif d not in escape:
-                low[v] = min(low[v], index[d])
-        if low[v] == index[v]:
-            comp = [stack.pop()]
-            while comp[-1] != v:
-                comp.append(stack.pop())
-            solve(comp)
+        eliminate(t)
 
-    for s in tau_refs:
-        if s not in index:
+    for s in step:
+        if s not in escape:
             threads.run_stackless(search(s))
 
     # the result is the quotient of what the escape distributions of

@@ -29,7 +29,9 @@ Probability = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
+#: A rational as the text formats spell it: `num` or `num/den`.
+RATIONAL = r"-?\d+(?:/\d+)?"
+_RATIONAL_RE = re.compile(RATIONAL)
 
 
 def rat(num: int, den: int = 1) -> MeadowValue:

@@ -82,14 +82,12 @@ class Program:
         return len(self.instructions)
 
 
-_NAME = r"[A-Za-z_][A-Za-z0-9_]*(?::[A-Za-z0-9_]+)*"
-_RAT = r"-?\d+(?:/\d+)?"
 _INSTR_RE = re.compile(
     rf"""  !
         | \#(?P<fwd>\d+)
         | \\(?P<bwd>\d+)
-        | (?P<rtest>[+-])?%(?P<rprob>{_RAT})
-        | (?P<btest>[+-])?(?P<bname>{_NAME}(?:\.{_NAME}(?:\({_RAT}\))?)?)
+        | (?P<rtest>[+-])?%(?P<rprob>{meadow.RATIONAL})
+        | (?P<btest>[+-])?(?P<bname>{threads.ACTION_NAME})
     """,
     re.VERBOSE,
 )

@@ -50,10 +50,10 @@ from .threads import (
 KEYWORDS = {"S", "D", "post", "prefix", "fork", "prob", "rec", "in", "tau"}
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<name>[A-Za-z_][A-Za-z0-9_]*(?::[A-Za-z0-9_]+)*)
+    rf"""(?P<ws>\s+)
+      | (?P<name>{threads.NAME})
       | (?P<int>\d+)
-      | (?P<punct>[(){},;:=./\-])
+      | (?P<punct>[(){{}},;:=./\-])
     """,
     re.VERBOSE,
 )

@@ -74,6 +74,10 @@ TAU = Action("", "tau")
 
 #: Focus used for action names written without an explicit `focus.` part.
 MAIN_FOCUS = "main"
+#: A focus or method name, as `.pglb` and the term syntax spell it.
+NAME = r"[A-Za-z_][A-Za-z0-9_]*(?::[A-Za-z0-9_]+)*"
+#: A basic action in canonical spelling: `m`, `f.m` or `f.m(rational)`.
+ACTION_NAME = rf"{NAME}(?:\.{NAME}(?:\({meadow.RATIONAL}\))?)?"
 
 
 def basic(focus: str, method: str) -> Action:
@@ -267,7 +271,7 @@ def run_stackless(walk: Generator):
     `sub` has run the same way, then resumes it with the value `sub`
     returned; the result is what `walk` returns, and an exception raised
     in any of them propagates.  The term parser, `build` and its guard
-    search, `project` and `abstract_tau`'s component search run on it.
+    search, `project` and `abstract_tau`'s depth-first search run on it.
     """
     stack = [walk]
     value = None

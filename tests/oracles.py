@@ -11,7 +11,11 @@ use; `oracle_abstract_tau` is the
 solved its whole tau region as one linear system over Fractions;
 `oracle_resolve_abstract_tau` is the component-by-component
 `abstract_tau` that turned its escape distributions back into a
-Fraction-weighted graph and normalized it.  `oracle_outcome_distribution`,
+Fraction-weighted graph and normalized it, and
+`oracle_component_abstract_tau` the `abstract_tau` that split its tau
+region into strongly connected components by Tarjan's search and
+eliminated each component's members in the order the search popped
+them, scanning every row of the component for every pivot.  `oracle_outcome_distribution`,
 `oracle_sample_run` and `oracle_sample_outcomes` are the first
 `analysis` walkers: a memoised recursion over `(node, depth)` with
 Fraction masses, and a sampler that compares each 64-bit draw as an
@@ -482,7 +486,7 @@ def oracle_resolve_abstract_tau(g: ThreadGraph) -> ThreadGraph:
     """The `abstract_tau` that built its result as a second graph.
 
     Escape distributions are solved component by component on integer
-    numerators, as `interaction.abstract_tau` solves them, then turned
+    numerators, as `oracle_component_abstract_tau` solves them, then turned
     back into Fraction-weighted `Prob` nodes over the visible nodes in a
     `GraphBuilder`, which is trimmed and normalized.
     """
@@ -632,6 +636,98 @@ def oracle_resolve_abstract_tau(g: ThreadGraph) -> ThreadGraph:
     root = resolve(n.root)
     b.expand(content)
     return threads.normalize(threads.trim(b.graph(root)))
+
+
+def oracle_component_abstract_tau(g: ThreadGraph) -> ThreadGraph:
+    """The thread `g` with every internal step concealed.
+
+    Exact on regular threads: escape probabilities out of internal
+    regions are solved component by component, and non-escaping mass
+    maps to inaction.  They depend only on behaviour, so the input is
+    walked from its root and no graph is built before the canonical
+    quotient.
+    """
+    order = threads.reachable(g)
+    # one extra inaction node, `dead`, takes the mass that never escapes
+    dead = len(g.nodes)
+    nodes = g.nodes + (DEAD,)
+    tau_refs = [
+        r for r in order if isinstance(nodes[r], Post) and nodes[r].action.is_tau
+    ]
+    tau_set = set(tau_refs)
+    head = threads.head_distributions(g, order)
+    # escape distributions over visible nodes as (den, {ref: numerator}),
+    # reduced so that den is the lcm of the reduced denominators; a
+    # visible node escapes to itself, and a node that never escapes
+    # goes to `dead`
+    escape: Dict[int, Tuple[int, Dict[int, int]]] = {
+        r: (1, {r: 1})
+        for r in order
+        if not isinstance(nodes[r], Prob) and r not in tau_set
+    }
+
+    # one-step distribution of each internal node, as (den, {ref: numerator})
+    step = {t: head[nodes[t].then_] for t in tau_refs}
+
+    def mix(dist: Tuple[int, Dict[int, int]]) -> Tuple[int, Dict[int, int]]:
+        # the sum of x/den * escape[d] over the head distribution's support
+        den, nums = dist
+        return threads.weighted_sum(
+            [(x, den * escape[d][0], escape[d][1]) for d, x in nums.items()]
+        )
+
+    def solve(comp: List[int]) -> None:
+        # every component that `comp` reaches is solved already.  Each
+        # member stands for itself in the rows until it is eliminated:
+        # its self-loop is divided out, or, when all of its row's mass
+        # loops back, it never escapes; then it is substituted into every
+        # row that still names it.  A component with an exit keeps every
+        # pivot positive, so no pivoting is needed
+        for t in comp:
+            escape[t] = (1, {t: 1})
+        rows = {t: mix(step[t]) for t in comp}
+        for t in comp:
+            den, nums = rows[t]
+            loop = nums.pop(t, 0)
+            row = (1, {dead: 1}) if loop == den else threads.weighted_sum([(1, den - loop, nums)])
+            rows[t] = row
+            for u, (uden, unums) in rows.items():
+                x = unums.pop(t, None)
+                if x is not None:
+                    rows[u] = threads.weighted_sum([(1, uden, unums), (x, uden * row[0], row[1])])
+        escape.update(rows)
+
+    # Tarjan's search emits each component of the internal nodes after
+    # every component it reaches; a node it has entered is on `stack`
+    # until solved into `escape`
+    index: Dict[int, int] = {}
+    low: Dict[int, int] = {}
+    stack: List[int] = []
+
+    def search(v: int):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        for d in step[v][1]:
+            if d not in step:
+                continue
+            if d not in index:
+                yield search(d)
+                low[v] = min(low[v], low[d])
+            elif d not in escape:
+                low[v] = min(low[v], index[d])
+        if low[v] == index[v]:
+            comp = [stack.pop()]
+            while comp[-1] != v:
+                comp.append(stack.pop())
+            solve(comp)
+
+    for s in tau_refs:
+        if s not in index:
+            threads.run_stackless(search(s))
+
+    # the result is the quotient of what the escape distributions of
+    # the root and of visible nodes' children reach
+    return threads.quotient(g.root, lambda r: mix(head[r]), nodes.__getitem__)
 
 
 def _merge(into: Dict[Trace, Fraction], table: Dict[Trace, Fraction], w: Fraction, prefix: Trace = ()) -> None:

@@ -75,11 +75,15 @@ def test_environment_tau_always_true():
         ("main.a = 1/2\nrandom.get(1/0) = 1/2\n", "line 2: zero denominator in rational '1/0'"),
         ("r.m(x) = 1\n", "line 1: malformed rational 'x'"),
         ("r.m(1/2 = 1\n", "line 1: malformed action name 'r.m(1/2'"),
+        # names that neither `.pglb` nor the term syntax can spell
+        ("main.a = 1/2\na b = 1/2\n", "line 2: malformed action name 'a b'"),
+        ("f.g.h = 1/2\n", "line 1: malformed action name 'f.g.h'"),
+        ("a(1/2) = 1/2\n", "line 1: malformed action name 'a(1/2)'"),
     ],
     ids=[
         "repeated", "repeated-bare-name", "tau", "empty-name", "empty-focus", "empty-method",
         "out-of-range", "repeated-spelling", "zero-denominator", "malformed-argument",
-        "unclosed-argument",
+        "unclosed-argument", "space-in-name", "two-dots", "argument-without-focus",
     ],
 )
 def test_environment_table_rejects_repeated_and_tau_lines(text, message):

@@ -5,8 +5,12 @@ Fraction-signature refinement, also on weights with large coprime
 denominators and on subgraphs that only the else branches of tau
 steps reach, and return the graphs it made unchanged;
 `interaction.abstract_tau`, which walks its input from the root and
-solves its tau region component by component by integer elimination,
-must agree with the version that normalized its input and solved the
+eliminates each tau node as a depth-first search finishes it, must
+return exactly the graph of the version that split its tau region into
+strongly connected components by Tarjan's search and eliminated each
+component over all of its rows, also on `.pglb` ring programs of 10 to
+40 retry blocks and loops of 2 to 200 choices; it must agree with the
+version that normalized its input and solved the
 whole region at once, and with the version that built its escape
 distributions into a second graph and normalized that, also on inputs
 with unreachable junk, on tau regions of each shape, on generated rings
@@ -68,6 +72,7 @@ from oracles import (
     OracleGraphBuilder,
     OracleProb,
     oracle_abstract_tau,
+    oracle_component_abstract_tau,
     oracle_head_distributions,
     oracle_interleave,
     oracle_normalize,
@@ -483,6 +488,34 @@ def test_abstract_tau_matches_oracle_on_nested_retry_loops():
         got = interaction.abstract_tau(g)
         assert got == oracle_abstract_tau(g)
         assert got == oracle_resolve_abstract_tau(g)
+
+
+def ring_program(n):
+    """`n` retry blocks `-%1/3 ; J ; +%1/5 ; a<i mod 5>` whose jumps J
+    (#4, then \\5, then \\9) tie them into one tau component."""
+    jumps = ["#4", "\\5"] + ["\\9"] * (n - 2)
+    return " ; ".join([f"-%1/3 ; {jumps[i]} ; +%1/5 ; a{i % 5}" for i in range(n)] + ["!"])
+
+
+def choice_loop(n):
+    """`n` fair choices, each going on or skipping the next, in a loop
+    that only `a` leaves."""
+    return "+%1/2 ; " * n + f"\\{n} ; a ; !"
+
+
+def random_extracts(texts):
+    family = services.singleton(pglb.RANDOM_FOCUS, services.RANDOM)
+    return [interaction.use(pglb.extract_at(1, pglb.parse_program(t)), family) for t in texts]
+
+
+def test_abstract_tau_matches_the_oracle_that_solves_component_by_component():
+    rng = random.Random(28)
+    retries = [retry_program(rng, rng.randint(4, 16)) for _ in range(40)]
+    rings = [ring_program(n) for n in (10, 11, 17, 25, 40)]
+    loops = [choice_loop(n) for n in (2, 3, 5, 8, 30, 99, 200)]
+    graphs = pipeline_inputs() + tau_region_inputs() + random_extracts(retries + rings + loops)
+    for g in graphs:
+        assert interaction.abstract_tau(g) == oracle_component_abstract_tau(g)
 
 
 def test_abstract_tau_matches_oracle_on_the_choice_chain():

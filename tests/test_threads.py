@@ -471,7 +471,7 @@ def test_printing_a_deep_action_loop_needs_no_recursion():
 
 def test_abstraction_of_a_long_tau_ring_needs_no_recursion():
     # each member escapes to `a` with 1/2, else passes to the next
-    n = 1000
+    n = 5000
     eqs = " ".join(
         f"X{i} = prefix(tau, prob(1/2: X{(i + 1) % n}, 1/2: prefix(a, S)));" for i in range(n)
     )
