@@ -120,9 +120,12 @@ def _cmd_dist(args) -> int:
     print(f"deadlock: {dist.deadlock}")
     print(f"surviving: {dist.surviving}")
     if args.traces:
-        sys.stdout.write(
-            "".join(f"{' '.join(('trace', *trace))}: {mass}\n" for trace, mass in dist.traces)
-        )
+        # traces of equal mass share one Fraction: format each one once
+        shared = {id(m): m for _, m in dist.traces}
+        text = {k: str(m) for k, m in shared.items()}
+        sys.stdout.write("".join(
+            f"{' '.join(('trace', *trace))}: {text[id(mass)]}\n" for trace, mass in dist.traces
+        ))
     return 0
 
 

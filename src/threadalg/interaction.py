@@ -97,7 +97,7 @@ def use(
         if isinstance(node, (Stop, DeadEnd)):
             return node
         if isinstance(node, Prob):
-            return Prob(tuple((w, b.slot((t, sid))) for w, t in node.branches))
+            return threads._built_prob(tuple((w, b.slot((t, sid))) for w, t in node.branches))
         if isinstance(node, Fork):
             return Fork(
                 b.slot((node.forked, sid)),
@@ -122,9 +122,9 @@ def use(
         if len(kept) == 1:
             inner = b.slot((targets[kept[0][1]], derived))
         else:
-            inner = b.add(
-                Prob(tuple((w, b.slot((targets[i], derived))) for w, i in kept))
-            )
+            inner = b.add(threads._built_prob(
+                tuple((w, b.slot((targets[i], derived))) for w, i in kept)
+            ))
         return Post(TAU, inner, inner)
 
     root = b.slot((g.root, number(family)))

@@ -26,13 +26,17 @@ on finitely much of it: the `digest` of a strategy trims the history
 to the part it actually uses, and the engine keys its state space on
 the trimmed view.
 
-The engine interns the nodes it builds for one turn on integer keys:
-a thread's choice on its weight tuple's id (numbered once, per distinct
-tuple of the normalized input threads) and the output references of its
-branches, an action step on the input node and its two successors.  A
-key seen before costs no Fraction hash and no weight check; a new one
-adds its node to the shared `GraphBuilder`, so nodes are shared exactly
-as structural interning shares them.
+The engine interns the nodes it builds for one turn on integer keys
+that are equal exactly when the nodes are structurally equal: a
+thread's choice on its weight tuple's id (numbered once per distinct
+tuple of the normalized input threads) and the output references of
+its branches, a step on its action's id (numbered once per distinct
+action of the input threads, a fork's step using tau's) and its two
+successors.  Keying a step on its input node instead would split
+equal steps of different threads.  A new node is appended to the
+shared `GraphBuilder` as it is, with no Fraction hash and no weight
+check: the turn weights were checked once per `(n, view, ctrl)` and a
+choice copies weights that were checked when the thread was built.
 """
 
 from __future__ import annotations
@@ -143,13 +147,20 @@ class _Engine:
             self.roots.append(shift[t.root])
         self.arena = arena
         # interning keys: (weight id, targets) for a choice and
-        # (arena ref, then, else) for an action step
+        # (action id, then, else) for a step
         ids: Dict[Tuple[Fraction, ...], int] = {}
         self.weight_id: Dict[int, int] = {
             r: ids.setdefault(tuple(w for w, _ in node.branches), len(ids))
             for r, node in enumerate(arena)
             if isinstance(node, Prob)
         }
+        actions: Dict[Action, int] = {TAU: 0}
+        self.action_id: Dict[int, int] = {
+            r: actions.setdefault(node.action, len(actions))
+            for r, node in enumerate(arena)
+            if isinstance(node, Post)
+        }
+        self.steps = [BasicStep(action) for action in actions]
         self.interned: Dict[tuple, int] = {}
 
     def advance(self, view: History, ctrl, n: int, i: int, step: StepKind, count_after: int):
@@ -158,16 +169,17 @@ class _Engine:
         new_view = self.spec.digest(view + ((i, count_after),))
         return new_view, new_ctrl
 
-    def positional(self, sd: bool, view: History, ctrl, refs: Tuple[int, ...], i: int) -> int:
-        """Output reference for thread `i` (0-based) taking the next turn."""
-        r = refs[i]
+    def positional(
+        self, sd: bool, view: History, ctrl, refs: Tuple[int, ...], i: int, r: int
+    ) -> int:
+        """Output reference for thread `i` (0-based), at arena node `r`,
+        taking the next turn; `refs[i]` is not read."""
         node = self.arena[r]
         n = len(refs)
         b = self.b
         if isinstance(node, Prob):
             targets = tuple(
-                self.positional(sd, view, ctrl, refs[:i] + (t,) + refs[i + 1 :], i)
-                for _, t in node.branches
+                self.positional(sd, view, ctrl, refs, i, t) for _, t in node.branches
             )
             if len(targets) == 1:
                 return targets[0]
@@ -175,7 +187,7 @@ class _Engine:
             ref = self.interned.get(key)
             if ref is None:
                 branches = tuple((w, u) for (w, _), u in zip(node.branches, targets))
-                ref = self.interned[key] = b.add(Prob(branches))
+                ref = self.interned[key] = b.append(threads._built_prob(branches))
             return ref
         if isinstance(node, Stop):
             if n == 1:
@@ -192,16 +204,16 @@ class _Engine:
             t1 = t2 = b.slot(
                 (sd, view2, ctrl2, refs[:i] + (node.then_,) + refs[i + 1 :] + (node.forked,))
             )
-            action = TAU
+            aid, action = 0, TAU
         else:
-            action = node.action
-            view2, ctrl2 = self.advance(view, ctrl, n, i + 1, BasicStep(action), n)
+            aid, action = self.action_id[r], node.action
+            view2, ctrl2 = self.advance(view, ctrl, n, i + 1, self.steps[aid], n)
             t1 = b.slot((sd, view2, ctrl2, refs[:i] + (node.then_,) + refs[i + 1 :]))
             t2 = b.slot((sd, view2, ctrl2, refs[:i] + (node.else_,) + refs[i + 1 :]))
-        key = (r, t1, t2)
+        key = (aid, t1, t2)
         ref = self.interned.get(key)
         if ref is None:
-            ref = self.interned[key] = b.add(Post(action, t1, t2))
+            ref = self.interned[key] = b.append(Post(action, t1, t2))
         return ref
 
     def content(self, key: tuple) -> Prob:
@@ -218,10 +230,12 @@ class _Engine:
             if sum(weights) != 1:
                 raise WeightSumNotOne(f"turn probabilities sum to {sum(weights)}, not 1")
             turns = self.turns[n, view, ctrl] = [(i, w) for i, w in enumerate(weights) if w]
-        branches = [(w, self.positional(sd, view, ctrl, refs, i)) for i, w in turns]
+        branches = tuple(
+            [(w, self.positional(sd, view, ctrl, refs, i, refs[i])) for i, w in turns]
+        )
         # a single live branch still needs a node of its own: alias it
         # with a one-branch choice so the slot has content to hold
-        return Prob(tuple(branches))
+        return threads._built_prob(branches)
 
     def run(self, root: int) -> ThreadGraph:
         self.b.expand(self.content)
@@ -259,7 +273,7 @@ def positional_interleave(
     engine = _Engine(spec, threads_, state_bound)
     ctrl = spec.initial_state if state is _DEFAULT else state
     view = spec.digest(tuple(history))
-    root = engine.positional(False, view, ctrl, tuple(engine.roots), i - 1)
+    root = engine.positional(False, view, ctrl, tuple(engine.roots), i - 1, engine.roots[i - 1])
     return engine.run(root)
 
 

@@ -21,11 +21,12 @@ distribution function reaches and lumps them; `normalize` gives it
 head distributions over tau-closed nodes, and abstraction gives it
 escape distributions directly.
 
-`head_distributions` flattens choice layers for `normalize`, for
-abstraction and for outcome analysis alike: each reference gets its
-distribution over deterministic nodes as integer numerators over one
-reduced denominator, computed on an explicit stack, so neither a
-Fraction product nor the Python stack grows with the nesting.
+`head_distributions` flattens choice layers for `normalize` (one
+reference at a time, as its gather asks), for abstraction and for
+outcome analysis alike: each reference gets its distribution over
+deterministic nodes as integer numerators over one reduced
+denominator, computed on an explicit stack, so neither a Fraction
+product nor the Python stack grows with the nesting.
 """
 
 from __future__ import annotations
@@ -179,7 +180,13 @@ class Fork:
 
 @dataclass(frozen=True)
 class Prob:
-    """Internal choice over branches; weights lie in (0, 1] and sum to 1."""
+    """Internal choice over branches; weights lie in (0, 1] and sum to 1.
+
+    Weights are checked where they enter the library: `Prob(...)` checks
+    them, as `build`, scheduler turns, service replies and env tables
+    do.  The library re-builds choices it made itself (copies, products,
+    canonical forms) with `_built_prob`, which does not check them again.
+    """
 
     branches: Tuple[Tuple[Fraction, int], ...]
 
@@ -187,6 +194,14 @@ class Prob:
         if not self.branches:
             raise MalformedProbability("empty probabilistic choice")
         check_weights([w for w, _ in self.branches], False, "branch weight")
+
+
+def _built_prob(branches: Tuple[Tuple[Fraction, int], ...]) -> Prob:
+    """A Prob over weights that were checked already or are exact by
+    construction, built without `__post_init__`'s check."""
+    node = object.__new__(Prob)
+    object.__setattr__(node, "branches", branches)
+    return node
 
 
 Node = Union[Stop, DeadEnd, Post, Fork, Prob]
@@ -231,7 +246,7 @@ def _map_refs(node: Node, mapping) -> Node:
     if isinstance(node, Fork):
         return Fork(mapping[node.forked], mapping[node.then_], mapping[node.else_])
     if isinstance(node, Prob):
-        return Prob(tuple((w, mapping[t]) for w, t in node.branches))
+        return _built_prob(tuple((w, mapping[t]) for w, t in node.branches))
     return node
 
 
@@ -317,10 +332,13 @@ class GraphBuilder:
             self._nodes.append(node)
         return ref
 
+    def append(self, node: Node) -> int:
+        """A new node, shared with no other: the caller interns it."""
+        self._nodes.append(node)
+        return len(self._nodes) - 1
+
     def reserve(self) -> int:
-        ref = len(self._nodes)
-        self._nodes.append(None)  # type: ignore[arg-type]
-        return ref
+        return self.append(None)  # type: ignore[arg-type]
 
     def copy_into(self, dst: int, src: int) -> None:
         self._nodes[dst] = self._nodes[src]
@@ -574,48 +592,56 @@ def head_distributions(g: ThreadGraph, refs) -> Dict[int, Tuple[int, Dict[int, i
     cycle through choices raises UnguardedRecursion, however deep the
     layers nest.
     """
-    nodes = g.nodes
     dist: Dict[int, Tuple[int, Dict[int, int]]] = {}
-    expanded = set()
     for r in refs:
-        stack = [r]
-        while stack:
-            c = stack[-1]
-            if c in dist:
-                stack.pop()
-                continue
-            node = nodes[c]
-            if not isinstance(node, Prob):
-                dist[c] = (1, {c: 1})
-                stack.pop()
-                continue
-            inner = [t for _, t in node.branches if isinstance(nodes[t], Prob)]
-            missing = [t for t in inner if t not in dist]
-            if missing:
-                # met again before its branches are done: a choice cycle
-                if c in expanded:
-                    raise UnguardedRecursion("cycle through probabilistic choices")
-                expanded.add(c)
-                stack.extend(reversed(missing))
-                continue
-            stack.pop()
-            if inner:
-                dist[c] = weighted_sum([
-                    (w.numerator, w.denominator * dist[t][0], dist[t][1])
-                    if isinstance(nodes[t], Prob)
-                    else (w.numerator, w.denominator, {t: 1})
-                    for w, t in node.branches
-                ])
-                continue
-            # deterministic targets only, the common case: one numerator
-            # per branch over the lcm of the weights' denominators, which
-            # only a repeated target can leave reducible
-            den = lcm(*[w.denominator for w, _ in node.branches])
-            nums: Dict[int, int] = {}
-            for w, t in node.branches:
-                nums[t] = nums.get(t, 0) + w.numerator * (den // w.denominator)
-            dist[c] = (den, nums) if len(nums) == len(node.branches) else _lowest_terms(den, nums)
+        _head(g.nodes, r, dist)
     return dist
+
+
+def _head(
+    nodes: Sequence[Node], r: int, dist: Dict[int, Tuple[int, Dict[int, int]]]
+) -> Tuple[int, Dict[int, int]]:
+    """The head distribution of `r`, computed into `dist` together with
+    those of the choices below it that `dist` does not hold yet."""
+    stack = [r]
+    expanded = set()
+    while stack:
+        c = stack[-1]
+        if c in dist:
+            stack.pop()
+            continue
+        node = nodes[c]
+        if not isinstance(node, Prob):
+            dist[c] = (1, {c: 1})
+            stack.pop()
+            continue
+        inner = [t for _, t in node.branches if isinstance(nodes[t], Prob)]
+        missing = [t for t in inner if t not in dist]
+        if missing:
+            # met again before its branches are done: a choice cycle
+            if c in expanded:
+                raise UnguardedRecursion("cycle through probabilistic choices")
+            expanded.add(c)
+            stack.extend(reversed(missing))
+            continue
+        stack.pop()
+        if inner:
+            dist[c] = weighted_sum([
+                (w.numerator, w.denominator * dist[t][0], dist[t][1])
+                if isinstance(nodes[t], Prob)
+                else (w.numerator, w.denominator, {t: 1})
+                for w, t in node.branches
+            ])
+            continue
+        # deterministic targets only, the common case: one numerator
+        # per branch over the lcm of the weights' denominators, which
+        # only a repeated target can leave reducible
+        den = lcm(*[w.denominator for w, _ in node.branches])
+        nums: Dict[int, int] = {}
+        for w, t in node.branches:
+            nums[t] = nums.get(t, 0) + w.numerator * (den // w.denominator)
+        dist[c] = (den, nums) if len(nums) == len(node.branches) else _lowest_terms(den, nums)
+    return dist[r]
 
 
 def _ranked_class_dists(
@@ -652,11 +678,31 @@ def normalize(g: ThreadGraph) -> ThreadGraph:
     they have the same behaviour.  Equality of canonical graphs is
     therefore plain structural equality.  The result is marked canonical
     and returned unchanged when normalized again.
+
+    Weights are not checked again: they were checked where they entered
+    the library.  A head distribution is computed only for the nodes
+    that `quotient` gathers; the rest of the graph is walked only when
+    the gather skipped a tau step's else branch, so that a cycle through
+    choices is unguarded recursion wherever it is reachable.
     """
     if g.canonical:
         return g
-    head = head_distributions(g, reachable(g))
-    return quotient(g.root, head.__getitem__, lambda r: _tau_closed(g.nodes[r]))
+    nodes = g.nodes
+    head: Dict[int, Tuple[int, Dict[int, int]]] = {}
+    skipped: List[int] = []  # else branches of tau steps, which the gather passes by
+
+    def det(r: int) -> Node:
+        node = nodes[r]
+        closed = _tau_closed(node)
+        if closed is not node:
+            skipped.append(node.else_)
+        return closed
+
+    out = quotient(g.root, lambda r: head[r] if r in head else _head(nodes, r, head), det)
+    if any(e not in head for e in skipped):
+        for r in reachable(g):
+            _head(nodes, r, head)
+    return out
 
 
 def quotient(root: int, support, det) -> ThreadGraph:
@@ -756,7 +802,7 @@ def quotient(root: int, support, det) -> ThreadGraph:
     # numerators repeat across choices: build each weight's Fraction once
     weight = {w: Fraction(w, den) for w in {w for b in branches.values() for w, _ in b}}
     for k, i in prob_id.items():
-        nodes[i] = Prob(tuple((weight[w], c) for w, c in branches[k]))
+        nodes[i] = _built_prob(tuple((weight[w], c) for w, c in branches[k]))
     out = ThreadGraph(tuple(nodes), resolve(root))
     object.__setattr__(out, "canonical", True)
     return out
@@ -799,7 +845,7 @@ def project(n: int, g: ThreadGraph) -> ThreadGraph:
             return b.add(Post(node.action, *refs))
         if isinstance(node, Fork):
             return b.add(Fork(*refs))
-        return b.add(Prob(tuple((w, c) for (w, _), c in zip(node.branches, refs))))
+        return b.add(_built_prob(tuple((w, c) for (w, _), c in zip(node.branches, refs))))
 
     return b.graph(run_stackless(walk(g.root, n)))
 

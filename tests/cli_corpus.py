@@ -34,4 +34,8 @@ ALL_COMMANDS = [
     ("normalize", str(DATA / "orphan.term")),
     # action arguments not in lowest terms
     ("extract", str(DATA / "spelling.pglb"), "--no-random"),
+    # sampling walks the product's raw choice layers, not its canonical form
+    ("sample", str(DATA / "choice.term"), str(DATA / "retry.term"), "--scheduler", "uniform", "--depth", "12", "--seed", "5", "--runs", "200", "--env", str(DATA / "env.table")),
+    ("sample", str(DATA / "choice.term"), str(DATA / "retry.term"), "--scheduler", "lottery:defaultTickets=2", "--depth", "12", "--seed", "3", "--env", str(DATA / "env.table")),
+    ("sample", str(DATA / "choice.term"), str(DATA / "retry.term"), "--scheduler", f"table:{DATA / 'sched.json'}", "--depth", "12", "--seed", "5", "--runs", "200", "--env", str(DATA / "env.table")),
 ]

@@ -28,6 +28,10 @@ also has a `fill`; the library needs neither method, but
 `oracle_interleave` and `oracle_positional_interleave` (with
 `OracleEngine`) are the product constructions that each kept their own
 slot dict, auxiliary-node interning, queue and state bound.
+`HashConsEngine` (driven by `oracle_hashcons_product`) is the
+interleaving engine that ran on the shared `GraphBuilder` and, for a
+node its int-keyed cache had not seen, checked the weights of every
+choice it built and interned the node by its structural hash.
 `oracle_print_term` is the first `terms.print_term`, which recursed
 along the graph while searching and rendering.
 `oracle_head_distributions` is the first `threads.head_distributions`,
@@ -1118,6 +1122,127 @@ def oracle_positional_interleave(
     root = engine.positional(False, view, ctrl, tuple(engine.roots), i - 1)
     return engine.run(root)
 
+
+class HashConsEngine:
+    """Shared product construction for the interleaving operators."""
+
+    def __init__(self, spec: SchedulerSpec, threads_: Sequence[ThreadGraph], bound: int):
+        if not threads_:
+            raise ValueError("at least one thread is required")
+        self.spec = spec
+        self.b = GraphBuilder(bound, "interleaving states")
+        self.turns: Dict[tuple, List[Tuple[int, Fraction]]] = {}
+        arena: List = []
+        self.roots: List[int] = []
+        for t in threads_:
+            t = threads.normalize(t)
+            shift = range(len(arena), len(arena) + len(t.nodes))
+            arena.extend(threads._map_refs(node, shift) for node in t.nodes)
+            self.roots.append(shift[t.root])
+        self.arena = arena
+        # interning keys: (weight id, targets) for a choice and
+        # (arena ref, then, else) for an action step
+        ids: Dict[Tuple[Fraction, ...], int] = {}
+        self.weight_id: Dict[int, int] = {
+            r: ids.setdefault(tuple(w for w, _ in node.branches), len(ids))
+            for r, node in enumerate(arena)
+            if isinstance(node, Prob)
+        }
+        self.interned: Dict[tuple, int] = {}
+
+    def advance(self, view: History, ctrl, n: int, i: int, step: StepKind, count_after: int):
+        """New (view, state) after 1-based thread `i` does `step`."""
+        new_ctrl = self.spec.update(n, view, ctrl, i, step)
+        new_view = self.spec.digest(view + ((i, count_after),))
+        return new_view, new_ctrl
+
+    def positional(self, sd: bool, view: History, ctrl, refs: Tuple[int, ...], i: int) -> int:
+        """Output reference for thread `i` (0-based) taking the next turn."""
+        r = refs[i]
+        node = self.arena[r]
+        n = len(refs)
+        b = self.b
+        if isinstance(node, Prob):
+            targets = tuple(
+                self.positional(sd, view, ctrl, refs[:i] + (t,) + refs[i + 1 :], i)
+                for _, t in node.branches
+            )
+            if len(targets) == 1:
+                return targets[0]
+            key = (self.weight_id[r], targets)
+            ref = self.interned.get(key)
+            if ref is None:
+                branches = tuple((w, u) for (w, _), u in zip(node.branches, targets))
+                ref = self.interned[key] = b.add(Prob(branches))
+            return ref
+        if isinstance(node, Stop):
+            if n == 1:
+                return b.add(DEAD if sd else STOP)
+            view2, ctrl2 = self.advance(view, ctrl, n, i + 1, TERMINATION_STEP, n - 1)
+            return b.slot((sd, view2, ctrl2, refs[:i] + refs[i + 1 :]))
+        if isinstance(node, DeadEnd):
+            if n == 1:
+                return b.add(DEAD)
+            view2, ctrl2 = self.advance(view, ctrl, n, i + 1, INACTION_STEP, n - 1)
+            return b.slot((True, view2, ctrl2, refs[:i] + refs[i + 1 :]))
+        if isinstance(node, Fork):
+            view2, ctrl2 = self.advance(view, ctrl, n, i + 1, FORK_STEP, n + 1)
+            t1 = t2 = b.slot(
+                (sd, view2, ctrl2, refs[:i] + (node.then_,) + refs[i + 1 :] + (node.forked,))
+            )
+            action = TAU
+        else:
+            action = node.action
+            view2, ctrl2 = self.advance(view, ctrl, n, i + 1, BasicStep(action), n)
+            t1 = b.slot((sd, view2, ctrl2, refs[:i] + (node.then_,) + refs[i + 1 :]))
+            t2 = b.slot((sd, view2, ctrl2, refs[:i] + (node.else_,) + refs[i + 1 :]))
+        key = (r, t1, t2)
+        ref = self.interned.get(key)
+        if ref is None:
+            ref = self.interned[key] = b.add(Post(action, t1, t2))
+        return ref
+
+    def content(self, key: tuple) -> Prob:
+        sd, view, ctrl, refs = key
+        n = len(refs)
+        # `schedule` is pure: check its turn vector once per (n, view, ctrl)
+        turns = self.turns.get((n, view, ctrl))
+        if turns is None:
+            weights = [meadow.as_probability(w) for w in self.spec.schedule(n, view, ctrl)]
+            if len(weights) != n:
+                raise ValueError(
+                    f"scheduler returned {len(weights)} weights for {n} threads"
+                )
+            if sum(weights) != 1:
+                raise WeightSumNotOne(f"turn probabilities sum to {sum(weights)}, not 1")
+            turns = self.turns[n, view, ctrl] = [(i, w) for i, w in enumerate(weights) if w]
+        branches = [(w, self.positional(sd, view, ctrl, refs, i)) for i, w in turns]
+        # a single live branch still needs a node of its own: alias it
+        # with a one-branch choice so the slot has content to hold
+        return Prob(tuple(branches))
+
+    def run(self, root: int) -> ThreadGraph:
+        self.b.expand(self.content)
+        return self.b.graph(root)
+
+
+def oracle_hashcons_product(
+    spec: SchedulerSpec,
+    threads_: Sequence[ThreadGraph],
+    position: int = 0,
+    *,
+    state_bound: int = interleaving.DEFAULT_STATE_BOUND,
+) -> ThreadGraph:
+    """`interleave` by `HashConsEngine`, or `positional_interleave` at the
+    1-based `position` when one is given."""
+    engine = HashConsEngine(spec, threads_, state_bound)
+    view = spec.digest(())
+    refs = tuple(engine.roots)
+    if position:
+        root = engine.positional(False, view, spec.initial_state, refs, position - 1)
+    else:
+        root = engine.b.slot((False, view, spec.initial_state, refs))
+    return engine.run(root)
 
 def _print_children(node) -> Tuple[int, ...]:
     # children in printed order; an equal-branch test prints only once

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -365,6 +366,18 @@ def test_stdout_matches_the_golden_file(capsys, name, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out.encode("utf-8") == (DATA / "expected" / f"{name}.out").read_bytes()
+
+
+def test_dist_formats_each_distinct_trace_mass_once(capsys, monkeypatch):
+    formatted = []
+    to_str = Fraction.__str__
+    monkeypatch.setattr(Fraction, "__str__", lambda f: formatted.append(f) or to_str(f))
+    code, out, _ = run(capsys, *ALL_COMMANDS[19])
+    assert code == 0
+    masses = [line.rsplit(": ", 1)[1] for line in out.splitlines() if line.startswith("trace ")]
+    assert (len(masses), len(set(masses))) == (550, 53)
+    # the three outcome lines, then each distinct trace mass
+    assert len(formatted) == 3 + 53
 
 
 def test_negative_depth_is_usage_error(capsys):

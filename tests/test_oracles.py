@@ -42,7 +42,10 @@ denominator on an explicit stack, must give the recursive Fraction
 version's weights in its key order, with the lcm of their denominators
 as the denominator; interleaving pools with twin threads and with
 equal choice weights check that the engine's int-keyed interning shares
-nodes as the oracle engine does.  `threads.build`, one generator walk
+nodes as the oracle engine does, and the engine must build node for
+node the graph of the engine that interned each new node by its
+structural hash, also on two threads whose equal steps sit at
+different input nodes.  `threads.build`, one generator walk
 under `threads.run_stackless` and its guard search after it, must
 accept the terms the two-walk build accepts, with equal canonical
 forms, and reject the ones it rejects, on random nested `rec` systems
@@ -73,6 +76,7 @@ from oracles import (
     OracleProb,
     oracle_abstract_tau,
     oracle_component_abstract_tau,
+    oracle_hashcons_product,
     oracle_head_distributions,
     oracle_interleave,
     oracle_normalize,
@@ -636,6 +640,31 @@ def test_interleave_state_bound_matches_oracle(kind):
                     assert got[0] is NonRegularProduct
                     overruns += 1
     assert overruns > 0
+
+
+def shared_step_pool():
+    """Two threads whose `m.a` steps are equal once either runs alone,
+    at different input nodes: under a lottery the product has 6 nodes,
+    and an engine that keyed steps on their input node would build 7."""
+    return [
+        ta.parse_thread("rec X { X = prefix(m.a, X); } in X"),
+        ta.parse_thread("prefix(m.a, rec Y { Y = prefix(m.b, Y); } in Y)"),
+    ]
+
+
+@pytest.mark.parametrize("kind", sorted(PRODUCT_SCHEDULERS))
+def test_interleave_matches_the_engine_that_interns_by_structural_hash(kind):
+    spec = PRODUCT_SCHEDULERS[kind]()
+    for pool in interleave_inputs(kind) + [shared_step_pool()]:
+        for pos in range(len(pool) + 1):
+            if pos:
+                got = interleaving.positional_interleave(spec, pos, pool)
+            else:
+                got = interleaving.interleave(spec, pool)
+            assert genlib.renumbered(got) == genlib.renumbered(
+                oracle_hashcons_product(spec, pool, pos)
+            )
+    assert len(interleaving.interleave(interleaving.lottery_scheduler(), shared_step_pool())) == 6
 
 
 # ---------------------------------------------------------------------------

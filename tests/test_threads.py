@@ -10,7 +10,7 @@ import pytest
 
 import genlib
 import threadalg as ta
-from threadalg import analysis, cli, terms
+from threadalg import analysis, cli, interaction, interleaving, services, terms
 from threadalg import threads as T
 from threadalg.interaction import abstract_tau
 from threadalg.errors import (
@@ -562,3 +562,35 @@ def test_combinators_match_term_constructions():
     assert ta.bisimilar(
         choice, ta.build(bp(ta.tprefix(A, TStop()), Fraction(1, 3), TDead()))
     )
+
+
+def test_choices_the_library_rebuilds_are_not_checked_again(monkeypatch):
+    # weights are checked where they enter: once the inputs are parsed,
+    # products, copies, projections and canonical forms check none
+    pool = [
+        ta.parse_thread("prob(1/3: prefix(a, S), 2/3: prefix(b, D))"),
+        ta.parse_thread("rec X { X = prob(1/2: prefix(a, S), 1/2: prefix(tau, X)); } in X"),
+        ta.parse_thread("fork(prob(1/4: prefix(c, S), 3/4: D), post(d, S, D), S)"),
+    ]
+    asks = ta.parse_thread(
+        "rec X { X = post(random.get(1/3), prob(1/5: X, 4/5: prefix(a, S)), post(tau, D, X)); } in X"
+    )
+    family = services.parse_family("{random: Random}")
+    schedulers = [
+        interleaving.cyclic_scheduler(),
+        interleaving.uniform_scheduler(),
+        interleaving.lottery_scheduler(2),
+    ]
+    checked = []
+    check = Prob.__post_init__
+    monkeypatch.setattr(Prob, "__post_init__", lambda node: checked.append(node) or check(node))
+    for spec in schedulers:
+        product = interleaving.interleave(spec, pool)
+        T.normalize(T.project(4, product))
+        for i in range(1, len(pool) + 1):
+            T.normalize(interleaving.positional_interleave(spec, i, pool))
+    used = interaction.use(asks, family)
+    T.normalize(used)
+    T.normalize(T.project(3, used))
+    T.normalize(asks)
+    assert checked == []
