@@ -181,8 +181,6 @@ class _Engine:
             targets = tuple(
                 self.positional(sd, view, ctrl, refs, i, t) for _, t in node.branches
             )
-            if len(targets) == 1:
-                return targets[0]
             key = (self.weight_id[r], targets)
             ref = self.interned.get(key)
             if ref is None:

@@ -183,8 +183,9 @@ class Prob:
     """Internal choice over branches; weights lie in (0, 1] and sum to 1.
 
     Weights are checked where they enter the library: `Prob(...)` checks
-    them, as `build`, scheduler turns, service replies and env tables
-    do.  The library re-builds choices it made itself (copies, products,
+    them, as `build` (through `probability_weights`), scheduler turns,
+    service replies and env tables do.  The library builds the choices
+    it checked or made itself (`build`'s kept branches, copies, products,
     canonical forms) with `_built_prob`, which does not check them again.
     """
 
@@ -222,9 +223,6 @@ class ThreadGraph:
     nodes: Tuple[Node, ...]
     root: int
     canonical: bool = field(default=False, init=False, compare=False, repr=False)
-
-    def node(self, ref: int) -> Node:
-        return self.nodes[ref]
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -286,7 +284,7 @@ def run_stackless(walk: Generator):
     `sub` has run the same way, then resumes it with the value `sub`
     returned; the result is what `walk` returns, and an exception raised
     in any of them propagates.  The term parser, `build` and its guard
-    search, `project` and `abstract_tau`'s depth-first search run on it.
+    search, and `project` run on it.
     """
     stack = [walk]
     value = None
@@ -465,7 +463,7 @@ def build(term: Term) -> ThreadGraph:
                 ref = yield walk(t, sink)
                 if w != 0:
                     kept.append((w, ref))
-            return kept[0][1] if len(kept) == 1 else b.add(Prob(tuple(kept)))
+            return kept[0][1] if len(kept) == 1 else b.add(_built_prob(tuple(kept)))
         if isinstance(term, TFork):
             forked = yield walk(term.forked, sink)
             then_ = yield walk(term.then_, sink)

@@ -38,4 +38,6 @@ ALL_COMMANDS = [
     ("sample", str(DATA / "choice.term"), str(DATA / "retry.term"), "--scheduler", "uniform", "--depth", "12", "--seed", "5", "--runs", "200", "--env", str(DATA / "env.table")),
     ("sample", str(DATA / "choice.term"), str(DATA / "retry.term"), "--scheduler", "lottery:defaultTickets=2", "--depth", "12", "--seed", "3", "--env", str(DATA / "env.table")),
     ("sample", str(DATA / "choice.term"), str(DATA / "retry.term"), "--scheduler", f"table:{DATA / 'sched.json'}", "--depth", "12", "--seed", "5", "--runs", "200", "--env", str(DATA / "env.table")),
+    # a built-in scheduler named without arguments
+    ("interleave", str(DATA / "left.term"), str(DATA / "right.term"), "--scheduler", "lottery"),
 ]

@@ -109,6 +109,8 @@ def test_environment_rejects_bad_probability():
 def test_stop_resolves_at_depth_zero():
     d = outcome_distribution(ta.build(TStop()), EMPTY_ENVIRONMENT, 0)
     assert (d.terminate, d.deadlock, d.surviving) == (1, 0, 0)
+    with pytest.raises(ValueError, match="depth must be a natural number"):
+        outcome_distribution(ta.build(TStop()), EMPTY_ENVIRONMENT, -1)
 
 
 def test_unbounded_loop_survives():

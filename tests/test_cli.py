@@ -228,6 +228,9 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
     assert cli.main(["unknown-command"]) == 2
     capsys.readouterr()
+    code, out, err = run(capsys, "dist", DATA / "coin.pglb", "--depth", "abc")
+    assert (code, out) == (2, "")
+    assert "argument --depth: expected an integer >= 0, got 'abc'" in err
 
 
 def test_domain_errors_exit_one(capsys, tmp_path):
@@ -274,6 +277,18 @@ def test_domain_errors_exit_one(capsys, tmp_path):
     code, out, err = run(capsys, "dist", loop, "--depth", "2", "--env", env)
     assert (code, out) == (1, "")
     assert err == "error: line 1: 3/2 is not a probability in [0, 1]\n"
+    # an unknown scheduler, a weight outside [0, 1] and a stray character
+    code, out, err = run(
+        capsys, "interleave", DATA / "left.term", DATA / "right.term", "--scheduler", "bogus"
+    )
+    assert (code, out, err) == (1, "", "error: unknown scheduler 'bogus'\n")
+    for text, message in (
+        ("prob(-1/2: S, 3/2: D)", "weight -1/2 outside [0, 1]"),
+        ("prefix(a, S) $", "unexpected character '$' (at offset 13)"),
+    ):
+        bad.write_text(text)
+        code, out, err = run(capsys, "normalize", bad)
+        assert (code, out, err) == (1, "", f"error: {message}\n"), text
 
 
 LONG = "9" * 5000  # more digits than `int` converts on Python 3.11+

@@ -371,6 +371,23 @@ def test_abstraction_of_a_long_tau_chain_needs_no_recursion():
     assert got == ta.normalize(want)
 
 
+@pytest.mark.parametrize("n", [1000, 2000])
+def test_abstraction_of_a_choice_loop_costs_two_sums_a_choice(monkeypatch, n):
+    # n fair choices, each going on or skipping the next, in a loop that
+    # only `a` leaves.  Farthest from the root first, each row is mixed
+    # from rows already eliminated and the loop's entry is substituted
+    # into each row once; the forward order would substitute each pivot
+    # into every row before it, about n * n / 2 sums
+    program = pglb.parse_program("+%1/2 ; " * n + f"\\{n} ; a ; !")
+    g = use(pglb.extract_at(1, program), singleton(pglb.RANDOM_FOCUS, RANDOM))
+    calls = []
+    weighted_sum = T.weighted_sum
+    monkeypatch.setattr(T, "weighted_sum", lambda ts: calls.append(1) or weighted_sum(ts))
+    got = abstract_tau(g)
+    assert len(calls) <= 2 * n + 2
+    assert got == ta.normalize(ta.build(prefix(A, TStop())))
+
+
 def test_abstraction_idempotent_on_image():
     rng = random.Random(60)
     for _ in range(100):

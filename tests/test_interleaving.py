@@ -313,6 +313,10 @@ def test_lottery_updates_tickets():
     s = spec.update(3, (), s, 2, TERMINATION_STEP)
     assert s == (3, 5)
     assert spec.update(2, (), s, 1, BasicStep(A)) == (3, 5)
+    with pytest.raises(ValueError, match="ticket list has 2 entries for 3 threads"):
+        spec.schedule(3, (), (3, 1))
+    with pytest.raises(ValueError, match="default_tickets must be at least 1"):
+        lottery_scheduler(0)
 
 
 def test_builtin_scheduler_names():
@@ -488,6 +492,13 @@ def test_state_bound():
     loop = ta.build(TRec((("X", ta.tprefix(A, TVar("X"))),), "X"))
     with pytest.raises(NonRegularProduct):
         interleave(cyclic_scheduler(), [loop, loop], state_bound=1)
+
+
+def test_empty_pool_and_position_zero_are_rejected():
+    with pytest.raises(ValueError, match="at least one thread is required"):
+        interleave(cyclic_scheduler(), [])
+    with pytest.raises(ValueError, match="position 0 outside 1..2"):
+        positional_interleave(cyclic_scheduler(), 0, [chain("a"), chain("b")])
 
 
 def test_full_history_scheduler_needs_a_digest_on_loops():

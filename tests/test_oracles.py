@@ -5,13 +5,15 @@ Fraction-signature refinement, also on weights with large coprime
 denominators and on subgraphs that only the else branches of tau
 steps reach, and return the graphs it made unchanged;
 `interaction.abstract_tau`, which walks its input from the root and
-eliminates each tau node as a depth-first search finishes it, must
-return exactly the graph of the version that split its tau region into
-strongly connected components by Tarjan's search and eliminated each
-component over all of its rows, also on `.pglb` ring programs of 10 to
-40 retry blocks and loops of 2 to 200 choices; it must agree with the
-version that normalized its input and solved the
-whole region at once, and with the version that built its escape
+eliminates its tau nodes in one loop in reversed breadth-first order,
+must return exactly the graph of the version that split its tau region
+into strongly connected components by Tarjan's search and eliminated
+each component over all of its rows, and of the version that
+eliminated each tau node as a depth-first search finished it, also on
+`.pglb` ring programs of 10 to 40 retry blocks, loops of 2 to 200
+choices and tau regions that the two orders take differently; it must
+agree with the version that normalized its input and solved the whole
+region at once, and with the version that built its escape
 distributions into a second graph and normalized that, also on inputs
 with unreachable junk, on tau regions of each shape, on generated rings
 of up to 40 tau steps with chords and self-loops, closed or escaping
@@ -76,6 +78,7 @@ from oracles import (
     OracleProb,
     oracle_abstract_tau,
     oracle_component_abstract_tau,
+    oracle_finish_order_abstract_tau,
     oracle_hashcons_product,
     oracle_head_distributions,
     oracle_interleave,
@@ -512,14 +515,40 @@ def random_extracts(texts):
     return [interaction.use(pglb.extract_at(1, pglb.parse_program(t)), family) for t in texts]
 
 
+def tau_steps(*targets):
+    """Tau steps, step i choosing uniformly among `targets[i]`: other
+    steps by number, and the visible nodes "A" and "B"."""
+    nodes = []
+    for ts in targets:
+        nodes += [
+            tau(len(nodes) + 1),
+            choice(*((Fraction(1, len(ts)), 2 * t if isinstance(t, int) else t) for t in ts)),
+        ]
+    return region(*nodes)
+
+
+def reordered_tau_regions(n):
+    """Tau regions that breadth-first order takes in another order than
+    a depth-first search finishes them: a chain of `n` steps with a
+    shortcut from its start to its end, and steps next to the root that
+    close a loop through a chain of `n`."""
+    chain = [[i + 1, "A"] for i in range(n - 1)] + [[0, "B"]]
+    chain[0].append(n - 1)
+    loop = [[1, 2, "A"], [n + 1, "B"]] + [[i + 1, "A"] for i in range(2, n + 1)] + [[0, 1, "B"]]
+    return [tau_steps(*chain), tau_steps(*loop)]
+
+
 def test_abstract_tau_matches_the_oracle_that_solves_component_by_component():
     rng = random.Random(28)
     retries = [retry_program(rng, rng.randint(4, 16)) for _ in range(40)]
     rings = [ring_program(n) for n in (10, 11, 17, 25, 40)]
     loops = [choice_loop(n) for n in (2, 3, 5, 8, 30, 99, 200)]
     graphs = pipeline_inputs() + tau_region_inputs() + random_extracts(retries + rings + loops)
+    graphs += [g for n in (4, 7, 30) for g in reordered_tau_regions(n)]
     for g in graphs:
-        assert interaction.abstract_tau(g) == oracle_component_abstract_tau(g)
+        got = interaction.abstract_tau(g)
+        assert got == oracle_component_abstract_tau(g)
+        assert got == oracle_finish_order_abstract_tau(g)
 
 
 def test_abstract_tau_matches_oracle_on_the_choice_chain():

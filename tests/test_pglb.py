@@ -89,6 +89,11 @@ def test_parse_errors(text):
         parse_program(text)
 
 
+def test_a_program_has_an_instruction():
+    with pytest.raises(ValueError, match="at least one instruction"):
+        Program(())
+
+
 def test_print_roundtrip():
     rng = random.Random(71)
     texts = ["+%1/2 ; ! ; #0", "a ; \\2", "+a ; -b ; %1/3 ; !", "#3 ; ! ; \\1 ; r.get"]

@@ -107,6 +107,16 @@ def test_conformance_check_catches_violations():
     with pytest.raises(ContractViolation):
         singleton("f", Broken(), probe=["get"])
 
+    class Overflowing(services.Service):
+        def reply(self, method):
+            return Fraction(3, 2)  # no probability
+
+        def derive(self, method):
+            return self
+
+    with pytest.raises(ContractViolation, match="reply 3/2 to 'get' is not a probability"):
+        check_service(Overflowing(), ["get"])
+
 
 # ---------------------------------------------------------------------------
 # family algebra laws
@@ -192,6 +202,11 @@ def test_parse_empty_family():
 def test_parse_family_rejects(text):
     with pytest.raises((ParseError, ValueError)):
         parse_family(text)
+
+
+def test_singleton_rejects_a_malformed_focus():
+    with pytest.raises(ValueError, match="malformed focus name '1x'"):
+        singleton("1x", RANDOM)
 
 
 def test_make_random_returns_the_shared_service():

@@ -93,6 +93,12 @@ def test_build_rejects_unbound_variable():
         ta.build(TVar("X"))
 
 
+def test_basic_action_needs_a_focus_and_a_method():
+    for focus, method in (("", "m"), ("f", "")):
+        with pytest.raises(ValueError, match="focus and method must be nonempty"):
+            ta.basic(focus, method)
+
+
 def test_guard_survives_nested_recursion():
     inner = TRec((("Y", ta.tprefix(B, TVar("Y"))),), "Y")
     g = ta.build(TRec((("X", TPost(A, inner, TVar("X"))),), "X"))
@@ -278,6 +284,11 @@ def test_projection_zero_is_inaction():
     for _ in range(50):
         g = genlib.thread(rng, 3)
         assert ta.normalize(ta.project(0, g)) == T.ThreadGraph((DEAD,), 0)
+
+
+def test_projection_depth_is_a_natural_number():
+    with pytest.raises(ValueError, match="projection depth must be a natural number"):
+        ta.project(-1, ta.build(ta.tprefix(A, TStop())))
 
 
 def test_projection_unfolds_recursion():
@@ -565,8 +576,12 @@ def test_combinators_match_term_constructions():
 
 
 def test_choices_the_library_rebuilds_are_not_checked_again(monkeypatch):
-    # weights are checked where they enter: once the inputs are parsed,
+    # weights are checked where they enter, and only once: `build`
+    # checks a parsed choice's weights before it builds the node, and
     # products, copies, projections and canonical forms check none
+    checked = []
+    check = Prob.__post_init__
+    monkeypatch.setattr(Prob, "__post_init__", lambda node: checked.append(node) or check(node))
     pool = [
         ta.parse_thread("prob(1/3: prefix(a, S), 2/3: prefix(b, D))"),
         ta.parse_thread("rec X { X = prob(1/2: prefix(a, S), 1/2: prefix(tau, X)); } in X"),
@@ -581,9 +596,6 @@ def test_choices_the_library_rebuilds_are_not_checked_again(monkeypatch):
         interleaving.uniform_scheduler(),
         interleaving.lottery_scheduler(2),
     ]
-    checked = []
-    check = Prob.__post_init__
-    monkeypatch.setattr(Prob, "__post_init__", lambda node: checked.append(node) or check(node))
     for spec in schedulers:
         product = interleaving.interleave(spec, pool)
         T.normalize(T.project(4, product))
