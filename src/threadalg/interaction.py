@@ -17,11 +17,11 @@ and choice nodes is an absorbing chain; the probability with which
 each node escapes to each visible successor is computed exactly, and
 mass that can never escape becomes inaction (every finite-depth
 approximation of a pure internal loop is cut to inaction, so its limit
-is inaction).  The region is solved by one integer elimination in
-reversed breadth-first order: rows are integer numerators over a
-reduced common denominator, and each internal node in turn divides out
+is inaction).  The region is solved by one integer elimination in the
+finish order of a depth-first search: rows are integer numerators over
+a reduced common denominator, and each node as it finishes divides out
 its self-loop, or never escapes when its row only loops back, and is
-substituted into the eliminated rows that an index lists as naming it.
+substituted into the finished rows that an index lists as naming it.
 `threads.quotient` gathers, from the root, the visible nodes that the
 escape distributions reach and lumps them into the result.
 """
@@ -140,10 +140,10 @@ def abstract_tau(g: ThreadGraph) -> ThreadGraph:
     """The thread `g` with every internal step concealed.
 
     Exact on regular threads: escape probabilities out of internal
-    regions are solved by eliminating the internal nodes one by one, in
-    reversed breadth-first order, and non-escaping mass maps to inaction.
-    They depend only on behaviour, so the input is walked from its root
-    and no graph is built before the canonical quotient.
+    regions are solved as a depth-first search finishes each internal
+    node, and non-escaping mass maps to inaction.  They depend only on
+    behaviour, so the input is walked from its root and no graph is
+    built before the canonical quotient.
     """
     order = threads.reachable(g)
     # one extra inaction node, `dead`, takes the mass that never escapes
@@ -156,14 +156,14 @@ def abstract_tau(g: ThreadGraph) -> ThreadGraph:
         for r in order
         if isinstance(nodes[r], Post) and nodes[r].action.is_tau
     }
-    # escape distributions as (den, {ref: numerator}), reduced so that
-    # den is the lcm of the reduced denominators; a visible node escapes
-    # to itself, an internal node stands for itself until it is
-    # eliminated, and a node that never escapes goes to `dead`
+    # escape distributions over visible nodes as (den, {ref: numerator}),
+    # reduced so that den is the lcm of the reduced denominators; a
+    # visible node escapes to itself, and a node that never escapes
+    # goes to `dead`
     escape: Dict[int, Tuple[int, Dict[int, int]]] = {
-        r: (1, {r: 1}) for r in order if not isinstance(nodes[r], Prob)
+        r: (1, {r: 1}) for r in order if not isinstance(nodes[r], Prob) and r not in step
     }
-    # each internal node not yet eliminated -> the eliminated rows that name it
+    # each internal node on the search path -> the finished rows that name it
     users: Dict[int, Set[int]] = {}
 
     def mix(dist: Tuple[int, Dict[int, int]]) -> Tuple[int, Dict[int, int]]:
@@ -174,10 +174,10 @@ def abstract_tau(g: ThreadGraph) -> ThreadGraph:
         )
 
     def eliminate(t: int) -> None:
-        # `t`'s row names visible nodes and internal nodes not yet
-        # eliminated, `t` among them when it loops back; with no self-loop
-        # it is `mix`'s reduced row as it is.  A pivot is positive unless
-        # all of the row's mass loops back
+        # every internal node that `t` steps to has finished, so its row
+        # names only visible nodes and nodes still on the search path;
+        # with no self-loop it is `mix`'s reduced row as it is.  A pivot
+        # is positive unless all of the row's mass loops back
         den, nums = row = mix(step[t])
         loop = nums.pop(t, 0)
         if loop:
@@ -193,12 +193,16 @@ def abstract_tau(g: ThreadGraph) -> ThreadGraph:
             if v in step:
                 users.setdefault(v, set()).update(touched)
 
-    # any order gives the same rows, at its own cost.  Farthest from the
-    # root first, a node on a chain mixes its row from its eliminated
-    # successors; the forward order would substitute each pivot into
-    # every row before it
-    for t in reversed(step):
+    def search(t: int):
+        escape[t] = (1, {t: 1})  # `t` stands for itself until it finishes
+        for d in step[t][1]:
+            if d in step and d not in escape:
+                yield search(d)
         eliminate(t)
+
+    for s in step:
+        if s not in escape:
+            threads.run_stackless(search(s))
 
     # the result is the quotient of what the escape distributions of
     # the root and of visible nodes' children reach

@@ -284,7 +284,7 @@ def run_stackless(walk: Generator):
     `sub` has run the same way, then resumes it with the value `sub`
     returned; the result is what `walk` returns, and an exception raised
     in any of them propagates.  The term parser, `build` and its guard
-    search, and `project` run on it.
+    search, `project` and `abstract_tau`'s depth-first search run on it.
     """
     stack = [walk]
     value = None

@@ -15,11 +15,7 @@ Fraction-weighted graph and normalized it, and
 `oracle_component_abstract_tau` the `abstract_tau` that split its tau
 region into strongly connected components by Tarjan's search and
 eliminated each component's members in the order the search popped
-them, scanning every row of the component for every pivot;
-`oracle_finish_order_abstract_tau` is the `abstract_tau` that came
-next, which eliminated each internal node as a depth-first search on
-`threads.run_stackless` finished it, so that its row named only
-visible nodes and nodes still on the search path.  `oracle_outcome_distribution`,
+them, scanning every row of the component for every pivot.  `oracle_outcome_distribution`,
 `oracle_sample_run` and `oracle_sample_outcomes` are the first
 `analysis` walkers: a memoised recursion over `(node, depth)` with
 Fraction masses, and a sampler that compares each 64-bit draw as an
@@ -731,79 +727,6 @@ def oracle_component_abstract_tau(g: ThreadGraph) -> ThreadGraph:
 
     for s in tau_refs:
         if s not in index:
-            threads.run_stackless(search(s))
-
-    # the result is the quotient of what the escape distributions of
-    # the root and of visible nodes' children reach
-    return threads.quotient(g.root, lambda r: mix(head[r]), nodes.__getitem__)
-
-
-def oracle_finish_order_abstract_tau(g: ThreadGraph) -> ThreadGraph:
-    """The thread `g` with every internal step concealed.
-
-    Exact on regular threads: escape probabilities out of internal
-    regions are solved as a depth-first search finishes each internal
-    node, and non-escaping mass maps to inaction.  They depend only on
-    behaviour, so the input is walked from its root and no graph is
-    built before the canonical quotient.
-    """
-    order = threads.reachable(g)
-    # one extra inaction node, `dead`, takes the mass that never escapes
-    dead = len(g.nodes)
-    nodes = g.nodes + (DEAD,)
-    head = threads.head_distributions(g, order)
-    # one-step distribution of each internal node, as (den, {ref: numerator})
-    step = {
-        r: head[nodes[r].then_]
-        for r in order
-        if isinstance(nodes[r], Post) and nodes[r].action.is_tau
-    }
-    # escape distributions over visible nodes as (den, {ref: numerator}),
-    # reduced so that den is the lcm of the reduced denominators; a
-    # visible node escapes to itself, and a node that never escapes
-    # goes to `dead`
-    escape: Dict[int, Tuple[int, Dict[int, int]]] = {
-        r: (1, {r: 1}) for r in order if not isinstance(nodes[r], Prob) and r not in step
-    }
-    # each internal node on the search path -> the finished rows that name it
-    users: Dict[int, Set[int]] = {}
-
-    def mix(dist: Tuple[int, Dict[int, int]]) -> Tuple[int, Dict[int, int]]:
-        # the sum of x/den * escape[d] over the head distribution's support
-        den, nums = dist
-        return threads.weighted_sum(
-            [(x, den * escape[d][0], escape[d][1]) for d, x in nums.items()]
-        )
-
-    def eliminate(t: int) -> None:
-        # every internal node that `t` steps to has finished, so its row
-        # names only visible nodes and nodes still on the search path;
-        # with no self-loop it is `mix`'s reduced row as it is.  A pivot
-        # is positive unless all of the row's mass loops back
-        den, nums = row = mix(step[t])
-        loop = nums.pop(t, 0)
-        if loop:
-            row = (1, {dead: 1}) if loop == den else threads.weighted_sum([(1, den - loop, nums)])
-        escape[t] = row
-        touched = users.pop(t, set())
-        for u in touched:
-            uden, unums = escape[u]
-            x = unums.pop(t)
-            escape[u] = threads.weighted_sum([(1, uden, unums), (x, uden * row[0], row[1])])
-        touched.add(t)
-        for v in row[1]:
-            if v in step:
-                users.setdefault(v, set()).update(touched)
-
-    def search(t: int):
-        escape[t] = (1, {t: 1})  # `t` stands for itself until it finishes
-        for d in step[t][1]:
-            if d in step and d not in escape:
-                yield search(d)
-        eliminate(t)
-
-    for s in step:
-        if s not in escape:
             threads.run_stackless(search(s))
 
     # the result is the quotient of what the escape distributions of

@@ -371,21 +371,44 @@ def test_abstraction_of_a_long_tau_chain_needs_no_recursion():
     assert got == ta.normalize(want)
 
 
-@pytest.mark.parametrize("n", [1000, 2000])
-def test_abstraction_of_a_choice_loop_costs_two_sums_a_choice(monkeypatch, n):
-    # n fair choices, each going on or skipping the next, in a loop that
-    # only `a` leaves.  Farthest from the root first, each row is mixed
-    # from rows already eliminated and the loop's entry is substituted
-    # into each row once; the forward order would substitute each pivot
-    # into every row before it, about n * n / 2 sums
-    program = pglb.parse_program("+%1/2 ; " * n + f"\\{n} ; a ; !")
-    g = use(pglb.extract_at(1, program), singleton(pglb.RANDOM_FOCUS, RANDOM))
+def choice_loop(n):
+    """n fair choices, each going on or skipping the next, in a loop
+    that only `a` leaves, and the thread it abstracts to."""
+    return "+%1/2 ; " * n + f"\\{n} ; a ; !", prefix(A, TStop())
+
+
+def entered_from_the_end(n):
+    """The same chain of n choices, ending in termination, entered by n
+    visible `b` tests at its last choice first, then at the one before
+    it, and so on; and the thread it abstracts to."""
+    blocks = " ; ".join(f"+b ; #{3 * n - 3 * j + 1}" for j in range(1, n + 1))
+    b = ta.basic("main", "b")
+    want = prefix(b, TStop())
+    for _ in range(n - 1):
+        want = TPost(b, TStop(), want)
+    return blocks + " ; " + "+%1/2 ; " * n + "! ; !", want
+
+
+@pytest.mark.parametrize(
+    "shape, n, sums",
+    [(choice_loop, 1000, 2002), (choice_loop, 2000, 4002), (entered_from_the_end, 300, 900)],
+)
+def test_abstraction_of_a_choice_loop_costs_two_sums_a_choice(monkeypatch, shape, n, sums):
+    # Finish order eliminates a node after the internal nodes it steps
+    # to, so each row is mixed from rows already eliminated and a row
+    # that names a node on the search path is substituted once: two sums
+    # a choice, and one a `b` test for `quotient`.  An order that takes
+    # a chain from its start, as reversed breadth-first order does on
+    # the chain entered from its end, substitutes each pivot into every
+    # row before it, about n * n / 2 sums
+    text, want = shape(n)
+    g = use(pglb.extract_at(1, pglb.parse_program(text)), singleton(pglb.RANDOM_FOCUS, RANDOM))
     calls = []
     weighted_sum = T.weighted_sum
     monkeypatch.setattr(T, "weighted_sum", lambda ts: calls.append(1) or weighted_sum(ts))
     got = abstract_tau(g)
-    assert len(calls) <= 2 * n + 2
-    assert got == ta.normalize(ta.build(prefix(A, TStop())))
+    assert len(calls) <= sums
+    assert got == ta.normalize(ta.build(want))
 
 
 def test_abstraction_idempotent_on_image():

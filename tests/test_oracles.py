@@ -5,14 +5,13 @@ Fraction-signature refinement, also on weights with large coprime
 denominators and on subgraphs that only the else branches of tau
 steps reach, and return the graphs it made unchanged;
 `interaction.abstract_tau`, which walks its input from the root and
-eliminates its tau nodes in one loop in reversed breadth-first order,
-must return exactly the graph of the version that split its tau region
-into strongly connected components by Tarjan's search and eliminated
-each component over all of its rows, and of the version that
-eliminated each tau node as a depth-first search finished it, also on
-`.pglb` ring programs of 10 to 40 retry blocks, loops of 2 to 200
-choices and tau regions that the two orders take differently; it must
-agree with the version that normalized its input and solved the whole
+eliminates each tau node as a depth-first search finishes it, must
+return exactly the graph of the version that split its tau region into
+strongly connected components by Tarjan's search and eliminated each
+component over all of its rows, also on `.pglb` ring programs of 10 to
+40 retry blocks, loops of 2 to 200 choices and tau regions that the
+search finishes in another order than breadth-first; it must agree
+with the version that normalized its input and solved the whole
 region at once, and with the version that built its escape
 distributions into a second graph and normalized that, also on inputs
 with unreachable junk, on tau regions of each shape, on generated rings
@@ -78,7 +77,6 @@ from oracles import (
     OracleProb,
     oracle_abstract_tau,
     oracle_component_abstract_tau,
-    oracle_finish_order_abstract_tau,
     oracle_hashcons_product,
     oracle_head_distributions,
     oracle_interleave,
@@ -528,10 +526,10 @@ def tau_steps(*targets):
 
 
 def reordered_tau_regions(n):
-    """Tau regions that breadth-first order takes in another order than
-    a depth-first search finishes them: a chain of `n` steps with a
-    shortcut from its start to its end, and steps next to the root that
-    close a loop through a chain of `n`."""
+    """Tau regions that a depth-first search finishes in another order
+    than breadth-first: a chain of `n` steps with a shortcut from its
+    start to its end, and steps next to the root that close a loop
+    through a chain of `n`."""
     chain = [[i + 1, "A"] for i in range(n - 1)] + [[0, "B"]]
     chain[0].append(n - 1)
     loop = [[1, 2, "A"], [n + 1, "B"]] + [[i + 1, "A"] for i in range(2, n + 1)] + [[0, 1, "B"]]
@@ -546,9 +544,7 @@ def test_abstract_tau_matches_the_oracle_that_solves_component_by_component():
     graphs = pipeline_inputs() + tau_region_inputs() + random_extracts(retries + rings + loops)
     graphs += [g for n in (4, 7, 30) for g in reordered_tau_regions(n)]
     for g in graphs:
-        got = interaction.abstract_tau(g)
-        assert got == oracle_component_abstract_tau(g)
-        assert got == oracle_finish_order_abstract_tau(g)
+        assert interaction.abstract_tau(g) == oracle_component_abstract_tau(g)
 
 
 def test_abstract_tau_matches_oracle_on_the_choice_chain():
