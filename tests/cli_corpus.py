@@ -3,6 +3,7 @@
 from pathlib import Path
 
 DATA = Path(__file__).parent / "data"
+CYCLIC = [str(DATA / f"cyc{j}.term") for j in range(4)]
 
 ALL_COMMANDS = [
     ("normalize", str(DATA / "retry.term")),
@@ -40,4 +41,10 @@ ALL_COMMANDS = [
     ("sample", str(DATA / "choice.term"), str(DATA / "retry.term"), "--scheduler", f"table:{DATA / 'sched.json'}", "--depth", "12", "--seed", "5", "--runs", "200", "--env", str(DATA / "env.table")),
     # a built-in scheduler named without arguments
     ("interleave", str(DATA / "left.term"), str(DATA / "right.term"), "--scheduler", "lottery"),
+    # four 2-state cyclic threads: the round-robin product splits over
+    # five refinement rounds, and under a last-pair table its final
+    # partition lumps states that differ only in their history view
+    ("interleave", *CYCLIC, "--scheduler", "cyclic"),
+    ("interleave", *CYCLIC, "--scheduler", f"table:{DATA / 'lastpair.json'}"),
+    ("dist", *CYCLIC, "--scheduler", "uniform", "--depth", "3", "--env", str(DATA / "env.table"), "--traces"),
 ]
