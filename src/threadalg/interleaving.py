@@ -26,17 +26,24 @@ on finitely much of it: the `digest` of a strategy trims the history
 to the part it actually uses, and the engine keys its state space on
 the trimmed view.
 
-The engine interns the nodes it builds for one turn on integer keys
-that are equal exactly when the nodes are structurally equal: a
-thread's choice on its weight tuple's id (numbered once per distinct
-tuple of the normalized input threads) and the output references of
-its branches, a step on its action's id (numbered once per distinct
-action of the input threads, a fork's step using tau's) and its two
-successors.  Keying a step on its input node instead would split
-equal steps of different threads.  A new node is appended to the
-shared `GraphBuilder` as it is, with no Fraction hash and no weight
-check: the turn weights were checked once per `(n, view, ctrl)` and a
-choice copies weights that were checked when the thread was built.
+The engine numbers every distinct pair of history view and control
+state once, on first sight, and works on the numbers from then on: a
+product state is `(sd, number, refs)` (whether the product deadlocks
+at termination, the pair's number, the threads' input nodes), the
+pair after a turn is memoised on `(number, n, i, step id)` and the
+checked turn vector on `(n, number)`, so neither a view nor a control
+state is hashed again on the way through the product.  It interns the
+nodes it builds for one turn on integer keys that are equal exactly
+when the nodes are structurally equal: a thread's choice on its weight
+tuple's id (numbered once per distinct tuple of the normalized input
+threads) and the output references of its branches, a step on its
+action's id (numbered once per distinct action of the input threads, a
+fork's step using tau's) and its two successors.  Keying a step on its
+input node instead would split equal steps of different threads.  A
+new node is appended to the shared `GraphBuilder` as it is, with no
+Fraction hash and no weight check: the turn weights were checked once
+per `(n, view, ctrl)` and a choice copies weights that were checked
+when the thread was built.
 """
 
 from __future__ import annotations
@@ -116,8 +123,10 @@ class SchedulerSpec:
     exactly one; `update(n, h, s, i, step)` is the control state after
     the 1-based thread `i` took a turn doing `step`, where `n` is the
     thread count at the moment of the turn.  Both receive the history
-    as trimmed by `digest`; control states must be hashable and both
-    functions pure.
+    as trimmed by `digest`; control states must be hashable and all
+    three functions pure, because the engine asks `update` and `digest`
+    once per distinct argument tuple and `schedule` once per
+    `(n, view, ctrl)`, and reuses the answers.
     """
 
     initial_state: object
@@ -129,6 +138,11 @@ class SchedulerSpec:
 _DEFAULT = object()
 
 
+# arena node kinds, looked up once per node in `_Engine.kind`
+_PROB, _POST, _FORK, _STOP, _DEAD = range(5)
+_KIND = {Prob: _PROB, Post: _POST, Fork: _FORK, Stop: _STOP, DeadEnd: _DEAD}
+
+
 class _Engine:
     """Shared product construction for the interleaving operators."""
 
@@ -137,7 +151,6 @@ class _Engine:
             raise ValueError("at least one thread is required")
         self.spec = spec
         self.b = GraphBuilder(bound, "interleaving states")
-        self.turns: Dict[tuple, List[Tuple[int, Fraction]]] = {}
         arena: List = []
         self.roots: List[int] = []
         for t in threads_:
@@ -146,68 +159,103 @@ class _Engine:
             arena.extend(threads._map_refs(node, shift) for node in t.nodes)
             self.roots.append(shift[t.root])
         self.arena = arena
-        # interning keys: (weight id, targets) for a choice and
+        self.kind = [_KIND[type(node)] for node in arena]
+        # a choice's weight-tuple id and a step's action id, 0 elsewhere;
+        # interning keys are (weight id, targets) for a choice and
         # (action id, then, else) for a step
-        ids: Dict[Tuple[Fraction, ...], int] = {}
-        self.weight_id: Dict[int, int] = {
-            r: ids.setdefault(tuple(w for w, _ in node.branches), len(ids))
-            for r, node in enumerate(arena)
-            if isinstance(node, Prob)
-        }
+        weights: Dict[Tuple[Fraction, ...], int] = {}
         actions: Dict[Action, int] = {TAU: 0}
-        self.action_id: Dict[int, int] = {
-            r: actions.setdefault(node.action, len(actions))
-            for r, node in enumerate(arena)
+        self.ids = [
+            weights.setdefault(tuple(w for w, _ in node.branches), len(weights))
+            if isinstance(node, Prob)
+            else actions.setdefault(node.action, len(actions))
             if isinstance(node, Post)
-        }
-        self.steps = [BasicStep(action) for action in actions]
+            else 0
+            for node in arena
+        ]
         self.interned: Dict[tuple, int] = {}
+        # step ids: an action step's is its action's id, and fork,
+        # termination and inaction follow the actions
+        self.steps = [BasicStep(action) for action in actions]
+        self.fork, self.termination, self.inaction = range(len(actions), len(actions) + 3)
+        self.steps += [FORK_STEP, TERMINATION_STEP, INACTION_STEP]
+        # every distinct (history view, control state) pair gets a number,
+        # which the product states, `advance` and the turn memo key on
+        self.numbers: Dict[tuple, int] = {}
+        self.pairs: List[tuple] = []
+        self.advanced: Dict[Tuple[int, int, int, int], int] = {}
+        self.digested: Dict[History, History] = {}
+        self.turns: Dict[Tuple[int, int], List[Tuple[int, Fraction]]] = {}
 
-    def advance(self, view: History, ctrl, n: int, i: int, step: StepKind, count_after: int):
-        """New (view, state) after 1-based thread `i` does `step`."""
-        new_ctrl = self.spec.update(n, view, ctrl, i, step)
-        new_view = self.spec.digest(view + ((i, count_after),))
-        return new_view, new_ctrl
+    def number(self, view: History, ctrl) -> int:
+        """The number of the pair (view, ctrl), given on first sight."""
+        pair = (view, ctrl)
+        s = self.numbers.get(pair)
+        if s is None:
+            s = self.numbers[pair] = len(self.pairs)
+            self.pairs.append(pair)
+        return s
 
-    def positional(
-        self, sd: bool, view: History, ctrl, refs: Tuple[int, ...], i: int, r: int
-    ) -> int:
+    def digest(self, h: History) -> History:
+        view = self.digested.get(h)
+        if view is None:
+            view = self.digested[h] = self.spec.digest(h)
+        return view
+
+    def start(self, history: History, state) -> int:
+        """The number of the pair the product starts in."""
+        ctrl = self.spec.initial_state if state is _DEFAULT else state
+        return self.number(self.digest(tuple(history)), ctrl)
+
+    def advance(self, s: int, n: int, i: int, sid: int, count_after: int) -> int:
+        """The pair after thread `i` (0-based) of `n` takes a turn doing
+        step `sid`; `update` and `digest` are pure, so each is asked
+        once per argument tuple."""
+        key = (s, n, i, sid)
+        t = self.advanced.get(key)
+        if t is None:
+            view, ctrl = self.pairs[s]
+            ctrl2 = self.spec.update(n, view, ctrl, i + 1, self.steps[sid])
+            view2 = self.digest(view + ((i + 1, count_after),))
+            t = self.advanced[key] = self.number(view2, ctrl2)
+        return t
+
+    def positional(self, sd: bool, s: int, refs: Tuple[int, ...], i: int, r: int) -> int:
         """Output reference for thread `i` (0-based), at arena node `r`,
-        taking the next turn; `refs[i]` is not read."""
+        taking the next turn in pair `s`; `refs[i]` is not read."""
+        kind = self.kind[r]
         node = self.arena[r]
         n = len(refs)
         b = self.b
-        if isinstance(node, Prob):
-            targets = tuple(
-                self.positional(sd, view, ctrl, refs, i, t) for _, t in node.branches
-            )
-            key = (self.weight_id[r], targets)
+        if kind == _PROB:
+            targets = tuple([self.positional(sd, s, refs, i, t) for _, t in node.branches])
+            key = (self.ids[r], targets)
             ref = self.interned.get(key)
             if ref is None:
                 branches = tuple((w, u) for (w, _), u in zip(node.branches, targets))
                 ref = self.interned[key] = b.append(threads._built_prob(branches))
             return ref
-        if isinstance(node, Stop):
+        if kind == _POST:
+            aid, action = self.ids[r], node.action
+            s2 = self.advance(s, n, i, aid, n)
+            t1 = b.slot((sd, s2, refs[:i] + (node.then_,) + refs[i + 1 :]))
+            t2 = b.slot((sd, s2, refs[:i] + (node.else_,) + refs[i + 1 :]))
+        elif kind == _FORK:
+            aid, action = 0, TAU
+            s2 = self.advance(s, n, i, self.fork, n + 1)
+            t1 = t2 = b.slot(
+                (sd, s2, refs[:i] + (node.then_,) + refs[i + 1 :] + (node.forked,))
+            )
+        elif kind == _STOP:
             if n == 1:
                 return b.add(DEAD if sd else STOP)
-            view2, ctrl2 = self.advance(view, ctrl, n, i + 1, TERMINATION_STEP, n - 1)
-            return b.slot((sd, view2, ctrl2, refs[:i] + refs[i + 1 :]))
-        if isinstance(node, DeadEnd):
+            s2 = self.advance(s, n, i, self.termination, n - 1)
+            return b.slot((sd, s2, refs[:i] + refs[i + 1 :]))
+        else:
             if n == 1:
                 return b.add(DEAD)
-            view2, ctrl2 = self.advance(view, ctrl, n, i + 1, INACTION_STEP, n - 1)
-            return b.slot((True, view2, ctrl2, refs[:i] + refs[i + 1 :]))
-        if isinstance(node, Fork):
-            view2, ctrl2 = self.advance(view, ctrl, n, i + 1, FORK_STEP, n + 1)
-            t1 = t2 = b.slot(
-                (sd, view2, ctrl2, refs[:i] + (node.then_,) + refs[i + 1 :] + (node.forked,))
-            )
-            aid, action = 0, TAU
-        else:
-            aid, action = self.action_id[r], node.action
-            view2, ctrl2 = self.advance(view, ctrl, n, i + 1, self.steps[aid], n)
-            t1 = b.slot((sd, view2, ctrl2, refs[:i] + (node.then_,) + refs[i + 1 :]))
-            t2 = b.slot((sd, view2, ctrl2, refs[:i] + (node.else_,) + refs[i + 1 :]))
+            s2 = self.advance(s, n, i, self.inaction, n - 1)
+            return b.slot((True, s2, refs[:i] + refs[i + 1 :]))
         key = (aid, t1, t2)
         ref = self.interned.get(key)
         if ref is None:
@@ -215,11 +263,12 @@ class _Engine:
         return ref
 
     def content(self, key: tuple) -> Prob:
-        sd, view, ctrl, refs = key
+        sd, s, refs = key
         n = len(refs)
         # `schedule` is pure: check its turn vector once per (n, view, ctrl)
-        turns = self.turns.get((n, view, ctrl))
+        turns = self.turns.get((n, s))
         if turns is None:
+            view, ctrl = self.pairs[s]
             weights = [meadow.as_probability(w) for w in self.spec.schedule(n, view, ctrl)]
             if len(weights) != n:
                 raise ValueError(
@@ -227,10 +276,8 @@ class _Engine:
                 )
             if sum(weights) != 1:
                 raise WeightSumNotOne(f"turn probabilities sum to {sum(weights)}, not 1")
-            turns = self.turns[n, view, ctrl] = [(i, w) for i, w in enumerate(weights) if w]
-        branches = tuple(
-            [(w, self.positional(sd, view, ctrl, refs, i, refs[i])) for i, w in turns]
-        )
+            turns = self.turns[n, s] = [(i, w) for i, w in enumerate(weights) if w]
+        branches = tuple([(w, self.positional(sd, s, refs, i, refs[i])) for i, w in turns])
         # a single live branch still needs a node of its own: alias it
         # with a one-branch choice so the slot has content to hold
         return threads._built_prob(branches)
@@ -250,9 +297,7 @@ def interleave(
 ) -> ThreadGraph:
     """The single thread arising from scheduling the given threads."""
     engine = _Engine(spec, threads_, state_bound)
-    ctrl = spec.initial_state if state is _DEFAULT else state
-    view = spec.digest(tuple(history))
-    root = engine.b.slot((False, view, ctrl, tuple(engine.roots)))
+    root = engine.b.slot((False, engine.start(history, state), tuple(engine.roots)))
     return engine.run(root)
 
 
@@ -269,9 +314,8 @@ def positional_interleave(
     if not 1 <= i <= len(threads_):
         raise ValueError(f"position {i} outside 1..{len(threads_)}")
     engine = _Engine(spec, threads_, state_bound)
-    ctrl = spec.initial_state if state is _DEFAULT else state
-    view = spec.digest(tuple(history))
-    root = engine.positional(False, view, ctrl, tuple(engine.roots), i - 1, engine.roots[i - 1])
+    s = engine.start(history, state)
+    root = engine.positional(False, s, tuple(engine.roots), i - 1, engine.roots[i - 1])
     return engine.run(root)
 
 

@@ -643,30 +643,32 @@ def _head(
 
 
 def _ranked_class_dists(
-    supports: Dict[int, Tuple[Tuple[int, int], ...]], block: Dict[int, int]
-) -> Tuple[Dict[int, int], List[Tuple[Tuple[int, int], ...]]]:
+    supports: List[Tuple[Tuple[int, int], ...]], block: List[int]
+) -> Tuple[List[int], List[Tuple[Tuple[int, int], ...]]]:
     """Rank the block-level distribution of every child by its exact value.
 
-    Weights are integer numerators over one common denominator, so a
+    `supports[k]` holds the `(node position, numerator)` pairs of child
+    `k`, and `block[p]` the block of the node at position `p`.  Weights
+    are integer numerators over one common denominator, so a
     distribution is a tuple of `(block, numerator)` int pairs sorted by
     block, and ordering these tuples orders the exact distributions.
     Returns each child's rank and the distinct distributions in rank
     order.  Weights are added only where two support nodes share a block.
     """
-    dist_of: Dict[int, Tuple[Tuple[int, int], ...]] = {}
-    for c, items in supports.items():
+    dist_of: List[Tuple[Tuple[int, int], ...]] = []
+    for items in supports:
         if len(items) == 1:
             d, w = items[0]
-            dist_of[c] = ((block[d], w),)
+            dist_of.append(((block[d], w),))
         else:
             agg: Dict[int, int] = {}
             for d, w in items:
                 bid = block[d]
                 agg[bid] = agg.get(bid, 0) + w
-            dist_of[c] = tuple(sorted(agg.items()))
-    ordered = sorted(set(dist_of.values()))
+            dist_of.append(tuple(sorted(agg.items())))
+    ordered = sorted(set(dist_of))
     index = {k: i for i, k in enumerate(ordered)}
-    return {c: index[k] for c, k in dist_of.items()}, ordered
+    return [index[k] for k in dist_of], ordered
 
 
 def normalize(g: ThreadGraph) -> ThreadGraph:
@@ -712,7 +714,11 @@ def quotient(root: int, support, det) -> ThreadGraph:
     nodes gathered are those that the supports of the root, and of the
     gathered nodes' children, reach, so every class of the result is
     reachable.  Equal behaviours are lumped by partition refinement;
-    the numbering depends on neither refs nor denominators.
+    the numbering depends on neither refs nor denominators.  The rounds
+    stop when one makes no more blocks than the one before, since a
+    round only splits blocks and then keeps their numbers too, and
+    stop without signing the nodes once every node is a block of its
+    own, since the ranks of that round are all the output needs.
     """
     head: Dict[int, Tuple[int, Dict[int, int]]] = {}
     dets: Dict[int, Node] = {}
@@ -725,15 +731,19 @@ def quotient(root: int, support, det) -> ThreadGraph:
                 if v not in dets:
                     dets[v] = det(v)
                     todo.extend(_children(dets[v]))
+    # the rounds run on lists: node `p` is `refs[p]`, and child `k`, the
+    # `k`-th ref `head` holds, has the distribution `supports[k]`
     refs = sorted(dets)
-    slots = {r: _children(dets[r]) for r in refs}
+    position = {r: p for p, r in enumerate(refs)}
+    child = {c: k for k, c in enumerate(head)}
+    slots = [[child[c] for c in _children(dets[r])] for r in refs]
     # every support weight becomes an integer numerator over `den`, the
     # lcm of their denominators; only the quotient's choices see a Fraction
     den = lcm(*{hden for hden, _ in head.values()})
-    supports = {}
-    for c, (hden, nums) in head.items():
-        f = den // hden
-        supports[c] = tuple((d, x * f) for d, x in nums.items())
+    supports = [
+        tuple((position[d], x * (den // hden)) for d, x in nums.items())
+        for hden, nums in head.values()
+    ]
 
     def base_key(r: int):
         node = dets[r]
@@ -745,8 +755,10 @@ def quotient(root: int, support, det) -> ThreadGraph:
             return (2, node.action.focus, node.action.method)
         return (3, "", "")
 
-    ranking = {k: i for i, k in enumerate(sorted({base_key(r) for r in refs}))}
-    block = {r: ranking[base_key(r)] for r in refs}
+    keys = [base_key(r) for r in refs]
+    ranking = {k: i for i, k in enumerate(sorted(set(keys)))}
+    block = [ranking[k] for k in keys]
+    count = len(ranking)
 
     # Partition refinement: split blocks until each is closed under the
     # block-level branch distributions of every child slot.  A node's
@@ -756,22 +768,27 @@ def quotient(root: int, support, det) -> ThreadGraph:
     # distributions would, without hashing or comparing a Fraction per
     # node.  The block indices are re-derived from sorted signatures
     # each round, so the final numbering is intrinsic to the behaviour,
-    # not the input order.
+    # not the input order.  A round only splits blocks, and signatures
+    # sort by the old block first, so a round that makes no more blocks
+    # keeps every block's number and ends the refinement; once every
+    # node is a block of its own, nothing is left to split or sign.
     while True:
         rank, dists = _ranked_class_dists(supports, block)
-        sigs = {r: (block[r], *[rank[c] for c in slots[r]]) for r in refs}
-        ranking = {s: i for i, s in enumerate(sorted(set(sigs.values())))}
-        new_block = {r: ranking[sigs[r]] for r in refs}
-        if new_block == block:
+        if count == len(refs):
             break
-        block = new_block
+        sigs = [(b, *[rank[k] for k in slot]) for b, slot in zip(block, slots)]
+        ranking = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        if len(ranking) == count:
+            break
+        count = len(ranking)
+        block = [ranking[sig] for sig in sigs]
 
     # the last round ran on the final blocks, so its ranks and
     # distributions describe the quotient: class c is node c, and every
     # distribution rank is some class's slot or the root's
     rep: Dict[int, int] = {}
-    for r in refs:
-        rep.setdefault(block[r], r)
+    for p, c in enumerate(block):
+        rep.setdefault(c, p)
     n_classes = len(rep)
 
     # choice nodes are interned by distribution rank and numbered in
@@ -782,26 +799,26 @@ def quotient(root: int, support, det) -> ThreadGraph:
         k: n_classes + i for i, k in enumerate(sorted(branches, key=branches.__getitem__))
     }
 
-    def resolve(ref: int) -> int:
-        k = rank[ref]
-        return dists[k][0][0] if len(dists[k]) == 1 else prob_id[k]
+    def resolve(k: int) -> int:
+        j = rank[k]
+        return dists[j][0][0] if len(dists[j]) == 1 else prob_id[j]
 
     nodes: List[Node] = [None] * (n_classes + len(prob_id))  # type: ignore[list-item]
-    for c, r in rep.items():
-        node = dets[r]
+    for c, p in rep.items():
+        node = dets[refs[p]]
         if isinstance(node, Stop):
             nodes[c] = STOP
         elif isinstance(node, DeadEnd):
             nodes[c] = DEAD
         elif isinstance(node, Post):
-            nodes[c] = Post(node.action, resolve(node.then_), resolve(node.else_))
+            nodes[c] = Post(node.action, *[resolve(k) for k in slots[p]])
         else:
-            nodes[c] = Fork(resolve(node.forked), resolve(node.then_), resolve(node.else_))
+            nodes[c] = Fork(*[resolve(k) for k in slots[p]])
     # numerators repeat across choices: build each weight's Fraction once
     weight = {w: Fraction(w, den) for w in {w for b in branches.values() for w, _ in b}}
     for k, i in prob_id.items():
         nodes[i] = _built_prob(tuple((weight[w], c) for w, c in branches[k]))
-    out = ThreadGraph(tuple(nodes), resolve(root))
+    out = ThreadGraph(tuple(nodes), resolve(child[root]))
     object.__setattr__(out, "canonical", True)
     return out
 

@@ -32,6 +32,15 @@ slot dict, auxiliary-node interning, queue and state bound.
 interleaving engine that ran on the shared `GraphBuilder` and, for a
 node its int-keyed cache had not seen, checked the weights of every
 choice it built and interned the node by its structural hash.
+`TupleKeyEngine` (driven by `oracle_tuple_key_product`) is the
+interleaving engine whose product states, `advance` calls and turn
+memo were keyed on the history view and control state themselves,
+hashed again at every lookup, and which asked `update` and `digest`
+again at every turn.  `oracle_quotient` is the `threads.quotient` whose
+refinement rounds kept blocks, ranks and signatures in dicts keyed by
+ref (with `_dict_ranked_class_dists`), and whose last round signed
+every node and compared the whole new numbering with the old one to
+learn that nothing splits, also on a partition into single nodes.
 `oracle_print_term` is the first `terms.print_term`, which recursed
 along the graph while searching and rendering.
 `oracle_head_distributions` is the first `threads.head_distributions`,
@@ -114,6 +123,7 @@ from threadalg.threads import (
     TVar,
     Term,
     ThreadGraph,
+    _built_prob,
     _children,
     _tau_closed,
     probability_weights,
@@ -306,6 +316,136 @@ def oracle_normalize(g: ThreadGraph) -> ThreadGraph:
     for br, i in prob_id.items():
         nodes[i] = Prob(br)
     return ThreadGraph(tuple(nodes), resolve(root_dist))
+
+
+def _dict_ranked_class_dists(
+    supports: Dict[int, Tuple[Tuple[int, int], ...]], block: Dict[int, int]
+) -> Tuple[Dict[int, int], List[Tuple[Tuple[int, int], ...]]]:
+    """Rank the block-level distribution of every child by its exact value.
+
+    Weights are integer numerators over one common denominator, so a
+    distribution is a tuple of `(block, numerator)` int pairs sorted by
+    block, and ordering these tuples orders the exact distributions.
+    Returns each child's rank and the distinct distributions in rank
+    order.  Weights are added only where two support nodes share a block.
+    """
+    dist_of: Dict[int, Tuple[Tuple[int, int], ...]] = {}
+    for c, items in supports.items():
+        if len(items) == 1:
+            d, w = items[0]
+            dist_of[c] = ((block[d], w),)
+        else:
+            agg: Dict[int, int] = {}
+            for d, w in items:
+                bid = block[d]
+                agg[bid] = agg.get(bid, 0) + w
+            dist_of[c] = tuple(sorted(agg.items()))
+    ordered = sorted(set(dist_of.values()))
+    index = {k: i for i, k in enumerate(ordered)}
+    return {c: index[k] for c, k in dist_of.items()}, ordered
+
+
+def oracle_quotient(root: int, support, det) -> ThreadGraph:
+    """The canonical graph of the behaviour at `root`.
+
+    `support(ref)` is the distribution of `ref` over deterministic refs
+    as `(den, {ref: numerator})`, as `head_distributions` gives it, and
+    `det(ref)` is the tau-closed deterministic node at such a ref.  The
+    nodes gathered are those that the supports of the root, and of the
+    gathered nodes' children, reach, so every class of the result is
+    reachable.  Equal behaviours are lumped by partition refinement;
+    the numbering depends on neither refs nor denominators.
+    """
+    head: Dict[int, Tuple[int, Dict[int, int]]] = {}
+    dets: Dict[int, Node] = {}
+    todo = [root]
+    while todo:
+        ref = todo.pop()
+        if ref not in head:
+            head[ref] = support(ref)
+            for v in head[ref][1]:
+                if v not in dets:
+                    dets[v] = det(v)
+                    todo.extend(_children(dets[v]))
+    refs = sorted(dets)
+    slots = {r: _children(dets[r]) for r in refs}
+    # every support weight becomes an integer numerator over `den`, the
+    # lcm of their denominators; only the quotient's choices see a Fraction
+    den = lcm(*{hden for hden, _ in head.values()})
+    supports = {}
+    for c, (hden, nums) in head.items():
+        f = den // hden
+        supports[c] = tuple((d, x * f) for d, x in nums.items())
+
+    def base_key(r: int):
+        node = dets[r]
+        if isinstance(node, Stop):
+            return (0, "", "")
+        if isinstance(node, DeadEnd):
+            return (1, "", "")
+        if isinstance(node, Post):
+            return (2, node.action.focus, node.action.method)
+        return (3, "", "")
+
+    ranking = {k: i for i, k in enumerate(sorted({base_key(r) for r in refs}))}
+    block = {r: ranking[base_key(r)] for r in refs}
+
+    # Partition refinement: split blocks until each is closed under the
+    # block-level branch distributions of every child slot.  A node's
+    # signature is its block followed by the ranks of its slots' class
+    # distributions; ranks follow the exact order of the distributions,
+    # so sorting these int tuples orders nodes exactly as sorting the
+    # distributions would, without hashing or comparing a Fraction per
+    # node.  The block indices are re-derived from sorted signatures
+    # each round, so the final numbering is intrinsic to the behaviour,
+    # not the input order.
+    while True:
+        rank, dists = _dict_ranked_class_dists(supports, block)
+        sigs = {r: (block[r], *[rank[c] for c in slots[r]]) for r in refs}
+        ranking = {s: i for i, s in enumerate(sorted(set(sigs.values())))}
+        new_block = {r: ranking[sigs[r]] for r in refs}
+        if new_block == block:
+            break
+        block = new_block
+
+    # the last round ran on the final blocks, so its ranks and
+    # distributions describe the quotient: class c is node c, and every
+    # distribution rank is some class's slot or the root's
+    rep: Dict[int, int] = {}
+    for r in refs:
+        rep.setdefault(block[r], r)
+    n_classes = len(rep)
+
+    # choice nodes are interned by distribution rank and numbered in
+    # the order of their (weight, target) branch tuples, which over the
+    # common denominator is the order of their (numerator, target) tuples
+    branches = {k: tuple((w, c) for c, w in d) for k, d in enumerate(dists) if len(d) > 1}
+    prob_id = {
+        k: n_classes + i for i, k in enumerate(sorted(branches, key=branches.__getitem__))
+    }
+
+    def resolve(ref: int) -> int:
+        k = rank[ref]
+        return dists[k][0][0] if len(dists[k]) == 1 else prob_id[k]
+
+    nodes: List[Node] = [None] * (n_classes + len(prob_id))  # type: ignore[list-item]
+    for c, r in rep.items():
+        node = dets[r]
+        if isinstance(node, Stop):
+            nodes[c] = STOP
+        elif isinstance(node, DeadEnd):
+            nodes[c] = DEAD
+        elif isinstance(node, Post):
+            nodes[c] = Post(node.action, resolve(node.then_), resolve(node.else_))
+        else:
+            nodes[c] = Fork(resolve(node.forked), resolve(node.then_), resolve(node.else_))
+    # numerators repeat across choices: build each weight's Fraction once
+    weight = {w: Fraction(w, den) for w in {w for b in branches.values() for w, _ in b}}
+    for k, i in prob_id.items():
+        nodes[i] = _built_prob(tuple((weight[w], c) for w, c in branches[k]))
+    out = ThreadGraph(tuple(nodes), resolve(root))
+    object.__setattr__(out, "canonical", True)
+    return out
 
 
 def _solve(
@@ -1243,6 +1383,139 @@ def oracle_hashcons_product(
     else:
         root = engine.b.slot((False, view, spec.initial_state, refs))
     return engine.run(root)
+
+
+class TupleKeyEngine:
+    """Shared product construction for the interleaving operators."""
+
+    def __init__(self, spec: SchedulerSpec, threads_: Sequence[ThreadGraph], bound: int):
+        if not threads_:
+            raise ValueError("at least one thread is required")
+        self.spec = spec
+        self.b = GraphBuilder(bound, "interleaving states")
+        self.turns: Dict[tuple, List[Tuple[int, Fraction]]] = {}
+        arena: List = []
+        self.roots: List[int] = []
+        for t in threads_:
+            t = threads.normalize(t)
+            shift = range(len(arena), len(arena) + len(t.nodes))
+            arena.extend(threads._map_refs(node, shift) for node in t.nodes)
+            self.roots.append(shift[t.root])
+        self.arena = arena
+        # interning keys: (weight id, targets) for a choice and
+        # (action id, then, else) for a step
+        ids: Dict[Tuple[Fraction, ...], int] = {}
+        self.weight_id: Dict[int, int] = {
+            r: ids.setdefault(tuple(w for w, _ in node.branches), len(ids))
+            for r, node in enumerate(arena)
+            if isinstance(node, Prob)
+        }
+        actions: Dict[Action, int] = {TAU: 0}
+        self.action_id: Dict[int, int] = {
+            r: actions.setdefault(node.action, len(actions))
+            for r, node in enumerate(arena)
+            if isinstance(node, Post)
+        }
+        self.steps = [BasicStep(action) for action in actions]
+        self.interned: Dict[tuple, int] = {}
+
+    def advance(self, view: History, ctrl, n: int, i: int, step: StepKind, count_after: int):
+        """New (view, state) after 1-based thread `i` does `step`."""
+        new_ctrl = self.spec.update(n, view, ctrl, i, step)
+        new_view = self.spec.digest(view + ((i, count_after),))
+        return new_view, new_ctrl
+
+    def positional(
+        self, sd: bool, view: History, ctrl, refs: Tuple[int, ...], i: int, r: int
+    ) -> int:
+        """Output reference for thread `i` (0-based), at arena node `r`,
+        taking the next turn; `refs[i]` is not read."""
+        node = self.arena[r]
+        n = len(refs)
+        b = self.b
+        if isinstance(node, Prob):
+            targets = tuple(
+                self.positional(sd, view, ctrl, refs, i, t) for _, t in node.branches
+            )
+            key = (self.weight_id[r], targets)
+            ref = self.interned.get(key)
+            if ref is None:
+                branches = tuple((w, u) for (w, _), u in zip(node.branches, targets))
+                ref = self.interned[key] = b.append(threads._built_prob(branches))
+            return ref
+        if isinstance(node, Stop):
+            if n == 1:
+                return b.add(DEAD if sd else STOP)
+            view2, ctrl2 = self.advance(view, ctrl, n, i + 1, TERMINATION_STEP, n - 1)
+            return b.slot((sd, view2, ctrl2, refs[:i] + refs[i + 1 :]))
+        if isinstance(node, DeadEnd):
+            if n == 1:
+                return b.add(DEAD)
+            view2, ctrl2 = self.advance(view, ctrl, n, i + 1, INACTION_STEP, n - 1)
+            return b.slot((True, view2, ctrl2, refs[:i] + refs[i + 1 :]))
+        if isinstance(node, Fork):
+            view2, ctrl2 = self.advance(view, ctrl, n, i + 1, FORK_STEP, n + 1)
+            t1 = t2 = b.slot(
+                (sd, view2, ctrl2, refs[:i] + (node.then_,) + refs[i + 1 :] + (node.forked,))
+            )
+            aid, action = 0, TAU
+        else:
+            aid, action = self.action_id[r], node.action
+            view2, ctrl2 = self.advance(view, ctrl, n, i + 1, self.steps[aid], n)
+            t1 = b.slot((sd, view2, ctrl2, refs[:i] + (node.then_,) + refs[i + 1 :]))
+            t2 = b.slot((sd, view2, ctrl2, refs[:i] + (node.else_,) + refs[i + 1 :]))
+        key = (aid, t1, t2)
+        ref = self.interned.get(key)
+        if ref is None:
+            ref = self.interned[key] = b.append(Post(action, t1, t2))
+        return ref
+
+    def content(self, key: tuple) -> Prob:
+        sd, view, ctrl, refs = key
+        n = len(refs)
+        # `schedule` is pure: check its turn vector once per (n, view, ctrl)
+        turns = self.turns.get((n, view, ctrl))
+        if turns is None:
+            weights = [meadow.as_probability(w) for w in self.spec.schedule(n, view, ctrl)]
+            if len(weights) != n:
+                raise ValueError(
+                    f"scheduler returned {len(weights)} weights for {n} threads"
+                )
+            if sum(weights) != 1:
+                raise WeightSumNotOne(f"turn probabilities sum to {sum(weights)}, not 1")
+            turns = self.turns[n, view, ctrl] = [(i, w) for i, w in enumerate(weights) if w]
+        branches = tuple(
+            [(w, self.positional(sd, view, ctrl, refs, i, refs[i])) for i, w in turns]
+        )
+        # a single live branch still needs a node of its own: alias it
+        # with a one-branch choice so the slot has content to hold
+        return threads._built_prob(branches)
+
+    def run(self, root: int) -> ThreadGraph:
+        self.b.expand(self.content)
+        return self.b.graph(root)
+
+
+def oracle_tuple_key_product(
+    spec: SchedulerSpec,
+    threads_: Sequence[ThreadGraph],
+    position: int = 0,
+    *,
+    state_bound: int = interleaving.DEFAULT_STATE_BOUND,
+) -> ThreadGraph:
+    """`interleave` by `TupleKeyEngine`, or `positional_interleave` at the
+    1-based `position` when one is given."""
+    engine = TupleKeyEngine(spec, threads_, state_bound)
+    view = spec.digest(())
+    refs = tuple(engine.roots)
+    if position:
+        root = engine.positional(
+            False, view, spec.initial_state, refs, position - 1, refs[position - 1]
+        )
+    else:
+        root = engine.b.slot((False, view, spec.initial_state, refs))
+    return engine.run(root)
+
 
 def _print_children(node) -> Tuple[int, ...]:
     # children in printed order; an equal-branch test prints only once

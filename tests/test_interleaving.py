@@ -1,8 +1,10 @@
 """Strategic interleaving: the step laws, schedulers, and elimination."""
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -603,3 +605,52 @@ def test_bad_turn_weights_after_a_termination_still_raise():
         interleave(after_termination((Fraction(1, 2),)), threads_)
     with pytest.raises(ValueError, match="2 weights for 1 threads"):
         interleave(after_termination((Fraction(1), Fraction(0))), threads_)
+
+
+# ---------------------------------------------------------------------------
+# the memos on numbered (view, state) pairs
+
+DATA = Path(__file__).parent / "data"
+
+
+def counted(spec):
+    """`spec` with `schedule`, `update` and `digest` that count their
+    calls per argument tuple."""
+    calls = {"schedule": Counter(), "update": Counter(), "digest": Counter()}
+
+    def schedule(n, h, s):
+        calls["schedule"][n, h, s] += 1
+        return spec.schedule(n, h, s)
+
+    def update(n, h, s, i, step):
+        calls["update"][n, h, s, i, step] += 1
+        return spec.update(n, h, s, i, step)
+
+    def digest(h):
+        calls["digest"][h] += 1
+        return spec.digest(h)
+
+    return SchedulerSpec(spec.initial_state, schedule, update, digest), calls
+
+
+@pytest.mark.parametrize("kind", ["lottery", "last-pair table"])
+def test_each_strategy_function_sees_each_argument_tuple_once(kind):
+    # two cyclic threads and one that forks, acts and terminates, so
+    # every step category moves the lottery's tickets or the table's state
+    pool = [ta.parse_thread((DATA / f"cyc{j}.term").read_text()) for j in range(2)]
+    pool.append(ta.parse_thread("fork(prefix(c, S), post(b, S, D), S)"))
+    if kind == "lottery":
+        make = lottery_scheduler
+    else:
+        table = json.loads((DATA / "lastpair.json").read_text())
+        make = lambda: scheduler_from_table(table)  # noqa: E731
+    for product in (interleave, last_positional):
+        spec, calls = counted(make())
+        got = product(spec, pool)
+        assert got == product(make(), pool)
+        for name, seen in calls.items():
+            assert seen and set(seen.values()) == {1}, name
+        # every step category was taken
+        assert {type(key[4]) for key in calls["update"]} == {
+            BasicStep, type(FORK_STEP), type(TERMINATION_STEP), type(INACTION_STEP)
+        }

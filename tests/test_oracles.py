@@ -46,7 +46,15 @@ equal choice weights check that the engine's int-keyed interning shares
 nodes as the oracle engine does, and the engine must build node for
 node the graph of the engine that interned each new node by its
 structural hash, also on two threads whose equal steps sit at
-different input nodes.  `threads.build`, one generator walk
+different input nodes; on every built-in product scheduler it must
+also return exactly the graph of the engine that keyed its states on
+history views and control states instead of their numbers, and overrun
+a small state bound with the same error on the same inputs.
+`threads.quotient`, whose refinement rounds run on position-indexed
+lists, must give `normalize` and `abstract_tau` exactly the graphs of
+the dict-based rounds, and end its rounds where the block count stops
+growing or every node is alone, without signing a discrete partition.
+`threads.build`, one generator walk
 under `threads.run_stackless` and its guard search after it, must
 accept the terms the two-walk build accepts, with equal canonical
 forms, and reject the ones it rejects, on random nested `rec` systems
@@ -60,6 +68,7 @@ equation first did, with equal terms, and raise the same first error on
 texts without `rec` and on systems with at most one name fault.
 """
 
+import functools
 import json
 import math
 import random
@@ -84,10 +93,12 @@ from oracles import (
     oracle_outcome_distribution,
     oracle_positional_interleave,
     oracle_print_term,
+    oracle_quotient,
     oracle_resolve_abstract_tau,
     oracle_sample_outcomes,
     oracle_sample_run,
     oracle_solve,
+    oracle_tuple_key_product,
     oracle_use,
 )
 from threadalg import analysis, interaction, interleaving, pglb, services, terms, threads
@@ -692,6 +703,24 @@ def test_interleave_matches_the_engine_that_interns_by_structural_hash(kind):
     assert len(interleaving.interleave(interleaving.lottery_scheduler(), shared_step_pool())) == 6
 
 
+@pytest.mark.parametrize("kind", sorted(PRODUCT_SCHEDULERS))
+def test_interleave_matches_the_engine_keyed_on_view_and_state_tuples(kind):
+    spec = PRODUCT_SCHEDULERS[kind]()
+    overruns = 0
+    for pool in interleave_inputs(kind) + [shared_step_pool()]:
+        for pos in range(len(pool) + 1):
+            if pos:
+                product = functools.partial(interleaving.positional_interleave, spec, pos)
+            else:
+                product = functools.partial(interleaving.interleave, spec)
+            assert product(pool) == oracle_tuple_key_product(spec, pool, pos)
+            for bound in PRODUCT_BOUNDS:
+                got = outcome(product, pool, state_bound=bound)
+                assert got == outcome(oracle_tuple_key_product, spec, pool, pos, state_bound=bound)
+                overruns += bool(raised(got))
+    assert overruns > 0
+
+
 # ---------------------------------------------------------------------------
 # the canonical mark and integer refinement rounds
 
@@ -709,6 +738,65 @@ def test_normalize_returns_a_canonical_graph_unchanged():
         assert not interleaving.deadlock_at_termination(c).canonical
     with pytest.raises(TypeError):
         ThreadGraph(c.nodes, c.root, True)
+
+
+def refinement_shapes():
+    """Graphs whose refinement ends each way, with the block count of
+    every round, the last one on the final blocks: discrete from the
+    start; a uniform product that one round makes discrete; a last-pair
+    table product whose final round splits nothing; and a round-robin
+    product that splits in five rounds until it is discrete."""
+    cyclic = [ta.parse_thread((DATA / f"cyc{j}.term").read_text()) for j in range(4)]
+    table = interleaving.scheduler_from_table(json.loads((DATA / "lastpair.json").read_text()))
+    uniform = [
+        ta.parse_thread("prob(1/3: S, 2/3: D)"),
+        ta.parse_thread("post(a, prob(1/3: S, 2/3: D), post(b, post(a, D, S), S))"),
+    ]
+    return [
+        (ta.parse_thread("post(a, prefix(b, S), D)"), 4, [4]),
+        (interleaving.interleave(interleaving.uniform_scheduler(), uniform), 8, [4, 8]),
+        (interleaving.interleave(table, cyclic), 128, [2, 74, 80]),
+        (interleaving.interleave(interleaving.cyclic_scheduler(), cyclic), 64, [2, 8, 18, 34, 61, 64]),
+    ]
+
+
+def test_quotient_matches_the_oracle_that_refines_on_dicts(monkeypatch):
+    graphs = pipeline_inputs() + [g for g, _, _ in refinement_shapes()]
+    got = [(threads.normalize(g), interaction.abstract_tau(g)) for g in graphs]
+    monkeypatch.setattr(threads, "quotient", oracle_quotient)
+    assert got == [(threads.normalize(g), interaction.abstract_tau(g)) for g in graphs]
+
+
+class ReadCount(list):
+    """A list that counts the reads of its items."""
+
+    reads = 0
+
+    def __getitem__(self, k):
+        self.reads += 1
+        return list.__getitem__(self, k)
+
+
+def test_refinement_stops_when_no_block_splits_or_every_node_is_alone(monkeypatch):
+    ranked = threads._ranked_class_dists
+    calls = []
+
+    def counting(supports, block):
+        rank, dists = ranked(supports, block)
+        calls.append((ReadCount(rank), len(block), len(set(block))))
+        return calls[-1][0], dists
+
+    monkeypatch.setattr(threads, "_ranked_class_dists", counting)
+    for g, nodes, blocks in refinement_shapes():
+        calls.clear()
+        out = threads.normalize(g)
+        # one round per block count, and none after the count stops growing
+        assert [(m, k) for _, m, k in calls] == [(nodes, k) for k in blocks]
+        if blocks[-1] == nodes:
+            # discrete: the last ranks are read only to build the output,
+            # once per class slot and once for the root, and not signed
+            slots = sum(len(threads._children(n)) for n in out.nodes if not isinstance(n, Prob))
+            assert calls[-1][0].reads == slots + 1
 
 
 def coprime_probability(rng, dens):
