@@ -768,10 +768,7 @@ def quotient(root: int, support, det) -> ThreadGraph:
     # distributions would, without hashing or comparing a Fraction per
     # node.  The block indices are re-derived from sorted signatures
     # each round, so the final numbering is intrinsic to the behaviour,
-    # not the input order.  A round only splits blocks, and signatures
-    # sort by the old block first, so a round that makes no more blocks
-    # keeps every block's number and ends the refinement; once every
-    # node is a block of its own, nothing is left to split or sign.
+    # not the input order.
     while True:
         rank, dists = _ranked_class_dists(supports, block)
         if count == len(refs):
