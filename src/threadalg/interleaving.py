@@ -197,6 +197,7 @@ class _Engine:
         return s
 
     def digest(self, h: History) -> History:
+        """`spec.digest(h)`, asked once per distinct `h`."""
         view = self.digested.get(h)
         if view is None:
             view = self.digested[h] = self.spec.digest(h)
