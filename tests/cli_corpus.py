@@ -47,4 +47,6 @@ ALL_COMMANDS = [
     ("interleave", *CYCLIC, "--scheduler", "cyclic"),
     ("interleave", *CYCLIC, "--scheduler", f"table:{DATA / 'lastpair.json'}"),
     ("dist", *CYCLIC, "--scheduler", "uniform", "--depth", "3", "--env", str(DATA / "env.table"), "--traces"),
+    # 414 traces of a product that terminates, deadlocks and survives
+    ("dist", str(DATA / "collapse.term"), str(DATA / "retry.term"), "--scheduler", "uniform", "--depth", "8", "--env", str(DATA / "env.table"), "--traces"),
 ]
