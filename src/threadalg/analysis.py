@@ -112,16 +112,48 @@ class OutcomeDistribution:
 _FORK_MESSAGE = "a fork node can only be executed under strategic interleaving"
 
 
-def _merged_traces(
-    coef: Tuple[Tuple[int, int], ...], step: Trace, tables: Dict[int, Dict[Trace, int]]
-) -> Dict[Trace, int]:
-    """The trace table of `step` followed by the `coef`-weighted `tables`."""
-    table: Dict[Trace, int] = {}
-    for c, m in coef:
-        for trace, v in tables[m].items():
-            key = step + trace
-            table[key] = table.get(key, 0) + c * v
-    return table
+def _lumped(dist: Dict[int, int]) -> Tuple[Tuple[Tuple[int, int], ...], int]:
+    """`dist` as (state, factor): its (ref, numerator) pairs in ref order,
+    divided by their gcd, and that gcd."""
+    f = math.gcd(*dist.values())
+    return tuple([(ref, x // f) for ref, x in sorted(dist.items())]), f
+
+
+def _expand(
+    state: Tuple[Tuple[int, int], ...],
+    acting: bool,
+    moves: Mapping[int, Tuple[str, Tuple[Tuple[int, int], ...]]],
+    intern,
+) -> Tuple[int, Tuple[Tuple[Trace, int, int], ...]]:
+    """The next step of the trace walk from the lumped distribution `state`.
+
+    Returns `here`, the mass that performs no further action: on `Stop`
+    and `DeadEnd`, and everywhere once no action is left (`acting`
+    false).  Then, for each action label in descending order, the
+    summed successor distribution of the nodes that perform it, as
+    ((label,), the number `intern` gives its lumped state, its factor).
+    `moves` maps each action node to its label and one-step coefficients.
+    """
+    if not acting:
+        return sum([x for _, x in state]), ()
+    here = 0
+    after: Dict[str, Dict[int, int]] = {}
+    for ref, x in state:
+        move = moves.get(ref)
+        if move is None:
+            here += x
+            continue
+        label, coef = move
+        dist = after.get(label)
+        if dist is None:
+            dist = after[label] = {}
+        for c, m in coef:
+            dist[m] = dist.get(m, 0) + x * c
+    children = []
+    for label in sorted(after, reverse=True):
+        lumped, f = _lumped(after[label])
+        children.append(((label,), intern(lumped), f))
+    return here, tuple(children)
 
 
 def outcome_distribution(
@@ -148,9 +180,20 @@ def outcome_distribution(
     masses of every reached node with `k` actions left are integers
     over `L**(k - low)`, computed from the previous level only, from
     `low`, the lowest level the bound reaches, up to `depth`.  Memory
-    follows the levels reached, not `depth`.  Trace tables are kept
-    only `with_traces`.  Each mass becomes one Fraction at the end, and
-    each distinct trace mass one Fraction shared by all its traces.
+    follows the levels reached, not `depth`.  Each mass becomes one
+    Fraction at the end.
+
+    The trace table, made only `with_traces`, comes from one forward
+    walk of the tree of trace prefixes, depth first on a stack.  The
+    nodes a prefix reaches form an integer distribution; divided by the
+    gcd of its numerators it is a numbered state, and the prefix is
+    that state times a factor.  `_expand` runs once per state with
+    actions left and once per state with none: it gives the mass that
+    stops at the prefix, and per action label the lumped distribution
+    after it.  A prefix with stopping mass is emitted before its
+    children, which follow in ascending label order, so the table comes
+    out sorted.  Each distinct trace mass is one Fraction shared by all
+    its traces.
     """
     if depth < 0:
         raise ValueError("depth must be a natural number")
@@ -211,15 +254,12 @@ def outcome_distribution(
     coefs = {ref: scaled(coef) for ref, coef in exact.items()}
 
     # iteration: numerators over scale = step_den**(k - low) of
-    # (terminate, deadlock, surviving) and, with traces, of the trace
-    # table, for the nodes reached with k actions left, from those of
-    # level k - 1.  The lowest level reached holds no action to perform
-    # (every action reaches the level below), so it needs no predecessor,
-    # and dividing every scale by step_den**low leaves each Fraction as
-    # it was.
-    steps = {ref: (str(nodes[ref].action),) for ref in coefs} if with_traces else {}
+    # (terminate, deadlock, surviving) for the nodes reached with k
+    # actions left, from those of level k - 1.  The lowest level reached
+    # holds no action to perform (every action reaches the level below),
+    # so it needs no predecessor, and dividing every scale by
+    # step_den**low leaves each Fraction as it was.
     prev: Dict[int, Tuple[int, int, int]] = {}
-    prev_tables: Dict[int, Dict[Trace, int]] = {}
     low = min(reached)
     scale = 1
     for k in range(low, depth + 1):
@@ -241,13 +281,6 @@ def outcome_distribution(
                 cur[ref] = (0, scale, 0)
             else:  # an action beyond the bound
                 cur[ref] = (0, 0, scale)
-        if with_traces:
-            prev_tables = {
-                ref: _merged_traces(acting[ref], steps[ref], prev_tables)
-                if ref in acting
-                else {(): scale}
-                for ref in reached[k]
-            }
         prev = cur
         scale *= step_den
 
@@ -255,10 +288,49 @@ def outcome_distribution(
     t, d, s = (sum(c * prev[m][i] for c, m in top) for i in range(3))
     table_out = None
     if with_traces:
-        merged = _merged_traces(top, (), prev_tables)
-        # one Fraction per distinct mass, shared by every trace with it
-        mass = {v: Fraction(v, scale) for v in set(merged.values())}
-        table_out = tuple([(trace, mass[v]) for trace, v in sorted(merged.items())])
+        # the trace prefix tree, depth first: an entry (trace, n, f, k)
+        # is f times state number n, reached by `trace` with k actions
+        # left, its numerators over step_den**(len(trace) + 1)
+        moves = {ref: (str(nodes[ref].action), coef) for ref, coef in coefs.items()}
+        numbers: Dict[Tuple[Tuple[int, int], ...], int] = {}
+        states: List[Tuple[Tuple[int, int], ...]] = []
+
+        def intern(state: Tuple[Tuple[int, int], ...]) -> int:
+            n = numbers.get(state)
+            if n is None:
+                n = numbers[state] = len(states)
+                states.append(state)
+            return n
+
+        # an expansion depends on k only through k > 0: state n is
+        # expanded under the key n with actions left, ~n without
+        expanded: Dict[int, Tuple[int, tuple]] = {}
+        powers: Dict[int, int] = {}
+        mass: Dict[int, Fraction] = {}
+        table = []
+        state, f = _lumped({m: c for c, m in top})
+        stack = [((), intern(state), f, depth)]
+        while stack:
+            trace, n, f, k = stack.pop()
+            key = n if k else ~n
+            got = expanded.get(key)
+            if got is None:
+                got = expanded[key] = _expand(states[n], k > 0, moves, intern)
+            here, children = got
+            if here:
+                power = powers.get(k)
+                if power is None:
+                    power = powers[k] = step_den ** (k - low)
+                # one Fraction per distinct mass, shared by every trace with it
+                v = f * here * power
+                share = mass.get(v)
+                if share is None:
+                    share = mass[v] = Fraction(v, scale)
+                table.append((trace, share))
+            if children:
+                k -= 1
+                stack.extend([(trace + step, c, f * g, k) for step, c, g in children])
+        table_out = tuple(table)
     return OutcomeDistribution(
         Fraction(t, scale), Fraction(d, scale), Fraction(s, scale), table_out
     )

@@ -19,7 +19,11 @@ them, scanning every row of the component for every pivot.  `oracle_outcome_dist
 `oracle_sample_run` and `oracle_sample_outcomes` are the first
 `analysis` walkers: a memoised recursion over `(node, depth)` with
 Fraction masses, and a sampler that compares each 64-bit draw as an
-exact dyadic Fraction.  `OracleProb` carries the first
+exact dyadic Fraction.  `oracle_backward_outcome_distribution` is the
+integer kernel as it was before its trace walk: it kept a table of
+every trace that starts at each reached `(node, level)` pair and merged
+those tables one level up (`_merged_traces`), then sorted the table at
+the root.  `OracleProb` carries the first
 `Prob.__post_init__` and `OracleGraphBuilder.prob` the first
 `GraphBuilder.prob`, the weight checks that summed Fractions and
 tested the range through the signum encoding.  `OracleGraphBuilder`
@@ -74,6 +78,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 from threadalg import interleaving, meadow, threads
 from threadalg.analysis import (
+    _FORK_MESSAGE,
     DEADLOCK,
     SURVIVING,
     TERMINATE,
@@ -950,6 +955,159 @@ def oracle_outcome_distribution(
     t, d, s, traces = go(g.root, depth)
     table = tuple(sorted(traces.items())) if with_traces else None
     return OutcomeDistribution(t, d, s, table)
+
+
+def _merged_traces(
+    coef: Tuple[Tuple[int, int], ...], step: Trace, tables: Dict[int, Dict[Trace, int]]
+) -> Dict[Trace, int]:
+    """The trace table of `step` followed by the `coef`-weighted `tables`."""
+    table: Dict[Trace, int] = {}
+    for c, m in coef:
+        for trace, v in tables[m].items():
+            key = step + trace
+            table[key] = table.get(key, 0) + c * v
+    return table
+
+
+def oracle_backward_outcome_distribution(
+    g: ThreadGraph,
+    env: Environment,
+    depth: int,
+    *,
+    with_traces: bool = False,
+) -> OutcomeDistribution:
+    """`analysis.outcome_distribution` as it was when trace tables were
+    merged backwards, level by level.
+
+    The depth counts actions only; probabilistic choices are free.  A
+    node that would perform an action beyond the bound contributes its
+    whole mass to `surviving` (the thread is still running there, not
+    inactive).  The optional trace table maps each performed action
+    sequence to its total mass.
+
+    Bounded value iteration with integer numerators.  A depth-first
+    pass finds the `(node, actions left)` pairs the bound reaches, in
+    the order of a recursive walk (reply first, then the True branch,
+    then the False branch), so the first missing reply or fork met is
+    the one reported.  Choice layers are flattened into one-step
+    coefficients scaled by `L`, the lcm of their denominators; then the
+    masses of every reached node with `k` actions left are integers
+    over `L**(k - low)`, computed from the previous level only, from
+    `low`, the lowest level the bound reaches, up to `depth`.  Memory
+    follows the levels reached, not `depth`.  Trace tables are kept
+    only `with_traces`.  Each mass becomes one Fraction at the end, and
+    each distinct trace mass one Fraction shared by all its traces.
+    """
+    if depth < 0:
+        raise ValueError("depth must be a natural number")
+    nodes = g.nodes
+    heads = threads.head_distributions(g, threads.reachable(g))
+
+    # discovery: reached[k] holds the deterministic nodes reached with
+    # k actions left; a node's reply is asked for when first reached
+    # with k > 0.  A level is made when first reached, from `depth` down.
+    reached: Dict[int, set] = {depth: set()}
+    replies: Dict[int, Fraction] = {}
+    # a Post node's successors, in reverse walk order for the stack
+    successors: Dict[int, Tuple[int, ...]] = {}
+    stack = [(m, depth) for m in reversed(heads[g.root][1])]
+    while stack:
+        ref, k = stack.pop()
+        level = reached[k]
+        if ref in level:
+            continue
+        level.add(ref)
+        node = nodes[ref]
+        if isinstance(node, Fork):
+            raise UnresolvedFork(_FORK_MESSAGE)
+        if k and isinstance(node, Post):
+            order = successors.get(ref)
+            if order is None:
+                replies[ref] = env.reply(node.action)
+                order = successors[ref] = (
+                    *reversed(heads[node.else_][1]),
+                    *reversed(heads[node.then_][1]),
+                )
+            below = reached.get(k - 1)
+            if below is None:
+                below = reached[k - 1] = set()
+            stack.extend([(m, k - 1) for m in order if m not in below])
+
+    # exact one-step coefficients p*w_then(m) + (1-p)*w_else(m) as
+    # (den, {m: numerator}), zeros dropped
+    exact: Dict[int, Tuple[int, Dict[int, int]]] = {}
+    for ref, p in replies.items():
+        node = nodes[ref]
+        a, b = p.as_integer_ratio()
+        exact[ref] = threads.weighted_sum(
+            [
+                (x, b * heads[target][0], heads[target][1])
+                for x, target in ((a, node.then_), (b - a, node.else_))
+                if x
+            ]
+        )
+    root = heads[g.root]
+    step_den = lcm(*(den for den, _ in exact.values()), root[0])
+
+    def scaled(coef: Tuple[int, Dict[int, int]]) -> Tuple[Tuple[int, int], ...]:
+        den, nums = coef
+        f = step_den // den
+        return tuple((x * f, m) for m, x in nums.items())
+
+    coefs = {ref: scaled(coef) for ref, coef in exact.items()}
+
+    # iteration: numerators over scale = step_den**(k - low) of
+    # (terminate, deadlock, surviving) and, with traces, of the trace
+    # table, for the nodes reached with k actions left, from those of
+    # level k - 1.  The lowest level reached holds no action to perform
+    # (every action reaches the level below), so it needs no predecessor,
+    # and dividing every scale by step_den**low leaves each Fraction as
+    # it was.
+    steps = {ref: (str(nodes[ref].action),) for ref in coefs} if with_traces else {}
+    prev: Dict[int, Tuple[int, int, int]] = {}
+    prev_tables: Dict[int, Dict[Trace, int]] = {}
+    low = min(reached)
+    scale = 1
+    for k in range(low, depth + 1):
+        acting = coefs if k else {}
+        cur: Dict[int, Tuple[int, int, int]] = {}
+        for ref in reached[k]:
+            coef = acting.get(ref)
+            if coef is not None:
+                t = d = s = 0
+                for c, m in coef:
+                    mt, md, ms = prev[m]
+                    t += c * mt
+                    d += c * md
+                    s += c * ms
+                cur[ref] = (t, d, s)
+            elif isinstance(nodes[ref], Stop):
+                cur[ref] = (scale, 0, 0)
+            elif isinstance(nodes[ref], DeadEnd):
+                cur[ref] = (0, scale, 0)
+            else:  # an action beyond the bound
+                cur[ref] = (0, 0, scale)
+        if with_traces:
+            prev_tables = {
+                ref: _merged_traces(acting[ref], steps[ref], prev_tables)
+                if ref in acting
+                else {(): scale}
+                for ref in reached[k]
+            }
+        prev = cur
+        scale *= step_den
+
+    top = scaled(root)
+    t, d, s = (sum(c * prev[m][i] for c, m in top) for i in range(3))
+    table_out = None
+    if with_traces:
+        merged = _merged_traces(top, (), prev_tables)
+        # one Fraction per distinct mass, shared by every trace with it
+        mass = {v: Fraction(v, scale) for v in set(merged.values())}
+        table_out = tuple([(trace, mass[v]) for trace, v in sorted(merged.items())])
+    return OutcomeDistribution(
+        Fraction(t, scale), Fraction(d, scale), Fraction(s, scale), table_out
+    )
 
 
 def _draw(rng: random.Random) -> Fraction:

@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,8 @@ A = ta.basic("main", "a")
 B = ta.basic("main", "b")
 
 HALF_ENV = Environment({A: Fraction(1, 2), B: Fraction(1, 2)})
+
+DATA = Path(__file__).parent / "data"
 
 
 def coin():
@@ -236,6 +239,57 @@ def test_trace_table_masses_sum_to_one():
         g = genlib.thread(rng, rng.randint(0, 3))
         d = outcome_distribution(g, env, rng.randint(0, 4), with_traces=True)
         assert sum(d.trace_table.values()) == 1
+
+
+def test_trace_tables_raise_the_errors_of_the_masses():
+    # missing replies and forks, reached at every depth
+    rng = random.Random(104)
+    errors = set()
+    for _ in range(150):
+        g = genlib.thread(rng, rng.randint(0, 4), allow_fork=True)
+        env = Environment(
+            {ta.basic("main", m): genlib.probability(rng) for m in "abc" if rng.random() < 0.7}
+        )
+        depth = rng.randint(0, 5)
+        verdicts = []
+        for with_traces in (False, True):
+            try:
+                outcome_distribution(g, env, depth, with_traces=with_traces)
+                verdicts.append(None)
+            except (MissingReply, UnresolvedFork) as exc:
+                verdicts.append((type(exc), str(exc)))
+        assert verdicts[0] == verdicts[1]
+        errors.add(verdicts[0] and verdicts[0][0])
+    assert errors == {None, MissingReply, UnresolvedFork}
+    # b's reply is missing, but b is reached only with no action left
+    g = ta.build(ta.tprefix(A, ta.tprefix(B, TStop())))
+    env = Environment({A: Fraction(1, 2)})
+    for with_traces in (False, True):
+        d = outcome_distribution(g, env, 1, with_traces=with_traces)
+        assert d.surviving == 1
+        with pytest.raises(MissingReply, match="no reply probability for action main.b"):
+            outcome_distribution(g, env, 2, with_traces=with_traces)
+    assert d.trace_table == {("main.a",): 1}
+
+
+def test_each_lumped_state_is_expanded_once_with_and_once_without_actions_left(monkeypatch):
+    # the dist benchmark's deepest trace query: 35,886 traces on 42,111
+    # prefixes, from a handful of distributions up to their gcds
+    g = ta.parse_thread((DATA / "retry3.term").read_text())
+    env = Environment.from_table((DATA / "retry3.table").read_text())
+    calls = []
+    expand = analysis._expand
+
+    def counted(state, acting, *rest):
+        calls.append((state, acting))
+        return expand(state, acting, *rest)
+
+    monkeypatch.setattr(analysis, "_expand", counted)
+    d = outcome_distribution(g, env, 10, with_traces=True)
+    prefixes = {trace[:i] for trace, _ in d.traces for i in range(len(trace) + 1)}
+    assert (len(d.traces), len(prefixes)) == (35886, 42111)
+    assert len(set(calls)) == len(calls)
+    assert len(calls) <= 2 * len({state for state, _ in calls})
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,12 @@ elimination, and the integer-numerator
 `analysis` kernel and integer-cutoff sampler must return exactly what
 the recursive Fraction walkers return, raising the same error first
 where they raise, also on copies of their inputs renumbered and padded
-with unreachable junk.  `use`, `interleave` and `positional_interleave`,
+with unreachable junk; its trace table, one forward walk over lumped
+distributions, must equal the backward merge's, order and shared
+Fractions included, at depths 0-10 on the retry terms, a product of
+the cyclic threads, interleave outputs, a register program through
+`use`, traces that end in all three ways at one prefix and two action
+nodes with one label.  `use`, `interleave` and `positional_interleave`,
 which share `GraphBuilder`'s keyed worklist and return their graphs as
 built, must return the graphs of the constructions that kept their own
 up to a renaming of node ids, with no unreachable node, also on inputs
@@ -85,6 +90,7 @@ from oracles import (
     OracleGraphBuilder,
     OracleProb,
     oracle_abstract_tau,
+    oracle_backward_outcome_distribution,
     oracle_component_abstract_tau,
     oracle_hashcons_product,
     oracle_head_distributions,
@@ -957,14 +963,22 @@ def test_outcome_distribution_matches_oracle_on_use_outputs():
         assert_same_analysis(g, reply_env(rng, g), junk)
 
 
-@pytest.mark.parametrize("kind", [1, 2], ids=["uniform", "lottery"])
-def test_outcome_distribution_matches_oracle_on_interleave_outputs(kind):
-    rng, junk = random.Random(32 + kind), random.Random(132 + kind)
+def interleave_outputs(kind):
+    """Four products of 2-3 recursive threads under `_schedulers()[kind]`,
+    each with replies for its actions."""
+    rng = random.Random(32 + kind)
     spec = _schedulers()[kind]
     for _ in range(4):
         pool = [ta.build(rec_term(rng, rng.randint(1, 3))) for _ in range(rng.randint(2, 3))]
         g = interleaving.interleave(spec, pool)
-        assert_same_analysis(g, reply_env(rng, g), junk, deep=(16, 32))
+        yield g, reply_env(rng, g)
+
+
+@pytest.mark.parametrize("kind", [1, 2], ids=["uniform", "lottery"])
+def test_outcome_distribution_matches_oracle_on_interleave_outputs(kind):
+    junk = random.Random(132 + kind)
+    for g, env in interleave_outputs(kind):
+        assert_same_analysis(g, env, junk, deep=(16, 32))
 
 
 A, B, C = (ta.basic("main", m) for m in "abc")
@@ -1007,6 +1021,59 @@ def test_reachable_fork_fails_like_the_oracle():
             got = outcome(analysis.outcome_distribution, g, env, 3, with_traces=with_traces)
             assert got[0] is error
             assert got == outcome(oracle_outcome_distribution, g, env, 3, with_traces=with_traces)
+
+
+def trace_walk_inputs():
+    """(name, graph, replies) for the trace walk's differential test."""
+    table = analysis.Environment.from_table((DATA / "env.table").read_text())
+    for name in ("retry", "retry3"):
+        g = ta.parse_thread((DATA / f"{name}.term").read_text())
+        replies = DATA / ("retry3.table" if name == "retry3" else "env.table")
+        yield name, g, analysis.Environment.from_table(replies.read_text())
+    cyclic = [ta.parse_thread((DATA / f"cyc{j}.term").read_text()) for j in range(4)]
+    yield "cyclic product", interleaving.interleave(interleaving.uniform_scheduler(), cyclic), table
+    for kind in (1, 2):
+        for i, (g, env) in enumerate(interleave_outputs(kind)):
+            yield f"interleave output {kind}.{i}", g, env
+    program = pglb.parse_program((DATA / "registers.pglb").read_text())
+    family = services.parse_family("{r1: Register(false), r2: Register(true), random: Random}")
+    extracted = pglb.extract(program, with_random=False, with_abstraction=False)
+    yield "registers", interaction.use(extracted, family), table
+    # terminates, deadlocks and survives after the same actions
+    yield "three ends", ta.parse_thread(
+        "rec X { X = prob(1/4: prefix(a, X), 1/4: prefix(a, S), 1/4: prefix(a, D), 1/4: S); } in X"
+    ), table
+    # two distinct action nodes perform a, whose successors merge after it
+    yield "one label", ta.parse_thread(
+        "prob(1/2: post(a, S, D), 1/2: post(a, prefix(b, S), prefix(a, D)))"
+    ), table
+
+
+def test_trace_walk_matches_the_backward_merge():
+    for name, g, env in trace_walk_inputs():
+        for depth in range(11):
+            got = analysis.outcome_distribution(g, env, depth, with_traces=True)
+            want = oracle_backward_outcome_distribution(g, env, depth, with_traces=True)
+            assert got == want, (name, depth)
+            # traces of equal mass share one Fraction
+            assert len({id(m) for _, m in got.traces}) == len({m for _, m in got.traces})
+
+
+def test_trace_walk_inputs_have_the_shapes_they_name():
+    inputs = {name: (g, env) for name, g, env in trace_walk_inputs()}
+    g, env = inputs["three ends"]
+    d = analysis.outcome_distribution(g, env, 3, with_traces=True)
+    assert 0 < min(d.terminate, d.deadlock, d.surviving)
+    # the longest trace also holds mass that terminated or deadlocked there
+    assert d.trace_table[("main.a",) * 3] > d.surviving
+    g, env = inputs["one label"]
+    assert sum(isinstance(n, Post) and str(n.action) == "main.a" for n in g.nodes) == 3
+    d = analysis.outcome_distribution(g, env, 2, with_traces=True)
+    assert d.trace_table == {
+        ("main.a",): Fraction(1, 2),
+        ("main.a", "main.a"): Fraction(1, 4),
+        ("main.a", "main.b"): Fraction(1, 4),
+    }
 
 
 def sampling_threads():

@@ -452,6 +452,16 @@ def test_deep_terms_need_no_recursion(kind, tmp_path, capsys):
         assert T.trim(cut) == g
 
 
+def test_deep_trace_table_needs_no_recursion():
+    # the `rec` nest is a one-action loop: one trace, DEEP actions long
+    env = analysis.Environment({ta.basic("main", "a"): Fraction(1, 2)})
+    with shallow_stack():
+        g = terms.parse_thread(DEEP_TERMS["rec"])
+        d = analysis.outcome_distribution(g, env, DEEP, with_traces=True)
+    assert d.traces == ((("main.a",) * DEEP, 1),)
+    assert d.surviving == 1
+
+
 # an alias chain X0 = X1; ...; X(DEEP-1) = X(DEEP), closed by `last`
 def alias_chain(last):
     eqs = "".join(f"X{i} = X{i + 1}; " for i in range(DEEP))
