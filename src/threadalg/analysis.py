@@ -15,7 +15,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from . import meadow, threads
 from .errors import MissingReply, OutOfRange, ParseError, UnresolvedFork
@@ -112,18 +112,23 @@ class OutcomeDistribution:
 _FORK_MESSAGE = "a fork node can only be executed under strategic interleaving"
 
 
-def _lumped(dist: Dict[int, int]) -> Tuple[Tuple[Tuple[int, int], ...], int]:
-    """`dist` as (state, factor): its (ref, numerator) pairs in ref order,
-    divided by their gcd, and that gcd."""
+# a lumped distribution: (ref, numerator) pairs in ref order, with
+# numerators of gcd 1
+_State = Tuple[Tuple[int, int], ...]
+
+
+def _lumped(dist: Dict[int, int]) -> Tuple[_State, int]:
+    """`dist` as (state, factor): divided by the gcd of its numerators,
+    and that gcd."""
     f = math.gcd(*dist.values())
     return tuple([(ref, x // f) for ref, x in sorted(dist.items())]), f
 
 
 def _expand(
-    state: Tuple[Tuple[int, int], ...],
+    state: _State,
     acting: bool,
     moves: Mapping[int, Tuple[str, Tuple[Tuple[int, int], ...]]],
-    intern,
+    intern: Callable[[_State], int],
 ) -> Tuple[int, Tuple[Tuple[Trace, int, int], ...]]:
     """The next step of the trace walk from the lumped distribution `state`.
 
@@ -292,10 +297,10 @@ def outcome_distribution(
         # is f times state number n, reached by `trace` with k actions
         # left, its numerators over step_den**(len(trace) + 1)
         moves = {ref: (str(nodes[ref].action), coef) for ref, coef in coefs.items()}
-        numbers: Dict[Tuple[Tuple[int, int], ...], int] = {}
-        states: List[Tuple[Tuple[int, int], ...]] = []
+        numbers: Dict[_State, int] = {}
+        states: List[_State] = []
 
-        def intern(state: Tuple[Tuple[int, int], ...]) -> int:
+        def intern(state: _State) -> int:
             n = numbers.get(state)
             if n is None:
                 n = numbers[state] = len(states)
@@ -305,7 +310,6 @@ def outcome_distribution(
         # an expansion depends on k only through k > 0: state n is
         # expanded under the key n with actions left, ~n without
         expanded: Dict[int, Tuple[int, tuple]] = {}
-        powers: Dict[int, int] = {}
         mass: Dict[int, Fraction] = {}
         table = []
         state, f = _lumped({m: c for c, m in top})
@@ -318,18 +322,16 @@ def outcome_distribution(
                 got = expanded[key] = _expand(states[n], k > 0, moves, intern)
             here, children = got
             if here:
-                power = powers.get(k)
-                if power is None:
-                    power = powers[k] = step_den ** (k - low)
                 # one Fraction per distinct mass, shared by every trace with it
-                v = f * here * power
+                v = f * here * step_den ** (k - low)
                 share = mass.get(v)
                 if share is None:
                     share = mass[v] = Fraction(v, scale)
                 table.append((trace, share))
             if children:
-                k -= 1
-                stack.extend([(trace + step, c, f * g, k) for step, c, g in children])
+                stack.extend(
+                    [(trace + step, child, f * factor, k - 1) for step, child, factor in children]
+                )
         table_out = tuple(table)
     return OutcomeDistribution(
         Fraction(t, scale), Fraction(d, scale), Fraction(s, scale), table_out
