@@ -15,7 +15,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from . import meadow, threads
 from .errors import MissingReply, OutOfRange, ParseError, UnresolvedFork
@@ -161,6 +161,89 @@ def _expand(
     return here, tuple(children)
 
 
+def _raise_first_error(
+    nodes: Tuple[threads.Node, ...],
+    heads: Mapping[int, Tuple[int, Dict[int, int]]],
+    env: Environment,
+    root: int,
+    depth: int,
+) -> None:
+    """Raise the first missing reply or fork that a recursive walk of the
+    `(node, actions left)` pairs from `root` meets: reply first, then the
+    True branch, then the False branch."""
+    seen: Dict[int, set] = {}
+    stack = [(m, depth) for m in reversed(heads[root][1])]
+    while stack:
+        ref, k = stack.pop()
+        level = seen.setdefault(k, set())
+        if ref in level:
+            continue
+        level.add(ref)
+        node = nodes[ref]
+        if isinstance(node, Fork):
+            raise UnresolvedFork(_FORK_MESSAGE)
+        if k and isinstance(node, Post):
+            env.reply(node.action)
+            below = seen.setdefault(k - 1, set())
+            order = (*reversed(heads[node.else_][1]), *reversed(heads[node.then_][1]))
+            stack.extend([(m, k - 1) for m in order if m not in below])
+
+
+def _lumped_classes(
+    nodes: Tuple[threads.Node, ...],
+    coefs: Mapping[int, Tuple[Tuple[int, int], ...]],
+    step_den: int,
+    members: frozenset,
+    budget: int,
+) -> Tuple[Mapping[int, int], List[Tuple[Tuple[int, int], ...]], List[type]]:
+    """Lump the deterministic nodes `members` into classes whose outcome
+    masses are equal at every level.
+
+    Partition refinement (exact lumping of the chain), from the blocks
+    `Stop`, `DeadEnd` and `Post`, by each node's one-step coefficient
+    distribution over blocks; action labels play no part.  A `Post`
+    without coefficients, reached only with no action left, steps to
+    itself: it is read only at level 0, where every `Post` is surviving.
+    A round costs `len(members)`; once the rounds would cost more than
+    `budget`, the work of iterating over the nodes, every node is a class
+    of its own.  Returns each node's class, each class's one-step
+    `(class, numerator)` pairs and each class's node type.
+    """
+    refs = list(members)
+    position = {r: p for p, r in enumerate(refs)}
+    supports: List[Tuple[Tuple[int, int], ...]] = []
+    for p, r in enumerate(refs):
+        coef = coefs.get(r)
+        if coef is not None:
+            supports.append(tuple([(position[m], x) for x, m in coef]))
+        elif isinstance(nodes[r], Post):
+            supports.append(((p, step_den),))
+        else:
+            supports.append(())
+    kinds = [type(nodes[r]) for r in refs]
+    first: Dict[type, int] = {}
+    block = [first.setdefault(kind, len(first)) for kind in kinds]
+    count = len(first)
+    rounds = 0
+    while count < len(refs):
+        rounds += 1
+        if rounds * len(refs) > budget:
+            break
+        rank, dists = threads._ranked_class_dists(supports, block)
+        split: Dict[Tuple[int, int], int] = {}
+        signed = [split.setdefault(sig, len(split)) for sig in zip(block, rank)]
+        if len(split) == count:
+            # no block splits: any member's ranks describe its class's steps
+            rep = dict(zip(block, range(len(refs))))
+            return (
+                dict(zip(refs, block)),
+                [dists[rank[rep[c]]] for c in range(count)],
+                [kinds[rep[c]] for c in range(count)],
+            )
+        block, count = signed, len(split)
+    return position, supports, kinds
+
+
 def outcome_distribution(
     g: ThreadGraph,
     env: Environment,
@@ -176,17 +259,23 @@ def outcome_distribution(
     inactive).  The optional trace table maps each performed action
     sequence to its total mass.
 
-    Bounded value iteration with integer numerators.  A depth-first
-    pass finds the `(node, actions left)` pairs the bound reaches, in
-    the order of a recursive walk (reply first, then the True branch,
-    then the False branch), so the first missing reply or fork met is
-    the one reported.  Choice layers are flattened into one-step
-    coefficients scaled by `L`, the lcm of their denominators; then the
-    masses of every reached node with `k` actions left are integers
-    over `L**(k - low)`, computed from the previous level only, from
-    `low`, the lowest level the bound reaches, up to `depth`.  Memory
-    follows the levels reached, not `depth`.  Each mass becomes one
-    Fraction at the end.
+    Bounded value iteration with integer numerators.  Discovery runs
+    level by level: the nodes reached with `k - 1` actions left are the
+    union of the successor sets of the `Post` nodes reached with `k`,
+    and a reply is asked for only where a node is reached with `k > 0`.
+    On a missing reply or a reached fork, the ordered walk of
+    `_raise_first_error` decides the error, so the one reported is the
+    one a recursive walk (reply first, then the True branch, then the
+    False branch) meets first.  Choice layers are flattened into one-step
+    coefficients scaled by `L`, the lcm of their denominators.
+    `_lumped_classes` folds the reached nodes into classes of equal
+    masses, refining within a budget of the iteration's own work, so a
+    chain, whose nodes all differ, costs one round.  Then the masses of
+    every class reached with `k` actions left are integers over
+    `L**(k - low)`, computed from the previous level only, from `low`,
+    the lowest level the bound reaches, up to `depth`.  Memory follows
+    the levels reached, not `depth`.  Each mass becomes one Fraction at
+    the end.
 
     The trace table, made only `with_traces`, comes from one forward
     walk of the tree of trace prefixes, depth first on a stack.  The
@@ -205,35 +294,41 @@ def outcome_distribution(
     nodes = g.nodes
     heads = threads.head_distributions(g, threads.reachable(g))
 
-    # discovery: reached[k] holds the deterministic nodes reached with
-    # k actions left; a node's reply is asked for when first reached
-    # with k > 0.  A level is made when first reached, from `depth` down.
-    reached: Dict[int, set] = {depth: set()}
+    # discovery, level by level: reached[k] holds the deterministic nodes
+    # reached with k actions left, the successors of the Post nodes in
+    # reached[k + 1]; a node's reply is asked for when first reached with
+    # k > 0.  Once a level repeats the one above, every level below
+    # repeats it too, so they share one set.
     replies: Dict[int, Fraction] = {}
-    # a Post node's successors, in reverse walk order for the stack
-    successors: Dict[int, Tuple[int, ...]] = {}
-    stack = [(m, depth) for m in reversed(heads[g.root][1])]
-    while stack:
-        ref, k = stack.pop()
-        level = reached[k]
-        if ref in level:
-            continue
-        level.add(ref)
-        node = nodes[ref]
-        if isinstance(node, Fork):
+    successors: Dict[int, Iterable[int]] = {}
+    level = frozenset(heads[g.root][1])
+    reached: Dict[int, frozenset] = {depth: level}
+    try:
+        for k in range(depth, 0, -1):
+            for ref in level:
+                if ref in successors:
+                    continue
+                node = nodes[ref]
+                if isinstance(node, Post):
+                    replies[ref] = env.reply(node.action)
+                    successors[ref] = heads[node.then_][1].keys() | heads[node.else_][1].keys()
+                else:
+                    successors[ref] = ()
+            below = frozenset().union(*map(successors.__getitem__, level))
+            if not below:
+                break
+            if below == level:
+                reached.update(dict.fromkeys(range(k), level))
+                break
+            reached[k - 1] = level = below
+        levels = {id(level): level for level in reached.values()}.values()
+        members = frozenset().union(*levels)
+        if any(isinstance(nodes[ref], Fork) for ref in members):
             raise UnresolvedFork(_FORK_MESSAGE)
-        if k and isinstance(node, Post):
-            order = successors.get(ref)
-            if order is None:
-                replies[ref] = env.reply(node.action)
-                order = successors[ref] = (
-                    *reversed(heads[node.else_][1]),
-                    *reversed(heads[node.then_][1]),
-                )
-            below = reached.get(k - 1)
-            if below is None:
-                below = reached[k - 1] = set()
-            stack.extend([(m, k - 1) for m in order if m not in below])
+    except (MissingReply, UnresolvedFork):
+        # the error reported is the one a recursive walk meets first
+        _raise_first_error(nodes, heads, env, g.root, depth)
+        raise
 
     # exact one-step coefficients p*w_then(m) + (1-p)*w_else(m) as
     # (den, {m: numerator}), zeros dropped
@@ -257,40 +352,43 @@ def outcome_distribution(
         return tuple((x * f, m) for m, x in nums.items())
 
     coefs = {ref: scaled(coef) for ref, coef in exact.items()}
+    low = min(reached)
+    cls, steps, kinds = _lumped_classes(
+        nodes, coefs, step_den, members, sum(map(len, reached.values()))
+    )
 
     # iteration: numerators over scale = step_den**(k - low) of
-    # (terminate, deadlock, surviving) for the nodes reached with k
+    # (terminate, deadlock, surviving) for the classes reached with k
     # actions left, from those of level k - 1.  The lowest level reached
     # holds no action to perform (every action reaches the level below),
     # so it needs no predecessor, and dividing every scale by
     # step_den**low leaves each Fraction as it was.
+    at = {id(level): set(map(cls.__getitem__, level)) for level in levels}
     prev: Dict[int, Tuple[int, int, int]] = {}
-    low = min(reached)
     scale = 1
     for k in range(low, depth + 1):
-        acting = coefs if k else {}
         cur: Dict[int, Tuple[int, int, int]] = {}
-        for ref in reached[k]:
-            coef = acting.get(ref)
-            if coef is not None:
+        for c in at[id(reached[k])]:
+            kind = kinds[c]
+            if kind is Post and k:
                 t = d = s = 0
-                for c, m in coef:
+                for m, x in steps[c]:
                     mt, md, ms = prev[m]
-                    t += c * mt
-                    d += c * md
-                    s += c * ms
-                cur[ref] = (t, d, s)
-            elif isinstance(nodes[ref], Stop):
-                cur[ref] = (scale, 0, 0)
-            elif isinstance(nodes[ref], DeadEnd):
-                cur[ref] = (0, scale, 0)
+                    t += x * mt
+                    d += x * md
+                    s += x * ms
+                cur[c] = (t, d, s)
+            elif kind is Stop:
+                cur[c] = (scale, 0, 0)
+            elif kind is DeadEnd:
+                cur[c] = (0, scale, 0)
             else:  # an action beyond the bound
-                cur[ref] = (0, 0, scale)
+                cur[c] = (0, 0, scale)
         prev = cur
         scale *= step_den
 
     top = scaled(root)
-    t, d, s = (sum(c * prev[m][i] for c, m in top) for i in range(3))
+    t, d, s = (sum(c * prev[cls[m]][i] for c, m in top) for i in range(3))
     table_out = None
     if with_traces:
         # the trace prefix tree, depth first: an entry (trace, n, f, k)

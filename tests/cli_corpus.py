@@ -49,4 +49,7 @@ ALL_COMMANDS = [
     ("dist", *CYCLIC, "--scheduler", "uniform", "--depth", "3", "--env", str(DATA / "env.table"), "--traces"),
     # 414 traces of a product that terminates, deadlocks and survives
     ("dist", str(DATA / "collapse.term"), str(DATA / "retry.term"), "--scheduler", "uniform", "--depth", "8", "--env", str(DATA / "env.table"), "--traces"),
+    # a uniform product of three threads with exits, deep enough that
+    # many product states share their outcome masses
+    ("dist", str(DATA / "choice.term"), str(DATA / "collapse.term"), str(DATA / "retry.term"), "--scheduler", "uniform", "--depth", "40", "--env", str(DATA / "env.table")),
 ]

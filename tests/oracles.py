@@ -23,7 +23,10 @@ exact dyadic Fraction.  `oracle_backward_outcome_distribution` is the
 integer kernel as it was before its trace walk: it kept a table of
 every trace that starts at each reached `(node, level)` pair and merged
 those tables one level up (`_merged_traces`), then sorted the table at
-the root.  `OracleProb` carries the first
+the root; its masses come from the kernel's mass half as it was before
+discovery by levels and lumping, a depth-first walk of the reached
+`(node, level)` pairs in recursive-walk order and an iteration over
+every reached node.  `OracleProb` carries the first
 `Prob.__post_init__` and `OracleGraphBuilder.prob` the first
 `GraphBuilder.prob`, the weight checks that summed Fractions and
 tested the range through the signum encoding.  `OracleGraphBuilder`
@@ -977,7 +980,8 @@ def oracle_backward_outcome_distribution(
     with_traces: bool = False,
 ) -> OutcomeDistribution:
     """`analysis.outcome_distribution` as it was when trace tables were
-    merged backwards, level by level.
+    merged backwards, level by level, and the masses were iterated node
+    by node over pairs that one depth-first walk found.
 
     The depth counts actions only; probabilistic choices are free.  A
     node that would perform an action beyond the bound contributes its

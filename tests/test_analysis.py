@@ -9,7 +9,7 @@ import pytest
 
 import genlib
 import threadalg as ta
-from threadalg import analysis
+from threadalg import analysis, interleaving
 from threadalg import threads as T
 from threadalg.analysis import (
     DEADLOCK,
@@ -290,6 +290,43 @@ def test_each_lumped_state_is_expanded_once_with_and_once_without_actions_left(m
     assert (len(d.traces), len(prefixes)) == (35886, 42111)
     assert len(set(calls)) == len(calls)
     assert len(calls) <= 2 * len({state for state, _ in calls})
+
+
+def counted_rounds(monkeypatch):
+    """(nodes, blocks) of each refinement round's partition, in order."""
+    rounds = []
+    ranked = T._ranked_class_dists
+
+    def counting(supports, block):
+        rounds.append((len(block), len(set(block))))
+        return ranked(supports, block)
+
+    monkeypatch.setattr(T, "_ranked_class_dists", counting)
+    return rounds
+
+
+def test_reached_nodes_lump_into_few_classes(monkeypatch):
+    # the uniform product of four threads with exits: 842 reached nodes,
+    # 176 classes after six rounds, the last of which splits nothing
+    pool = [ta.parse_thread((DATA / f"exit{j}.term").read_text()) for j in range(4)]
+    g = interleaving.interleave(interleaving.uniform_scheduler(), pool)
+    env = Environment.from_table((DATA / "exits.table").read_text())
+    rounds = counted_rounds(monkeypatch)
+    d = outcome_distribution(g, env, 40)
+    assert rounds == [(842, k) for k in (3, 11, 51, 121, 168, 176)]
+    assert 0 < min(d.terminate, d.deadlock, d.surviving)
+
+
+def test_refinement_on_a_chain_stops_at_its_budget(monkeypatch):
+    # every node of a chain is a class of its own, found only after
+    # about n rounds: refinement gives up once its rounds would cost more
+    # than the iteration over the levels
+    n = 2000
+    g = ta.parse_thread("post(a, " * n + "S" + ", D)" * n)
+    rounds = counted_rounds(monkeypatch)
+    d = outcome_distribution(g, Environment({A: Fraction(1, 2)}), n + 5)
+    assert len(rounds) <= 2
+    assert (d.terminate, d.deadlock) == (Fraction(1, 2**n), 1 - Fraction(1, 2**n))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """The command-line front end: behaviour, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -564,3 +566,82 @@ def test_text_boundaries_raise_only_domain_errors(boundary, data):
         parse(text)
     except Error:
         pass
+
+
+# `dist` and `sample` over the data files, some of them edited: every
+# argv ends in output (exit 0), a domain error (exit 1) or a usage error
+# (exit 2), never in a traceback.  Depths stay small, and smaller with
+# `--traces`, whose tables grow exponentially with depth.
+FUZZ_INPUTS = sorted(str(p) for p in DATA.iterdir() if p.suffix in (".term", ".pglb"))
+FUZZ_TABLES = sorted(str(p) for p in DATA.iterdir() if p.suffix == ".table")
+FUZZ_SCHEDULERS = [
+    "cyclic",
+    "uniform",
+    "uniform",
+    "lottery:defaultTickets=2",
+    f"table:{DATA / 'sched.json'}",
+    f"table:{DATA / 'lastpair.json'}",
+    "round-robin",
+]
+FUZZ_FAMILIES = [
+    "{r1: Register(false)}",
+    "{r1: Register(true), r2: Register(false), random: Random}",
+    "{random: Random}",
+    "{r1: Stack}",
+]
+# pieces that add actions without replies and broken syntax
+FUZZ_PIECES = ["post(z, S, D)", "prefix(a, ", ")", "S", "D", "tau", "#0", "!", ";"]
+
+
+@st.composite
+def fuzz_argv(draw, scratch):
+    command = draw(st.sampled_from(["dist", "sample"]))
+    inputs = draw(st.lists(st.sampled_from(FUZZ_INPUTS), min_size=1, max_size=3))
+    edit = draw(st.sampled_from([None, None, "fork", "fork", "pieces"]))
+    if edit:
+        path = Path(inputs[0])
+        text = path.read_text()
+        ends = [m.start() for m in re.finditer(r"\bS\b", text)]
+        if edit == "fork" and ends:
+            # a fork where a thread term terminates
+            at = draw(st.sampled_from(ends))
+            text = text[:at] + "fork(S, S, D)" + text[at + 1 :]
+        else:
+            text = draw(edited([text], FUZZ_PIECES))
+        inputs[0] = str(scratch / f"edited{path.suffix}")
+        Path(inputs[0]).write_text(text)
+    argv = [command, *inputs]
+    if len(inputs) > 1 or draw(st.integers(0, 3)) == 0:
+        argv += ["--scheduler", draw(st.sampled_from(FUZZ_SCHEDULERS))]
+    traces = command == "dist" and draw(st.booleans())
+    argv += ["--depth", str(draw(st.integers(-1, 6 if traces else 12)))]
+    if traces:
+        argv.append("--traces")
+    # mostly the replies of every table, so that most queries get answers
+    table = draw(st.sampled_from([None, *FUZZ_TABLES, "all", "all", "all"]))
+    if table == "all":
+        table = str(scratch / "all.table")
+        Path(table).write_text("".join(Path(t).read_text() for t in FUZZ_TABLES))
+    if table:
+        argv += ["--env", table]
+    if draw(st.booleans()):
+        argv += ["--services", draw(st.sampled_from(FUZZ_FAMILIES))]
+    argv += draw(st.sampled_from([[], ["--no-random"], ["--no-abstraction"]]))
+    if command == "sample":
+        argv += ["--seed", str(draw(st.integers(0, 99)))]
+        argv += draw(st.sampled_from([[], ["--runs", "20"], ["--runs", "0"]]))
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(data=st.data())
+def test_dist_and_sample_argv_exit_cleanly(tmp_path_factory, data):
+    scratch = tmp_path_factory.getbasetemp() / "fuzz"
+    scratch.mkdir(exist_ok=True)
+    argv = data.draw(fuzz_argv(scratch))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == bool(out.getvalue()), argv

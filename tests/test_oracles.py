@@ -29,7 +29,13 @@ distributions, must equal the backward merge's, order and shared
 Fractions included, at depths 0-10 on the retry terms, a product of
 the cyclic threads, interleave outputs, a register program through
 `use`, traces that end in all three ways at one prefix and two action
-nodes with one label.  `use`, `interleave` and `positional_interleave`,
+nodes with one label.  Its masses, from discovery by levels and
+iteration over lumped classes, must equal the per-node kernel's, and
+its errors the type and message that kernel's ordered walk meets
+first, on uniform products of three and four threads with exits at
+depths 0-12 and 40, interleave outputs, a register program through
+`use`, random threads with forks and missing replies, and threads
+whose levels meet a missing reply before the walk's first error.  `use`, `interleave` and `positional_interleave`,
 which share `GraphBuilder`'s keyed worklist and return their graphs as
 built, must return the graphs of the constructions that kept their own
 up to a renaming of node ids, with no unreachable node, also on inputs
@@ -981,7 +987,7 @@ def test_outcome_distribution_matches_oracle_on_interleave_outputs(kind):
         assert_same_analysis(g, env, junk, deep=(16, 32))
 
 
-A, B, C = (ta.basic("main", m) for m in "abc")
+A, B, C, D = (ta.basic("main", m) for m in "abcd")
 
 
 def test_first_missing_reply_in_walk_order_is_named():
@@ -1073,6 +1079,81 @@ def test_trace_walk_inputs_have_the_shapes_they_name():
         ("main.a",): Fraction(1, 2),
         ("main.a", "main.a"): Fraction(1, 4),
         ("main.a", "main.b"): Fraction(1, 4),
+    }
+
+
+def exit_thread(rng, tag, states):
+    """A `rec` thread over `states` states with its own actions.  Each
+    state chooses between a step to the next state and an action test
+    whose branches jump to random states; the last state's test
+    terminates on False and, with two states, the first state's test
+    becomes inactive on False."""
+    eqs = []
+    for s in range(states):
+        p = rng.choice([Fraction(1, 3), Fraction(2, 3)])
+        t1, t2 = f"X{rng.randrange(states)}", f"X{rng.randrange(states)}"
+        t2 = "S" if s == states - 1 else "D" if s == 0 else t2
+        eqs.append(
+            f"X{s} = prob({p}: prefix({tag}.a{s}, X{(s + 1) % states}), "
+            f"{1 - p}: post({tag}.b{s}, {t1}, {t2}));"
+        )
+    return ta.parse_thread("rec X0 { " + " ".join(eqs) + " } in X0")
+
+
+def mass_inputs():
+    """(name, graph, replies, depths) for the mass kernel's differential
+    test: inputs whose reached nodes lump into few classes, and inputs
+    that raise."""
+    uniform = interleaving.uniform_scheduler()
+    rng = random.Random(41)
+    shallow = (*range(13), 40)
+    for i in range(6):
+        pool = [
+            exit_thread(rng, f"t{j}", 2 if rng.random() < 0.3 else 1)
+            for j in range(rng.choice((3, 4)))
+        ]
+        g = interleaving.interleave(uniform, pool)
+        yield f"product with exits {i}", g, reply_env(rng, g), shallow
+    table = analysis.Environment.from_table((DATA / "env.table").read_text())
+    for name, g, env in trace_walk_inputs():
+        if name.startswith("interleave output") or name == "registers":
+            yield name, g, env, (*range(11), 16, 32)
+    # forks and missing replies, met at every level
+    for i, g in enumerate(random_threads(rng, 150)):
+        yield f"random thread {i}", g, reply_env(rng, g, skip=0.3), range(7)
+    for name, g, env in error_order_threads():
+        yield name, g, env, (3,)
+
+
+def error_order_threads():
+    """(name, graph, replies): a's False branch asks for c, which has no
+    reply, one action in; its True branch meets a fork or a missing
+    reply for d two actions in, which a recursive walk meets first."""
+    for name, last, env in (
+        ("fork after b", TFork(TStop(), TStop(), TStop()), {A: HALF, B: HALF}),
+        ("d after b", TPost(D, TStop(), TStop()), {A: HALF, B: HALF}),
+        ("no reply for c alone", TStop(), {A: HALF, B: HALF}),
+    ):
+        g = ta.build(TPost(A, TPost(B, last, TStop()), TPost(C, TStop(), TStop())))
+        yield name, g, analysis.Environment(env)
+
+
+def test_level_discovery_and_lumping_match_the_per_node_kernel():
+    for name, g, env, depths in mass_inputs():
+        for depth in depths:
+            got = outcome(analysis.outcome_distribution, g, env, depth)
+            want = outcome(oracle_backward_outcome_distribution, g, env, depth)
+            assert got == want, (name, depth)
+
+
+def test_the_first_error_is_the_recursive_walks_not_the_levels():
+    # c's missing reply lies one action in, where discovery by levels
+    # meets it before the fork or d two actions in on a's True branch
+    got = {name: outcome(analysis.outcome_distribution, g, env, 3) for name, g, env in error_order_threads()}
+    assert got == {
+        "fork after b": (UnresolvedFork, analysis._FORK_MESSAGE),
+        "d after b": (MissingReply, "no reply probability for action main.d"),
+        "no reply for c alone": (MissingReply, "no reply probability for action main.c"),
     }
 
 
