@@ -35,10 +35,11 @@ its errors the type and message that kernel's ordered walk meets
 first, on uniform products of three and four threads with exits at
 depths 0-12 and 40, interleave outputs, a register program through
 `use`, random threads with forks and missing replies, and threads
-whose levels meet a missing reply before the walk's first error.  `use`, `interleave` and `positional_interleave`,
-which share `GraphBuilder`'s keyed worklist and return their graphs as
-built, must return the graphs of the constructions that kept their own
-up to a renaming of node ids, with no unreachable node, also on inputs
+whose levels meet a missing reply before the walk's first error.
+`use`, `interleave` and `positional_interleave`, which share
+`GraphBuilder`'s keyed worklist and return their graphs as built, must
+return the graphs of the constructions that kept their own up to a
+renaming of node ids, with no unreachable node, also on inputs
 renumbered and padded with unreachable junk, and overrun a small state
 bound on exactly the same inputs.  The shared integer weight check
 behind `Prob`, `build` and `nary_prob` must accept and reject exactly
@@ -1114,7 +1115,6 @@ def mass_inputs():
         ]
         g = interleaving.interleave(uniform, pool)
         yield f"product with exits {i}", g, reply_env(rng, g), shallow
-    table = analysis.Environment.from_table((DATA / "env.table").read_text())
     for name, g, env in trace_walk_inputs():
         if name.startswith("interleave output") or name == "registers":
             yield name, g, env, (*range(11), 16, 32)
@@ -1129,13 +1129,13 @@ def error_order_threads():
     """(name, graph, replies): a's False branch asks for c, which has no
     reply, one action in; its True branch meets a fork or a missing
     reply for d two actions in, which a recursive walk meets first."""
-    for name, last, env in (
-        ("fork after b", TFork(TStop(), TStop(), TStop()), {A: HALF, B: HALF}),
-        ("d after b", TPost(D, TStop(), TStop()), {A: HALF, B: HALF}),
-        ("no reply for c alone", TStop(), {A: HALF, B: HALF}),
+    env = analysis.Environment({A: HALF, B: HALF})
+    for name, last in (
+        ("fork after b", TFork(TStop(), TStop(), TStop())),
+        ("d after b", TPost(D, TStop(), TStop())),
+        ("no reply for c alone", TStop()),
     ):
-        g = ta.build(TPost(A, TPost(B, last, TStop()), TPost(C, TStop(), TStop())))
-        yield name, g, analysis.Environment(env)
+        yield name, ta.build(TPost(A, TPost(B, last, TStop()), TPost(C, TStop(), TStop()))), env
 
 
 def test_level_discovery_and_lumping_match_the_per_node_kernel():
@@ -1149,7 +1149,10 @@ def test_level_discovery_and_lumping_match_the_per_node_kernel():
 def test_the_first_error_is_the_recursive_walks_not_the_levels():
     # c's missing reply lies one action in, where discovery by levels
     # meets it before the fork or d two actions in on a's True branch
-    got = {name: outcome(analysis.outcome_distribution, g, env, 3) for name, g, env in error_order_threads()}
+    got = {
+        name: outcome(analysis.outcome_distribution, g, env, 3)
+        for name, g, env in error_order_threads()
+    }
     assert got == {
         "fork after b": (UnresolvedFork, analysis._FORK_MESSAGE),
         "d after b": (MissingReply, "no reply probability for action main.d"),
