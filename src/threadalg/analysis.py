@@ -199,15 +199,15 @@ def _lumped_classes(
     """Lump the deterministic nodes `members` into classes whose outcome
     masses are equal at every level.
 
-    Partition refinement (exact lumping of the chain), from the blocks
-    `Stop`, `DeadEnd` and `Post`, by each node's one-step coefficient
-    distribution over blocks; action labels play no part.  A `Post`
+    Exact lumping of the chain by `threads.refine`, from the blocks
+    `Stop`, `DeadEnd` and `Post`, with one slot per node: its one-step
+    coefficient distribution; action labels play no part.  A `Post`
     without coefficients, reached only with no action left, steps to
     itself: it is read only at level 0, where every `Post` is surviving.
-    A round costs `len(members)`; once the rounds would cost more than
-    `budget`, the work of iterating over the nodes, every node is a class
-    of its own.  Returns each node's class, each class's one-step
-    `(class, numerator)` pairs and each class's node type.
+    Once the rounds would cost more than `budget`, the work of iterating
+    over the nodes, every node is a class of its own.  Returns each
+    node's class, each class's one-step `(class, numerator)` pairs and
+    each class's node type.
     """
     refs = list(members)
     position = {r: p for p, r in enumerate(refs)}
@@ -221,27 +221,12 @@ def _lumped_classes(
         else:
             supports.append(())
     kinds = [type(nodes[r]) for r in refs]
-    first: Dict[type, int] = {}
-    block = [first.setdefault(kind, len(first)) for kind in kinds]
-    count = len(first)
-    rounds = 0
-    while count < len(refs):
-        rounds += 1
-        if rounds * len(refs) > budget:
-            break
-        rank, dists = threads._ranked_class_dists(supports, block)
-        split: Dict[Tuple[int, int], int] = {}
-        signed = [split.setdefault(sig, len(split)) for sig in zip(block, rank)]
-        if len(split) == count:
-            # no block splits: any member's ranks describe its class's steps
-            rep = dict(zip(block, range(len(refs))))
-            return (
-                dict(zip(refs, block)),
-                [dists[rank[rep[c]]] for c in range(count)],
-                [kinds[rep[c]] for c in range(count)],
-            )
-        block, count = signed, len(split)
-    return position, supports, kinds
+    slots = [(p,) for p in range(len(refs))]
+    lumped = threads.refine(supports, slots, [kind.__name__ for kind in kinds], budget)
+    if lumped is None:
+        return position, supports, kinds
+    block, reps, rank, dists = lumped
+    return dict(zip(refs, block)), [dists[rank[p]] for p in reps], [kinds[p] for p in reps]
 
 
 def outcome_distribution(
@@ -269,13 +254,13 @@ def outcome_distribution(
     False branch) meets first.  Choice layers are flattened into one-step
     coefficients scaled by `L`, the lcm of their denominators.
     `_lumped_classes` folds the reached nodes into classes of equal
-    masses, refining within a budget of the iteration's own work, so a
-    chain, whose nodes all differ, costs one round.  Then the masses of
-    every class reached with `k` actions left are integers over
-    `L**(k - low)`, computed from the previous level only, from `low`,
-    the lowest level the bound reaches, up to `depth`.  Memory follows
-    the levels reached, not `depth`.  Each mass becomes one Fraction at
-    the end.
+    masses with `threads.refine`, the refinement that `quotient` runs,
+    within a budget of the iteration's own work, so a chain, whose nodes
+    all differ, costs one round.  Then the masses of every class reached
+    with `k` actions left are integers over `L**(k - low)`, computed from
+    the previous level only, from `low`, the lowest level the bound
+    reaches, up to `depth`.  Memory follows the levels reached, not
+    `depth`.  Each mass becomes one Fraction at the end.
 
     The trace table, made only `with_traces`, comes from one forward
     walk of the tree of trace prefixes, depth first on a stack.  The
@@ -457,6 +442,8 @@ def _walker(g: ThreadGraph, env: Environment, depth: int):
     Each choice node's cumulative cutoffs are computed up front, each
     action node's reply cutoff when it is first performed.
     """
+    if depth < 0:
+        raise ValueError("depth must be a natural number")
     nodes = g.nodes
     choices: Dict[int, Tuple[Tuple[int, int], ...]] = {}
     for ref, node in enumerate(nodes):
@@ -524,6 +511,8 @@ def sample_outcomes(
     Per-run seeds are `seed + index`, so the result does not depend on
     the order in which runs are executed.
     """
+    if runs < 1:
+        raise ValueError("runs must be a positive integer")
     run = _walker(g, env, depth)
     counts = {TERMINATE: 0, DEADLOCK: 0, SURVIVING: 0}
     for index in range(runs):

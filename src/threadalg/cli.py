@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Input files are thread terms, except that a `.pglb` suffix marks an
-instruction sequence, which is run through extraction first.  All
-output is deterministic: identical invocations print identical bytes.
+instruction sequence, which is run through extraction first; `normalize`
+reads a term and `extract` a program whatever the suffix.  All output
+is deterministic: identical invocations print identical bytes.
 """
 
 from __future__ import annotations
@@ -27,13 +28,15 @@ def _read(path: str) -> str:
 
 
 def _load_thread(path: str, args) -> threads.ThreadGraph:
-    if path.endswith(".pglb"):
-        program = pglb.parse_program(_read(path))
+    """A term file, or a program file when `args.program` says so; when
+    it is None, a `.pglb` suffix marks a program."""
+    program = path.endswith(".pglb") if args.program is None else args.program
+    if program:
         return pglb.extract(
-            program,
-            entry=getattr(args, "entry", 1),
-            with_random=not getattr(args, "no_random", False),
-            with_abstraction=not getattr(args, "no_abstraction", False),
+            pglb.parse_program(_read(path)),
+            entry=args.entry,
+            with_random=not args.no_random,
+            with_abstraction=not args.no_abstraction,
         )
     return terms.parse_thread(_read(path))
 
@@ -71,44 +74,25 @@ def _scheduler(text: str) -> interleaving.SchedulerSpec:
 def _pipeline(args) -> threads.ThreadGraph:
     """Build the analyzed thread from input files plus pipeline flags."""
     loaded = [_load_thread(path, args) for path in args.inputs]
-    if getattr(args, "services", None):
+    if args.services:
         family = services.parse_family(args.services)
         loaded = [interaction.use(g, family) for g in loaded]
-    if len(loaded) > 1 or getattr(args, "scheduler", None):
-        if not getattr(args, "scheduler", None):
+    if len(loaded) > 1 or args.scheduler:
+        if not args.scheduler:
             raise Error("interleaving several threads requires --scheduler")
         return interleaving.interleave(_scheduler(args.scheduler), loaded)
     return loaded[0]
 
 
 def _environment(args) -> analysis.Environment:
-    if getattr(args, "env", None):
+    if args.env:
         return analysis.Environment.from_table(_read(args.env))
     return analysis.EMPTY_ENVIRONMENT
 
 
-def _print_thread(g: threads.ThreadGraph) -> int:
-    print(terms.print_term(threads.normalize(g)))
+def _cmd_print(args) -> int:
+    print(terms.print_term(threads.normalize(_pipeline(args))))
     return 0
-
-
-def _cmd_normalize(args) -> int:
-    return _print_thread(terms.parse_thread(_read(args.input)))
-
-
-def _cmd_extract(args) -> int:
-    program = pglb.parse_program(_read(args.input))
-    g = pglb.extract(
-        program,
-        entry=args.entry,
-        with_random=not args.no_random,
-        with_abstraction=not args.no_abstraction,
-    )
-    return _print_thread(g)
-
-
-def _cmd_pipeline(args) -> int:
-    return _print_thread(_pipeline(args))
 
 
 def _cmd_dist(args) -> int:
@@ -182,28 +166,37 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact analysis of probabilistic threads, "
         "instruction sequences, services, and interleaving.",
     )
+    # the values of the flags a subcommand does not take
+    parser.set_defaults(
+        func=_cmd_print,
+        program=None,
+        entry=1,
+        no_random=False,
+        no_abstraction=False,
+        services=None,
+        scheduler=None,
+        env=None,
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("normalize", help="print the canonical form of a term file")
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_normalize)
+    p.add_argument("inputs", nargs=1, metavar="input")
+    p.set_defaults(program=False)
 
     p = sub.add_parser("extract", help="behaviour of an instruction sequence")
-    p.add_argument("input")
+    p.add_argument("inputs", nargs=1, metavar="input")
     _add_extraction_flags(p)
-    p.set_defaults(func=_cmd_extract)
+    p.set_defaults(program=True)
 
     p = sub.add_parser("use", help="run a thread against named services")
     p.add_argument("inputs", nargs=1, metavar="input")
     p.add_argument("--services", required=True)
     _add_extraction_flags(p)
-    p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("interleave", help="schedule several threads into one")
     p.add_argument("inputs", nargs="+")
     p.add_argument("--scheduler", required=True)
     _add_extraction_flags(p)
-    p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("dist", help="exact outcome distribution at a depth bound")
     p.add_argument("inputs", nargs="+")

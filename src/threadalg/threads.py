@@ -671,6 +671,51 @@ def _ranked_class_dists(
     return [index[k] for k in dist_of], ordered
 
 
+def refine(
+    supports: List[Tuple[Tuple[int, int], ...]],
+    slots: List[Sequence[int]],
+    keys: List,
+    budget: Optional[int] = None,
+) -> Optional[Tuple[List[int], List[int], List[int], List[Tuple[Tuple[int, int], ...]]]]:
+    """Lump nodes with equal behaviour by partition refinement.
+
+    Node `p` starts in the block of `keys[p]`, numbered by the sorted
+    keys.  `slots[p]` lists its children, each an index into `supports`,
+    the distributions as `_ranked_class_dists` takes them.  A round signs
+    each node with its block and its slots' distribution ranks, and
+    renumbers the blocks by sorted signature, so the numbering depends
+    on the keys and the distributions, not on node positions.  The
+    rounds stop when one makes no more blocks than the one before, since
+    a round only splits blocks and then keeps their numbers too, and
+    stop without signing once every node is a block of its own.  A
+    round costs the node count; `None` is returned once the rounds would
+    cost more than `budget`.
+
+    Returns each node's final block, one node of each block, and
+    the ranks and distributions of the last round, which ran on the
+    final blocks.
+    """
+    ranking = {k: i for i, k in enumerate(sorted(set(keys)))}
+    block = [ranking[k] for k in keys]
+    count = len(ranking)
+    rounds = 0
+    while True:
+        rounds += 1
+        if budget is not None and rounds * len(keys) > budget:
+            return None
+        rank, dists = _ranked_class_dists(supports, block)
+        if count == len(keys):
+            break
+        sigs = [(b, *[rank[k] for k in slot]) for b, slot in zip(block, slots)]
+        ranking = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        if len(ranking) == count:
+            break
+        count = len(ranking)
+        block = [ranking[sig] for sig in sigs]
+    rep = dict(zip(block, range(len(block))))
+    return block, [rep[c] for c in range(count)], rank, dists
+
+
 def normalize(g: ThreadGraph) -> ThreadGraph:
     """The canonical graph of a regular thread.
 
@@ -713,12 +758,9 @@ def quotient(root: int, support, det) -> ThreadGraph:
     `det(ref)` is the tau-closed deterministic node at such a ref.  The
     nodes gathered are those that the supports of the root, and of the
     gathered nodes' children, reach, so every class of the result is
-    reachable.  Equal behaviours are lumped by partition refinement;
-    the numbering depends on neither refs nor denominators.  The rounds
-    stop when one makes no more blocks than the one before, since a
-    round only splits blocks and then keeps their numbers too, and
-    stop without signing the nodes once every node is a block of its
-    own, since the ranks of that round are all the output needs.
+    reachable.  Equal behaviours are lumped by `refine`, from blocks
+    keyed by node type and action, so the numbering depends on neither
+    refs nor denominators.
     """
     head: Dict[int, Tuple[int, Dict[int, int]]] = {}
     dets: Dict[int, Node] = {}
@@ -755,38 +797,10 @@ def quotient(root: int, support, det) -> ThreadGraph:
             return (2, node.action.focus, node.action.method)
         return (3, "", "")
 
-    keys = [base_key(r) for r in refs]
-    ranking = {k: i for i, k in enumerate(sorted(set(keys)))}
-    block = [ranking[k] for k in keys]
-    count = len(ranking)
-
-    # Partition refinement: split blocks until each is closed under the
-    # block-level branch distributions of every child slot.  A node's
-    # signature is its block followed by the ranks of its slots' class
-    # distributions; ranks follow the exact order of the distributions,
-    # so sorting these int tuples orders nodes exactly as sorting the
-    # distributions would, without hashing or comparing a Fraction per
-    # node.  The block indices are re-derived from sorted signatures
-    # each round, so the final numbering is intrinsic to the behaviour,
-    # not the input order.
-    while True:
-        rank, dists = _ranked_class_dists(supports, block)
-        if count == len(refs):
-            break
-        sigs = [(b, *[rank[k] for k in slot]) for b, slot in zip(block, slots)]
-        ranking = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        if len(ranking) == count:
-            break
-        count = len(ranking)
-        block = [ranking[sig] for sig in sigs]
-
-    # the last round ran on the final blocks, so its ranks and
-    # distributions describe the quotient: class c is node c, and every
-    # distribution rank is some class's slot or the root's
-    rep: Dict[int, int] = {}
-    for p, c in enumerate(block):
-        rep.setdefault(c, p)
-    n_classes = len(rep)
+    # class c is node c, and every distribution rank is some class's
+    # slot or the root's
+    _, reps, rank, dists = refine(supports, slots, [base_key(r) for r in refs])
+    n_classes = len(reps)
 
     # choice nodes are interned by distribution rank and numbered in
     # the order of their (weight, target) branch tuples, which over the
@@ -801,7 +815,7 @@ def quotient(root: int, support, det) -> ThreadGraph:
         return dists[j][0][0] if len(dists[j]) == 1 else prob_id[j]
 
     nodes: List[Node] = [None] * (n_classes + len(prob_id))  # type: ignore[list-item]
-    for c, p in rep.items():
+    for c, p in enumerate(reps):
         node = dets[refs[p]]
         if isinstance(node, Stop):
             nodes[c] = STOP

@@ -317,6 +317,20 @@ def test_reached_nodes_lump_into_few_classes(monkeypatch):
     assert 0 < min(d.terminate, d.deadlock, d.surviving)
 
 
+def test_refinement_ranks_the_blocks_once_every_node_is_alone(monkeypatch):
+    # a and its stop are apart from the start; a and b split in the
+    # first round; either way the last round ranks and signs nothing
+    rounds = counted_rounds(monkeypatch)
+    d = outcome_distribution(ta.parse_thread("rec X { X = post(a, X, S); } in X"), HALF_ENV, 10)
+    assert rounds == [(2, 2)]
+    assert (d.terminate, d.surviving) == (1 - Fraction(1, 1024), Fraction(1, 1024))
+    rounds.clear()
+    g = ta.parse_thread("rec X { X = post(a, post(b, X, S), D); } in X")
+    d = outcome_distribution(g, HALF_ENV, 10)
+    assert rounds == [(4, 3), (4, 4)]
+    assert (d.terminate, d.deadlock) == (Fraction(341, 1024), Fraction(341, 512))
+
+
 def test_refinement_on_a_chain_stops_at_its_budget(monkeypatch):
     # every node of a chain is a class of its own, found only after
     # about n rounds: refinement gives up once its rounds would cost more
@@ -360,6 +374,18 @@ def test_sample_depth_exhaustion():
     tag, trace = sample_run(loop, env, 4, 9)
     assert tag == SURVIVING
     assert trace == ("main.a",) * 4
+
+
+def test_sampler_rejects_a_negative_depth_and_no_runs():
+    # no depth counts down to a negative bound: this loop would never end
+    loop = ta.parse_thread("rec X { X = prefix(tau, X); } in X")
+    with pytest.raises(ValueError, match="depth must be a natural number"):
+        sample_run(loop, EMPTY_ENVIRONMENT, -1, 0)
+    with pytest.raises(ValueError, match="depth must be a natural number"):
+        sample_outcomes(loop, EMPTY_ENVIRONMENT, -1, 0, 1)
+    for runs in (0, -1):
+        with pytest.raises(ValueError, match="runs must be a positive integer"):
+            sample_outcomes(loop, EMPTY_ENVIRONMENT, 3, 0, runs)
 
 
 def test_empirical_frequencies_approach_exact_values():

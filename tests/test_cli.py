@@ -59,6 +59,19 @@ def test_extract_flags(capsys):
     assert out == "S\n"
 
 
+def test_normalize_reads_terms_and_extract_programs_whatever_the_suffix(capsys, tmp_path):
+    term = tmp_path / "t.pglb"
+    term.write_text("prob(1/2: S, 1/2: D)")
+    program = tmp_path / "coin.txt"
+    program.write_text((DATA / "coin.pglb").read_text())
+    assert run(capsys, "normalize", term) == (0, "prob(1/2: S, 1/2: D)\n", "")
+    assert run(capsys, "extract", program) == (0, "prob(1/2: S, 1/2: D)\n", "")
+    # the other way round, each file fails to parse
+    for argv in (("normalize", program), ("extract", term)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and err.startswith("error: ")
+
+
 def test_use_register(capsys, tmp_path):
     f = tmp_path / "t.term"
     f.write_text("post(r1.get, S, D)")

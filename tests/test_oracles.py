@@ -62,10 +62,11 @@ different input nodes; on every built-in product scheduler it must
 also return exactly the graph of the engine that keyed its states on
 history views and control states instead of their numbers, and overrun
 a small state bound with the same error on the same inputs.
-`threads.quotient`, whose refinement rounds run on position-indexed
-lists, must give `normalize` and `abstract_tau` exactly the graphs of
-the dict-based rounds, and end its rounds where the block count stops
-growing or every node is alone, without signing a discrete partition.
+`threads.quotient`, whose refinement rounds (`threads.refine`, shared
+with the outcome lumping) run on position-indexed lists, must give
+`normalize` and `abstract_tau` exactly the graphs of the dict-based
+rounds, and end its rounds where the block count stops growing or
+every node is alone, without signing a discrete partition.
 `threads.build`, one generator walk
 under `threads.run_stackless` and its guard search after it, must
 accept the terms the two-walk build accepts, with equal canonical
