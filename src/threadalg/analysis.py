@@ -170,23 +170,21 @@ def _raise_first_error(
 ) -> None:
     """Raise the first missing reply or fork that a recursive walk of the
     `(node, actions left)` pairs from `root` meets: reply first, then the
-    True branch, then the False branch."""
-    seen: Dict[int, set] = {}
+    True branch, then the False branch.  One set holds the pairs seen."""
+    seen = set()
     stack = [(m, depth) for m in reversed(heads[root][1])]
     while stack:
-        ref, k = stack.pop()
-        level = seen.setdefault(k, set())
-        if ref in level:
+        ref, k = pair = stack.pop()
+        if pair in seen:
             continue
-        level.add(ref)
+        seen.add(pair)
         node = nodes[ref]
         if isinstance(node, Fork):
             raise UnresolvedFork(_FORK_MESSAGE)
         if k and isinstance(node, Post):
             env.reply(node.action)
-            below = seen.setdefault(k - 1, set())
             order = (*reversed(heads[node.else_][1]), *reversed(heads[node.then_][1]))
-            stack.extend([(m, k - 1) for m in order if m not in below])
+            stack.extend([(m, k - 1) for m in order])
 
 
 def _lumped_classes(
@@ -248,6 +246,8 @@ def outcome_distribution(
     level by level: the nodes reached with `k - 1` actions left are the
     union of the successor sets of the `Post` nodes reached with `k`,
     and a reply is asked for only where a node is reached with `k > 0`.
+    Each distinct level is kept once: a level that repeats the one above
+    stands for every level below it.
     On a missing reply or a reached fork, the ordered walk of
     `_raise_first_error` decides the error, so the one reported is the
     one a recursive walk (reply first, then the True branch, then the
@@ -259,8 +259,8 @@ def outcome_distribution(
     all differ, costs one round.  Then the masses of every class reached
     with `k` actions left are integers over `L**(k - low)`, computed from
     the previous level only, from `low`, the lowest level the bound
-    reaches, up to `depth`.  Memory follows the levels reached, not
-    `depth`.  Each mass becomes one Fraction at the end.
+    reaches, up to `depth`.  Memory follows the distinct levels and the
+    numerators' size, not `depth`.  Masses become Fractions at the end.
 
     The trace table, made only `with_traces`, comes from one forward
     walk of the tree of trace prefixes, depth first on a stack.  The
@@ -279,15 +279,13 @@ def outcome_distribution(
     nodes = g.nodes
     heads = threads.head_distributions(g, threads.reachable(g))
 
-    # discovery, level by level: reached[k] holds the deterministic nodes
-    # reached with k actions left, the successors of the Post nodes in
-    # reached[k + 1]; a node's reply is asked for when first reached with
-    # k > 0.  Once a level repeats the one above, every level below
-    # repeats it too, so they share one set.
+    # discovery: levels[i] holds the deterministic nodes reached with
+    # depth - i actions left, the last one standing for all below it
     replies: Dict[int, Fraction] = {}
     successors: Dict[int, Iterable[int]] = {}
     level = frozenset(heads[g.root][1])
-    reached: Dict[int, frozenset] = {depth: level}
+    levels = [level]
+    low = 0
     try:
         for k in range(depth, 0, -1):
             for ref in level:
@@ -301,12 +299,12 @@ def outcome_distribution(
                     successors[ref] = ()
             below = frozenset().union(*map(successors.__getitem__, level))
             if not below:
+                low = k
                 break
             if below == level:
-                reached.update(dict.fromkeys(range(k), level))
                 break
-            reached[k - 1] = level = below
-        levels = {id(level): level for level in reached.values()}.values()
+            level = below
+            levels.append(level)
         members = frozenset().union(*levels)
         if any(isinstance(nodes[ref], Fork) for ref in members):
             raise UnresolvedFork(_FORK_MESSAGE)
@@ -337,10 +335,10 @@ def outcome_distribution(
         return tuple((x * f, m) for m, x in nums.items())
 
     coefs = {ref: scaled(coef) for ref, coef in exact.items()}
-    low = min(reached)
-    cls, steps, kinds = _lumped_classes(
-        nodes, coefs, step_den, members, sum(map(len, reached.values()))
-    )
+    # the budget: the sizes of the levels the iteration visits
+    last = len(levels) - 1
+    visits = sum(map(len, levels)) + (depth - low - last) * len(level)
+    cls, steps, kinds = _lumped_classes(nodes, coefs, step_den, members, visits)
 
     # iteration: numerators over scale = step_den**(k - low) of
     # (terminate, deadlock, surviving) for the classes reached with k
@@ -348,12 +346,12 @@ def outcome_distribution(
     # holds no action to perform (every action reaches the level below),
     # so it needs no predecessor, and dividing every scale by
     # step_den**low leaves each Fraction as it was.
-    at = {id(level): set(map(cls.__getitem__, level)) for level in levels}
+    at = [set(map(cls.__getitem__, level)) for level in levels]
     prev: Dict[int, Tuple[int, int, int]] = {}
     scale = 1
     for k in range(low, depth + 1):
         cur: Dict[int, Tuple[int, int, int]] = {}
-        for c in at[id(reached[k])]:
+        for c in at[min(depth - k, last)]:
             kind = kinds[c]
             if kind is Post and k:
                 t = d = s = 0
@@ -444,6 +442,7 @@ def _walker(g: ThreadGraph, env: Environment, depth: int):
     """
     if depth < 0:
         raise ValueError("depth must be a natural number")
+    threads.head_distributions(g, threads.reachable(g))  # a cycle through choices raises here
     nodes = g.nodes
     choices: Dict[int, Tuple[Tuple[int, int], ...]] = {}
     for ref, node in enumerate(nodes):

@@ -91,6 +91,8 @@ _INSTR_RE = re.compile(
     """,
     re.VERBOSE,
 )
+_TESTS = {"+": "pos", "-": "neg", None: "plain"}
+_SIGNS = {"pos": "+", "neg": "-", "plain": ""}
 
 
 def _strip_comments(text: str) -> str:
@@ -123,11 +125,10 @@ def parse_program(text: str) -> Program:
             p = meadow.parse_rational(m.group("rprob"), pos)
             if not meadow.is_probability(p):
                 raise ParseError(f"choice probability {piece!r} outside [0, 1]", pos)
-            test = {"+": "pos", "-": "neg", None: "plain"}[m.group("rtest")]
-            instructions.append(RandomInstr(test, p))
+            instructions.append(RandomInstr(_TESTS[m.group("rtest")], p))
         else:
-            test = {"+": "pos", "-": "neg", None: "plain"}[m.group("btest")]
-            instructions.append(BasicInstr(test, threads.canonical_name(m.group("bname"), pos)))
+            name = threads.canonical_name(m.group("bname"), pos)
+            instructions.append(BasicInstr(_TESTS[m.group("btest")], name))
     return Program(tuple(instructions))
 
 
@@ -139,11 +140,9 @@ def print_program(p: Program) -> str:
         elif isinstance(u, JumpInstr):
             parts.append(("\\" if u.backward else "#") + str(u.offset))
         elif isinstance(u, RandomInstr):
-            sign = {"pos": "+", "neg": "-", "plain": ""}[u.test]
-            parts.append(f"{sign}%{meadow.format_rational(u.prob)}")
+            parts.append(f"{_SIGNS[u.test]}%{meadow.format_rational(u.prob)}")
         else:
-            sign = {"pos": "+", "neg": "-", "plain": ""}[u.test]
-            parts.append(sign + u.name)
+            parts.append(_SIGNS[u.test] + u.name)
     return " ; ".join(parts)
 
 

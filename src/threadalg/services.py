@@ -172,9 +172,6 @@ class ServiceFamily:
             tuple((f, service if f == focus else s) for f, s in self.entries)
         )
 
-    def __contains__(self, focus: str) -> bool:
-        return self.get(focus) is not None
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -186,13 +183,10 @@ def empty_family() -> ServiceFamily:
     return EMPTY_FAMILY
 
 
-def singleton(focus: str, service: Service, probe: Iterable[str] = ()) -> ServiceFamily:
-    """One named service; `probe` methods are conformance-checked on entry."""
+def singleton(focus: str, service: Service) -> ServiceFamily:
+    """One named service."""
     if not _FOCUS_RE.fullmatch(focus):
         raise ValueError(f"malformed focus name {focus!r}")
-    probe = tuple(probe)
-    if probe:
-        check_service(service, probe)
     return ServiceFamily(((focus, service),))
 
 

@@ -62,6 +62,9 @@ equation.  `oracle_nary_prob` is the first `threads.nary_prob`, which
 recursed once per target and renormalized every remaining weight at
 each level.  `oracle_project` is the `threads.project` that walked
 (node, depth) pairs in post-order on a hand-made stack.
+`oracle_equal_up_to` is the `threads.equal_up_to` that built and
+normalized both depth-`n` projections at every depth, also where the
+depth reaches the graphs' node count and `bisimilar` decides.
 `oracle_parse_term` (with `OracleParser`) is the first `terms.parse_term`,
 whose `rec` skimmed every equation body once to collect the system's
 names before parsing it, and which passed the set of names in scope
@@ -1955,6 +1958,11 @@ def oracle_project(n: int, g: ThreadGraph) -> ThreadGraph:
             out = b.add(Prob(tuple((w, memo[c]) for (w, _), c in zip(node.branches, needs))))
         memo[key] = out
     return b.graph(memo[(g.root, n)])
+
+
+def oracle_equal_up_to(n: int, g1: ThreadGraph, g2: ThreadGraph) -> bool:
+    """Whether the depth-`n` approximations have equal canonical forms."""
+    return threads.normalize(threads.project(n, g1)) == threads.normalize(threads.project(n, g2))
 
 
 class OracleParser:

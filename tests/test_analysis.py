@@ -1,6 +1,8 @@
 """Exact outcome distributions and seeded sampling."""
 
+import contextlib
 import random
+import signal
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -21,7 +23,7 @@ from threadalg.analysis import (
     sample_outcomes,
     sample_run,
 )
-from threadalg.errors import MissingReply, ParseError, UnresolvedFork
+from threadalg.errors import MissingReply, ParseError, UnguardedRecursion, UnresolvedFork
 from threadalg.threads import TDead, TFork, TPost, TRec, TStop, TVar
 
 A = ta.basic("main", "a")
@@ -34,6 +36,22 @@ DATA = Path(__file__).parent / "data"
 
 def coin():
     return ta.extract(ta.parse_program("+%1/2 ; ! ; #0"))
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail with TimeoutError, rather than hang, once `seconds` pass."""
+
+    def stuck(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +165,30 @@ def test_memory_follows_the_levels_reached_not_the_bound():
     # the lowest level reached is above zero, and the masses are exact
     d = outcome_distribution(ta.build(TPost(A, TStop(), TPost(B, TStop(), TDead()))), env, 7)
     assert (d.terminate, d.deadlock, d.surviving) == (Fraction(2, 3), Fraction(1, 3), 0)
+
+
+def test_memory_of_a_repeating_level_does_not_grow_with_the_bound():
+    # cyc0's second level repeats for good: it is kept once, not once for
+    # each of the 20,000 levels below it (1.8 MB when it was)
+    g = ta.parse_thread((DATA / "cyc0.term").read_text())
+    env = Environment.from_table((DATA / "env.table").read_text())
+    tracemalloc.start()
+    try:
+        d = outcome_distribution(g, env, 20000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+    assert (d.terminate, d.deadlock, d.surviving) == (0, 0, 1)
+
+
+def test_the_error_walk_takes_each_pair_once():
+    # the True branches double the paths at every level, not the
+    # (node, actions left) pairs: the missing reply behind the root's
+    # False branch comes after about 60 pairs, not 2**59 paths
+    g = ta.parse_thread("post(a, rec X { X = post(a, X, X); } in X, prefix(z, S))")
+    with time_limit(2), pytest.raises(MissingReply, match="main.z"):
+        outcome_distribution(g, HALF_ENV, 60)
 
 
 def test_coin_distribution():
@@ -386,6 +428,20 @@ def test_sampler_rejects_a_negative_depth_and_no_runs():
     for runs in (0, -1):
         with pytest.raises(ValueError, match="runs must be a positive integer"):
             sample_outcomes(loop, EMPTY_ENVIRONMENT, 3, 0, runs)
+
+
+def test_sampler_rejects_a_cycle_through_choices():
+    # a choice that only chooses itself: a run would never end, so the
+    # sampler raises before its first run, as the exact masses do
+    g = T.ThreadGraph((T.Prob(((Fraction(1, 2), 0), (Fraction(1, 2), 0))),), 0)
+    calls = [
+        lambda: outcome_distribution(g, EMPTY_ENVIRONMENT, 3),
+        lambda: sample_run(g, EMPTY_ENVIRONMENT, 3, 0),
+        lambda: sample_outcomes(g, EMPTY_ENVIRONMENT, 3, 0, 5),
+    ]
+    for call in calls:
+        with time_limit(2), pytest.raises(UnguardedRecursion, match="probabilistic choices"):
+            call()
 
 
 def test_empirical_frequencies_approach_exact_values():

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cli_corpus import ALL_COMMANDS
-from threadalg import analysis, cli, pglb, services, terms
+from threadalg import analysis, cli, pglb, services, terms, threads
 from threadalg.errors import Error
 
 DATA = Path(__file__).parent / "data"
@@ -183,6 +183,20 @@ def test_equiv_detects_difference(capsys):
     code, out, _ = run(capsys, "equiv", DATA / "alt1.term", DATA / "choice.term", "--depth", "4")
     assert code == 0
     assert out == "not equivalent\n"
+
+
+def test_equiv_of_a_cyclic_thread_at_a_deep_bound(capsys, monkeypatch):
+    # depth 4000 is far past the two 2-state threads' node count, where
+    # equality up to the depth is bisimilarity: no projection is built
+    def no_projection(n, g):
+        raise AssertionError(f"projected at depth {n}")
+
+    monkeypatch.setattr(threads, "project", no_projection)
+    for other, verdict in (("cyc0", "equivalent"), ("cyc1", "not equivalent")):
+        code, out, _ = run(
+            capsys, "equiv", DATA / "cyc0.term", DATA / f"{other}.term", "--depth", "4000"
+        )
+        assert (code, out) == (0, verdict + "\n")
 
 
 def test_equiv_mixes_input_kinds(capsys):

@@ -79,6 +79,12 @@ post-order walk.  `terms.parse_term`, which reads each token once, must
 accept and reject exactly the texts the parser that skimmed each `rec`
 equation first did, with equal terms, and raise the same first error on
 texts without `rec` and on systems with at most one name fault.
+`threads.equal_up_to`, which leaves a depth that reaches the two
+graphs' node count to `bisimilar` where neither graph forks, must
+answer and raise exactly as the projections did, at depths 0-8 and
+around that count, on random `rec` systems, threads against their own
+projections, random threads with forks, and choice and fork-only
+cycles built through the API.
 """
 
 import functools
@@ -128,6 +134,7 @@ from threadalg.errors import (
 from threadalg.threads import (
     DEAD,
     STOP,
+    Fork,
     Post,
     Prob,
     TDead,
@@ -1452,3 +1459,70 @@ def test_project_matches_oracle():
     for g in graphs:
         for k in range(5):
             assert threads.project(k, g) == oracles.oracle_project(k, g)
+
+
+def equality_pairs(rng):
+    """Pairs of random `rec` systems, with and without forks, of a thread
+    and one of its own projections, and of random threads with forks."""
+    graphs = []
+    while len(graphs) < 240:
+        g = verdict(threads.build, genlib.rec_system(rng, rng.randint(1, 4)))
+        if not raised(g):
+            graphs.append(g)
+    pairs = list(zip(graphs[::2], graphs[1::2]))
+    for g in graphs[:60]:
+        pairs.append((g, threads.project(rng.randint(0, 6), g)))
+    for _ in range(40):
+        pairs.append(tuple(genlib.thread(rng, rng.randint(0, 3), allow_fork=True) for _ in "12"))
+    return pairs
+
+
+def self_choice(ref):
+    return Prob(((Fraction(1, 2), ref), (Fraction(1, 2), ref)))
+
+
+# a choice cycle at the root, behind an action and in a tau step's else
+# branch, and a fork-only cycle, each built through the API
+EQUALITY_EDGE_CASES = {
+    "choice cycle": ThreadGraph((self_choice(0),), 0),
+    "choice cycle behind an action": ThreadGraph((Post(A, 1, 2), self_choice(1), STOP), 0),
+    "choice cycle behind tau": ThreadGraph((Post(ta.TAU, 2, 1), self_choice(1), STOP), 0),
+    "fork-only cycle": ThreadGraph((Fork(0, 0, 0),), 0),
+}
+
+
+def test_equal_up_to_matches_the_projection_oracle():
+    # at depths 0-8 and around the two graphs' node count, where the
+    # graphs without forks take `bisimilar`'s path: the same answers,
+    # and the same exception type and message where the oracle raises
+    rng = random.Random(24)
+    seen = set()
+    for g1, g2 in equality_pairs(rng):
+        bound = len(g1.nodes) + len(g2.nodes)
+        path = "forks" if any(isinstance(v, Fork) for v in (*g1.nodes, *g2.nodes)) else "bisimilar"
+        for n in (*range(9), bound - 1, bound, bound + 1):
+            got = verdict(threads.equal_up_to, n, g1, g2)
+            assert got == verdict(oracles.oracle_equal_up_to, n, g1, g2), (n, g1, g2)
+            if n >= bound:
+                seen.add((path, got))
+    assert seen == {(path, answer) for path in ("forks", "bisimilar") for answer in (True, False)}
+    edge = [*EQUALITY_EDGE_CASES.values(), ta.build(TStop())]
+    for g1 in edge:
+        for g2 in edge:
+            bound = len(g1.nodes) + len(g2.nodes)
+            for n in (-1, 0, 1, 2, bound - 1, bound, bound + 1):
+                got = verdict(threads.equal_up_to, n, g1, g2)
+                assert got == verdict(oracles.oracle_equal_up_to, n, g1, g2), (n, g1, g2)
+
+
+def test_equal_up_to_edge_cases_raise_what_projections_raise():
+    # depth 0 walks neither graph; a negative depth is a ValueError; a
+    # cycle through choices and a fork-only cycle are unguarded recursion
+    # at every depth that reaches them
+    cycle = "cycle through probabilistic choices"
+    for name, g in EQUALITY_EDGE_CASES.items():
+        assert threads.equal_up_to(0, g, g) is True, name
+        assert raised(verdict(threads.equal_up_to, -1, g, g)) == (
+            ValueError, "projection depth must be a natural number")
+        for n in (2, 2 * len(g.nodes), 100):
+            assert raised(verdict(threads.equal_up_to, n, g, g)) == (UnguardedRecursion, cycle)

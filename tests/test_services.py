@@ -105,7 +105,7 @@ def test_conformance_check_catches_violations():
             return 17
 
     with pytest.raises(ContractViolation):
-        singleton("f", Broken(), probe=["get"])
+        check_service(Broken(), ["get"])
 
     class Overflowing(services.Service):
         def reply(self, method):
