@@ -13,13 +13,12 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from . import meadow, threads
 from .errors import MissingReply, OutOfRange, ParseError, UnresolvedFork
-from .threads import Action, DeadEnd, Fork, Post, Prob, Stop, ThreadGraph
+from .threads import Action, DeadEnd, Fork, Post, Prob, Record, Stop, ThreadGraph, _set
 
 TERMINATE = "terminate"
 DEADLOCK = "deadlock"
@@ -91,18 +90,24 @@ class Environment:
 EMPTY_ENVIRONMENT = Environment({})
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
+class OutcomeDistribution(Record):
     """Exact masses of the three outcomes within a depth bound."""
 
-    terminate: Fraction
-    deadlock: Fraction
-    surviving: Fraction
-    traces: Optional[Tuple[Tuple[Trace, Fraction], ...]] = None
+    __slots__ = ("terminate", "deadlock", "surviving", "traces")
 
-    def __post_init__(self):
-        if self.terminate + self.deadlock + self.surviving != 1:
+    def __init__(
+        self,
+        terminate: Fraction,
+        deadlock: Fraction,
+        surviving: Fraction,
+        traces: Optional[Tuple[Tuple[Trace, Fraction], ...]] = None,
+    ):
+        if terminate + deadlock + surviving != 1:
             raise ValueError("outcome masses must sum to exactly 1")
+        _set(self, "terminate", terminate)
+        _set(self, "deadlock", deadlock)
+        _set(self, "surviving", surviving)
+        _set(self, "traces", traces)
 
     @property
     def trace_table(self) -> Dict[Trace, Fraction]:

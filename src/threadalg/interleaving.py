@@ -49,7 +49,6 @@ when the thread was built.
 from __future__ import annotations
 
 from collections.abc import Hashable
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple, Union
 
@@ -63,10 +62,12 @@ from .threads import (
     GraphBuilder,
     Post,
     Prob,
+    Record,
     STOP,
     Stop,
     TAU,
     ThreadGraph,
+    _set,
 )
 
 History = Tuple[Tuple[int, int], ...]
@@ -74,26 +75,31 @@ History = Tuple[Tuple[int, int], ...]
 DEFAULT_STATE_BOUND = 100_000
 
 
-@dataclass(frozen=True)
-class BasicStep:
+class BasicStep(Record):
     """The chosen thread performed an action (possibly the internal one)."""
 
-    action: Action
+    __slots__ = ("action",)
+
+    def __init__(self, action: Action):
+        _set(self, "action", action)
 
 
-@dataclass(frozen=True)
-class ForkStep:
+class ForkStep(Record):
     """The chosen thread forked off a new thread."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class TerminationStep:
+
+class TerminationStep(Record):
     """The chosen thread terminated."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class InactionStep:
+
+class InactionStep(Record):
     """The chosen thread became inactive."""
+
+    __slots__ = ()
 
 
 StepKind = Union[BasicStep, ForkStep, TerminationStep, InactionStep]
@@ -115,8 +121,7 @@ def _keep_none(h: History) -> History:
     return ()
 
 
-@dataclass(frozen=True)
-class SchedulerSpec:
+class SchedulerSpec(Record):
     """A scheduling strategy.
 
     `schedule(n, h, s)` returns one probability per thread, summing to
@@ -129,10 +134,19 @@ class SchedulerSpec:
     `(n, view, ctrl)`, and reuses the answers.
     """
 
-    initial_state: object
-    schedule: Callable[[int, History, object], Sequence[Fraction]]
-    update: Callable[[int, History, object, int, StepKind], object]
-    digest: Callable[[History], History] = _keep_all
+    __slots__ = ("initial_state", "schedule", "update", "digest")
+
+    def __init__(
+        self,
+        initial_state: object,
+        schedule: Callable[[int, History, object], Sequence[Fraction]],
+        update: Callable[[int, History, object, int, StepKind], object],
+        digest: Callable[[History], History] = _keep_all,
+    ):
+        _set(self, "initial_state", initial_state)
+        _set(self, "schedule", schedule)
+        _set(self, "update", update)
+        _set(self, "digest", digest)
 
 
 _DEFAULT = object()

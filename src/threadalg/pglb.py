@@ -29,38 +29,42 @@ internal steps concealed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple, Union
 
 from . import interaction, meadow, services, threads
 from .errors import ParseError
-from .threads import Action, DEAD, GraphBuilder, Post, STOP, ThreadGraph
+from .threads import Action, DEAD, GraphBuilder, Post, Record, STOP, ThreadGraph, _set
 
 RANDOM_FOCUS = "random"
 
 
-@dataclass(frozen=True)
-class BasicInstr:
-    test: str  # 'plain' | 'pos' | 'neg'
-    name: str
+class BasicInstr(Record):
+    __slots__ = ("test", "name")
+
+    def __init__(self, test: str, name: str):
+        _set(self, "test", test)  # 'plain' | 'pos' | 'neg'
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class RandomInstr:
-    test: str  # 'plain' | 'pos' | 'neg'
-    prob: Fraction
+class RandomInstr(Record):
+    __slots__ = ("test", "prob")
+
+    def __init__(self, test: str, prob: Fraction):
+        _set(self, "test", test)  # 'plain' | 'pos' | 'neg'
+        _set(self, "prob", prob)
 
 
-@dataclass(frozen=True)
-class JumpInstr:
-    backward: bool
-    offset: int
+class JumpInstr(Record):
+    __slots__ = ("backward", "offset")
+
+    def __init__(self, backward: bool, offset: int):
+        _set(self, "backward", backward)
+        _set(self, "offset", offset)
 
 
-@dataclass(frozen=True)
-class HaltInstr:
-    pass
+class HaltInstr(Record):
+    __slots__ = ()
 
 
 Instruction = Union[BasicInstr, RandomInstr, JumpInstr, HaltInstr]
@@ -68,15 +72,15 @@ Instruction = Union[BasicInstr, RandomInstr, JumpInstr, HaltInstr]
 HALT = HaltInstr()
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Record):
     """A nonempty instruction sequence."""
 
-    instructions: Tuple[Instruction, ...]
+    __slots__ = ("instructions",)
 
-    def __post_init__(self):
-        if not self.instructions:
+    def __init__(self, instructions: Tuple[Instruction, ...]):
+        if not instructions:
             raise ValueError("an instruction sequence has at least one instruction")
+        _set(self, "instructions", instructions)
 
     def __len__(self) -> int:
         return len(self.instructions)

@@ -15,13 +15,13 @@ encapsulation removes a set of names wholesale.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Tuple
 
 from . import meadow
 from .errors import ContractViolation, ParseError
 from .meadow import ONE, ZERO
+from .threads import Record, _set
 
 
 class Service:
@@ -33,6 +33,8 @@ class Service:
     Concrete services subclass this and implement both methods.
     """
 
+    __slots__ = ()
+
     def reply(self, method: str) -> Optional[Fraction]:
         raise NotImplementedError
 
@@ -40,9 +42,10 @@ class Service:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class EmptyService(Service):
+class EmptyService(Service, Record):
     """The service that cannot process any method."""
+
+    __slots__ = ()
 
     def reply(self, method: str) -> Optional[Fraction]:
         return None
@@ -69,13 +72,14 @@ def _get_probability(method: str) -> Optional[Fraction]:
     return p
 
 
-@dataclass(frozen=True)
-class RandomService(Service):
+class RandomService(Service, Record):
     """A random Boolean generator.
 
     The method `get(p)` replies True with probability p and leaves the
     service unchanged; any other method cannot be processed.
     """
+
+    __slots__ = ()
 
     def reply(self, method: str) -> Optional[Fraction]:
         return _get_probability(method)
@@ -93,8 +97,7 @@ def make_random() -> Service:
     return RANDOM
 
 
-@dataclass(frozen=True)
-class RegisterService(Service):
+class RegisterService(Service, Record):
     """One Boolean cell, with sure replies.
 
     `set:true` and `set:false` store a value and reply True; `get`
@@ -102,7 +105,10 @@ class RegisterService(Service):
     cell unchanged.  Everything else cannot be processed.
     """
 
-    value: bool
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool):
+        _set(self, "value", value)
 
     def reply(self, method: str) -> Optional[Fraction]:
         if method == "get":
@@ -152,11 +158,13 @@ def check_service(service: Service, methods: Iterable[str]) -> None:
 _FOCUS_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-@dataclass(frozen=True)
-class ServiceFamily:
+class ServiceFamily(Record):
     """A finite map from focus names to services; at most one per focus."""
 
-    entries: Tuple[Tuple[str, Service], ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: Tuple[Tuple[str, Service], ...]):
+        _set(self, "entries", entries)
 
     def get(self, focus: str) -> Optional[Service]:
         for f, s in self.entries:

@@ -33,9 +33,10 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Hashable
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import total_ordering
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Callable, Dict, Generator, List, Optional, Sequence, Set, Tuple, Union
 
 from . import meadow
@@ -48,20 +49,90 @@ from .errors import (
 )
 
 # ---------------------------------------------------------------------------
+# Records: the immutable values of every module
+
+_set = object.__setattr__  # how a record's `__init__` sets its fields
+
+
+def _values_getter(fields: Tuple[str, ...]) -> Callable[[object], tuple]:
+    if len(fields) > 1:
+        return attrgetter(*fields)
+    if fields:
+        get = attrgetter(*fields)
+        return lambda record: (get(record),)
+    return lambda record: ()
+
+
+class Record:
+    """An immutable value with named fields.
+
+    A subclass has its base's fields and the ones it names in
+    `__slots__`, or those it names in `_fields` when a slot is no field,
+    and sets them in its `__init__` with `_set`.  Two records are equal
+    when they are of one class with equal fields; a record hashes as the
+    tuple of its fields and prints as `Name(field=value, ...)`, as a
+    frozen dataclass would, and its attributes can be neither assigned
+    nor deleted.  These methods are written once here, so that importing
+    the package generates no code: `dataclasses` imports `inspect` and
+    compiles each class's methods from source, which took about a third
+    of the time `import threadalg.cli` takes.
+    """
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_fields" not in cls.__dict__:
+            cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
+        cls._values = staticmethod(_values_getter(cls._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
+# ---------------------------------------------------------------------------
 # Actions
 
 
-@dataclass(frozen=True, order=True)
-class Action:
+@total_ordering
+class Action(Record):
     """A basic action `focus.method`, or the internal action tau.
 
     The focus names a service; the method is what that service is asked
     to process.  Tau is the internal action: it is distinct from every
-    basic action and always receives the answer True.
+    basic action and always receives the answer True.  Actions are
+    ordered by focus, then method.
     """
 
-    focus: str
-    method: str
+    __slots__ = ("focus", "method")
+
+    def __init__(self, focus: str, method: str):
+        _set(self, "focus", focus)
+        _set(self, "method", method)
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.focus, self.method) < (other.focus, other.method)
+        return NotImplemented
 
     @property
     def is_tau(self) -> bool:
@@ -145,27 +216,30 @@ def probability_weights(weights: Sequence) -> List[Fraction]:
     return ws
 
 
-@dataclass(frozen=True)
-class Stop:
+class Stop(Record):
     """Successful termination."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class DeadEnd:
+
+class DeadEnd(Record):
     """Inaction: no further steps are taken and the thread never terminates."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Post:
+
+class Post(Record):
     """Perform `action`, continue at `then_` on True and `else_` on False."""
 
-    action: Action
-    then_: int
-    else_: int
+    __slots__ = ("action", "then_", "else_")
+
+    def __init__(self, action: Action, then_: int, else_: int):
+        _set(self, "action", action)
+        _set(self, "then_", then_)
+        _set(self, "else_", else_)
 
 
-@dataclass(frozen=True)
-class Fork:
+class Fork(Record):
     """Fork off the thread at `forked` and continue at `then_`.
 
     A fork produces a reply like an action does, but no basic action is
@@ -173,13 +247,15 @@ class Fork:
     assumed unlimited); `else_` is kept for structural completeness.
     """
 
-    forked: int
-    then_: int
-    else_: int
+    __slots__ = ("forked", "then_", "else_")
+
+    def __init__(self, forked: int, then_: int, else_: int):
+        _set(self, "forked", forked)
+        _set(self, "then_", then_)
+        _set(self, "else_", else_)
 
 
-@dataclass(frozen=True)
-class Prob:
+class Prob(Record):
     """Internal choice over branches; weights lie in (0, 1] and sum to 1.
 
     Weights are checked where they enter the library: `Prob(...)` checks
@@ -187,9 +263,15 @@ class Prob:
     service replies and env tables do.  The library builds the choices
     it checked or made itself (`build`'s kept branches, copies, products,
     canonical forms) with `_built_prob`, which does not check them again.
+    The check is the method `__post_init__`, called through the class,
+    so that a profiler can count the checks by replacing it there.
     """
 
-    branches: Tuple[Tuple[Fraction, int], ...]
+    __slots__ = ("branches",)
+
+    def __init__(self, branches: Tuple[Tuple[Fraction, int], ...]):
+        _set(self, "branches", branches)
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.branches:
@@ -201,7 +283,7 @@ def _built_prob(branches: Tuple[Tuple[Fraction, int], ...]) -> Prob:
     """A Prob over weights that were checked already or are exact by
     construction, built without `__post_init__`'s check."""
     node = object.__new__(Prob)
-    object.__setattr__(node, "branches", branches)
+    _set(node, "branches", branches)
     return node
 
 
@@ -211,18 +293,21 @@ STOP = Stop()
 DEAD = DeadEnd()
 
 
-@dataclass(frozen=True)
-class ThreadGraph:
+class ThreadGraph(Record):
     """A regular thread: a node table plus the root reference.
 
     `canonical` is set only by `normalize`, on the graphs it returns, so
-    that normalizing one of them again costs nothing; it takes no part
-    in equality or hashing.
+    that normalizing one of them again costs nothing; it is no field, so
+    it takes no part in equality, hashing or printing.
     """
 
-    nodes: Tuple[Node, ...]
-    root: int
-    canonical: bool = field(default=False, init=False, compare=False, repr=False)
+    __slots__ = ("nodes", "root", "canonical")
+    _fields = ("nodes", "root")
+
+    def __init__(self, nodes: Tuple[Node, ...], root: int):
+        _set(self, "nodes", nodes)
+        _set(self, "root", root)
+        _set(self, "canonical", False)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -367,52 +452,60 @@ class GraphBuilder:
 # Terms: the syntax trees that `build` turns into graphs
 
 
-class Term:
+class Term(Record):
     """Base class for thread expressions."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class TStop(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class TDead(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class TPost(Term):
-    action: Action
-    then_: Term
-    else_: Term
+    __slots__ = ("action", "then_", "else_")
+
+    def __init__(self, action: Action, then_: Term, else_: Term):
+        _set(self, "action", action)
+        _set(self, "then_", then_)
+        _set(self, "else_", else_)
 
 
-@dataclass(frozen=True)
 class TFork(Term):
-    forked: Term
-    then_: Term
-    else_: Term
+    __slots__ = ("forked", "then_", "else_")
+
+    def __init__(self, forked: Term, then_: Term, else_: Term):
+        _set(self, "forked", forked)
+        _set(self, "then_", then_)
+        _set(self, "else_", else_)
 
 
-@dataclass(frozen=True)
 class TProb(Term):
-    branches: Tuple[Tuple[Fraction, Term], ...]
+    __slots__ = ("branches",)
+
+    def __init__(self, branches: Tuple[Tuple[Fraction, Term], ...]):
+        _set(self, "branches", branches)
 
 
-@dataclass(frozen=True)
 class TVar(Term):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
 class TRec(Term):
     """A system of recursion equations together with the selected variable."""
 
-    equations: Tuple[Tuple[str, Term], ...]
-    body: str
+    __slots__ = ("equations", "body")
+
+    def __init__(self, equations: Tuple[Tuple[str, Term], ...], body: str):
+        _set(self, "equations", equations)
+        _set(self, "body", body)
 
 
 def tprefix(action: Action, term: Term) -> Term:
@@ -830,7 +923,7 @@ def quotient(root: int, support, det) -> ThreadGraph:
     for k, i in prob_id.items():
         nodes[i] = _built_prob(tuple((weight[w], c) for w, c in branches[k]))
     out = ThreadGraph(tuple(nodes), resolve(child[root]))
-    object.__setattr__(out, "canonical", True)
+    _set(out, "canonical", True)
     return out
 
 

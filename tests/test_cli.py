@@ -620,10 +620,9 @@ FUZZ_FAMILIES = [
 FUZZ_PIECES = ["post(z, S, D)", "prefix(a, ", ")", "S", "D", "tau", "#0", "!", ";"]
 
 
-@st.composite
-def fuzz_argv(draw, scratch):
-    command = draw(st.sampled_from(["dist", "sample"]))
-    inputs = draw(st.lists(st.sampled_from(FUZZ_INPUTS), min_size=1, max_size=3))
+def fuzz_inputs(draw, scratch, min_size, max_size, pool=FUZZ_INPUTS):
+    """Files from `pool`, the first of them perhaps edited into `scratch`."""
+    inputs = draw(st.lists(st.sampled_from(pool), min_size=min_size, max_size=max_size))
     edit = draw(st.sampled_from([None, None, "fork", "fork", "pieces"]))
     if edit:
         path = Path(inputs[0])
@@ -637,6 +636,13 @@ def fuzz_argv(draw, scratch):
             text = draw(edited([text], FUZZ_PIECES))
         inputs[0] = str(scratch / f"edited{path.suffix}")
         Path(inputs[0]).write_text(text)
+    return inputs
+
+
+@st.composite
+def fuzz_argv(draw, scratch):
+    command = draw(st.sampled_from(["dist", "sample"]))
+    inputs = fuzz_inputs(draw, scratch, 1, 3)
     argv = [command, *inputs]
     if len(inputs) > 1 or draw(st.integers(0, 3)) == 0:
         argv += ["--scheduler", draw(st.sampled_from(FUZZ_SCHEDULERS))]
@@ -660,15 +666,61 @@ def fuzz_argv(draw, scratch):
     return argv
 
 
-@settings(derandomize=True, deadline=None, max_examples=300, database=None)
-@given(data=st.data())
-def test_dist_and_sample_argv_exit_cleanly(tmp_path_factory, data):
+def fuzz_scratch(tmp_path_factory) -> Path:
     scratch = tmp_path_factory.getbasetemp() / "fuzz"
     scratch.mkdir(exist_ok=True)
-    argv = data.draw(fuzz_argv(scratch))
+    return scratch
+
+
+def assert_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue()
     assert (code == 0) == bool(out.getvalue()), argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(data=st.data())
+def test_dist_and_sample_argv_exit_cleanly(tmp_path_factory, data):
+    assert_exits_cleanly(data.draw(fuzz_argv(fuzz_scratch(tmp_path_factory))))
+
+
+# the other five subcommands the same way; each required flag is
+# sometimes left out, which is a usage error
+FUZZ_PROGRAMS = [p for p in FUZZ_INPUTS if p.endswith(".pglb")]
+FUZZ_INPUT_COUNTS = {
+    "normalize": (1, 1),
+    "extract": (1, 1),
+    "use": (1, 1),
+    "interleave": (1, 3),
+    "equiv": (2, 2),
+}
+
+
+@st.composite
+def fuzz_pipeline_argv(draw, scratch):
+    command = draw(st.sampled_from(sorted(FUZZ_INPUT_COUNTS)))
+    # `extract` mostly reads programs, which the other commands rarely do
+    pool = FUZZ_PROGRAMS if command == "extract" and draw(st.booleans()) else FUZZ_INPUTS
+    argv = [command, *fuzz_inputs(draw, scratch, *FUZZ_INPUT_COUNTS[command], pool)]
+    required = draw(st.sampled_from([True, True, True, False]))
+    if command == "use" and required:
+        argv += ["--services", draw(st.sampled_from(FUZZ_FAMILIES))]
+    if command == "interleave" and required:
+        argv += ["--scheduler", draw(st.sampled_from(FUZZ_SCHEDULERS))]
+    if command == "equiv" and required:
+        argv += ["--depth", str(draw(st.integers(-1, 12)))]
+    if command != "normalize":
+        if draw(st.integers(0, 3)) == 0:
+            argv += ["--entry", str(draw(st.integers(-1, 6)))]
+        argv += draw(st.sampled_from([[], ["--no-random"], ["--no-abstraction"],
+                                      ["--no-random", "--no-abstraction"]]))
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(data=st.data())
+def test_pipeline_argv_exit_cleanly(tmp_path_factory, data):
+    assert_exits_cleanly(data.draw(fuzz_pipeline_argv(fuzz_scratch(tmp_path_factory))))
