@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from . import analysis, interaction, interleaving, pglb, services, terms, threads
+from . import analysis, interaction, interleaving, meadow, pglb, services, terms, threads
 from .errors import Error
 
 
@@ -71,8 +71,9 @@ def _scheduler(text: str) -> interleaving.SchedulerSpec:
         raise Error(str(exc)) from exc
 
 
-def _pipeline(args) -> threads.ThreadGraph:
-    """Build the analyzed thread from input files plus pipeline flags."""
+def _pipeline(args, canonical: bool = False) -> threads.ThreadGraph:
+    """Build the analyzed thread from input files plus pipeline flags; an
+    interleaving is built in canonical form when `canonical` says so."""
     loaded = [_load_thread(path, args) for path in args.inputs]
     if args.services:
         family = services.parse_family(args.services)
@@ -80,7 +81,7 @@ def _pipeline(args) -> threads.ThreadGraph:
     if len(loaded) > 1 or args.scheduler:
         if not args.scheduler:
             raise Error("interleaving several threads requires --scheduler")
-        return interleaving.interleave(_scheduler(args.scheduler), loaded)
+        return interleaving.interleave(_scheduler(args.scheduler), loaded, canonical=canonical)
     return loaded[0]
 
 
@@ -91,7 +92,7 @@ def _environment(args) -> analysis.Environment:
 
 
 def _cmd_print(args) -> int:
-    print(terms.print_term(threads.normalize(_pipeline(args))))
+    print(terms.print_term(threads.normalize(_pipeline(args, canonical=True))))
     return 0
 
 
@@ -100,13 +101,14 @@ def _cmd_dist(args) -> int:
     dist = analysis.outcome_distribution(
         g, _environment(args), args.depth, with_traces=args.traces
     )
-    print(f"terminate: {dist.terminate}")
-    print(f"deadlock: {dist.deadlock}")
-    print(f"surviving: {dist.surviving}")
+    rational = meadow.format_rational
+    print(f"terminate: {rational(dist.terminate)}")
+    print(f"deadlock: {rational(dist.deadlock)}")
+    print(f"surviving: {rational(dist.surviving)}")
     if args.traces:
         # traces of equal mass share one Fraction: format each one once
         shared = {id(m): m for _, m in dist.traces}
-        text = {k: str(m) for k, m in shared.items()}
+        text = {k: rational(m) for k, m in shared.items()}
         sys.stdout.write("".join(
             f"{' '.join(('trace', *trace))}: {text[id(mass)]}\n" for trace, mass in dist.traces
         ))

@@ -44,6 +44,15 @@ new node is appended to the shared `GraphBuilder` as it is, with no
 Fraction hash and no weight check: the turn weights were checked once
 per `(n, view, ctrl)` and a choice copies weights that were checked
 when the thread was built.
+
+`interleave(..., canonical=True)` returns the canonical form of the
+product, as `threads.normalize` would, but builds no choice at all: the
+engine expands the same product states in the same order, and each
+holds its distribution one turn ahead as integer numerators over one
+denominator (the turn weights times the inputs' head distributions)
+where the raw product holds a turn choice with copies of the inputs'
+choices under it.  `threads.quotient` lumps these distributions
+directly, with a termination or inaction step's next state inlined.
 """
 
 from __future__ import annotations
@@ -277,10 +286,10 @@ class _Engine:
             ref = self.interned[key] = b.append(Post(action, t1, t2))
         return ref
 
-    def content(self, key: tuple) -> Prob:
-        sd, s, refs = key
-        n = len(refs)
-        # `schedule` is pure: check its turn vector once per (n, view, ctrl)
+    def turn(self, n: int, s: int) -> List[Tuple[int, Fraction]]:
+        """The threads (0-based) with a nonzero turn weight among `n` in
+        pair `s`, each with its weight; `schedule` is pure, so its turn
+        vector is asked and checked once per (n, view, ctrl)."""
         turns = self.turns.get((n, s))
         if turns is None:
             view, ctrl = self.pairs[s]
@@ -289,17 +298,71 @@ class _Engine:
                 raise ValueError(
                     f"scheduler returned {len(weights)} weights for {n} threads"
                 )
-            if sum(weights) != 1:
-                raise WeightSumNotOne(f"turn probabilities sum to {sum(weights)}, not 1")
+            total = sum(weights)
+            if total != 1:
+                raise WeightSumNotOne(
+                    f"turn probabilities sum to {meadow.format_rational(total)}, not 1"
+                )
             turns = self.turns[n, s] = [(i, w) for i, w in enumerate(weights) if w]
+        return turns
+
+    def content(self, key: tuple) -> Prob:
+        sd, s, refs = key
+        turns = self.turn(len(refs), s)
         branches = tuple([(w, self.positional(sd, s, refs, i, refs[i])) for i, w in turns])
         # a single live branch still needs a node of its own: alias it
         # with a one-branch choice so the slot has content to hold
         return threads._built_prob(branches)
 
+    def support(self, key: tuple) -> Tuple[int, Dict[int, int]]:
+        """The distribution of slot `key` one turn ahead, as `weighted_sum`
+        gives it: each turn weight times the integer head distribution of
+        its thread's input node, over the steps that turn builds and the
+        slots its thread's termination or inaction leads to.  The targets
+        are made in the order `content` makes them."""
+        sd, s, refs = key
+        turns = self.turn(len(refs), s)
+        terms = []
+        for i, w in turns:
+            den, nums = self.heads[refs[i]]
+            out: Dict[int, int] = {}
+            for t, x in nums.items():
+                u = self.positional(sd, s, refs, i, t)
+                out[u] = out.get(u, 0) + x
+            terms.append((w.numerator, w.denominator * den, out))
+        if len(turns) == 1 and len(out) == len(nums):
+            # one sure turn to distinct targets: a canonical input's head
+            # distribution, which is in lowest terms
+            return den, out
+        return threads.weighted_sum(terms)
+
     def run(self, root: int) -> ThreadGraph:
         self.b.expand(self.content)
         return self.b.graph(root)
+
+    def quotient(self, root: int) -> ThreadGraph:
+        """The canonical graph of the product at slot `root`.
+
+        The slots are expanded as `run` expands them, so the state bound
+        counts the same slots and the first error is the same one, but
+        each holds its `support` where `run` builds a choice.  A slot's
+        support names another slot only through a termination or
+        inaction step, which leaves one thread less, so slots are
+        inlined in order of their thread counts; the steps, `STOP` and
+        `DEAD` are the deterministic nodes, tau-closed as the inputs."""
+        heads: Dict[int, Tuple[int, Dict[int, int]]] = {}
+        self.heads = [threads._head(self.arena, r, heads) for r in range(len(self.arena))]
+        self.b.expand(self.support)
+        nodes = self.b._nodes
+        for _, r in sorted(self.b._slots.items(), key=lambda item: len(item[0][2])):
+            den, nums = nodes[r]
+            if any(type(nodes[t]) is tuple for t in nums):
+                nodes[r] = threads.weighted_sum([
+                    (x, den * nodes[t][0], nodes[t][1]) if type(nodes[t]) is tuple
+                    else (x, den, {t: 1})
+                    for t, x in nums.items()
+                ])
+        return threads.quotient(root, nodes.__getitem__, nodes.__getitem__)
 
 
 def interleave(
@@ -309,11 +372,20 @@ def interleave(
     state=_DEFAULT,
     *,
     state_bound: int = DEFAULT_STATE_BOUND,
+    canonical: bool = False,
 ) -> ThreadGraph:
-    """The single thread arising from scheduling the given threads."""
+    """The single thread arising from scheduling the given threads.
+
+    The product is returned as built, one choice node per turn and a
+    copy of a thread's own choice under it.  With `canonical`, it is
+    returned as `threads.normalize` would return it, built with no
+    choice layers: every product state holds its integer distribution
+    over the steps a turn leads to, and `threads.quotient` lumps these.
+    The state bound and the errors are the same either way.
+    """
     engine = _Engine(spec, threads_, state_bound)
     root = engine.b.slot((False, engine.start(history, state), tuple(engine.roots)))
-    return engine.run(root)
+    return engine.quotient(root) if canonical else engine.run(root)
 
 
 def positional_interleave(

@@ -118,6 +118,28 @@ def parse_rational(text: str, position=None) -> MeadowValue:
     return Fraction(parse_int(num, position))
 
 
+def _decimal(n: int) -> str:
+    """The decimal digits of `n` >= 0, of any length.
+
+    CPython refuses to turn an int of more digits than
+    `sys.get_int_max_str_digits()` into a string; such an int is split
+    by a power of ten and its halves are spelled apart, the low half
+    zero-padded, so no interpreter setting is changed.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        k = n.bit_length() * 3 // 20  # about half its digits: log10(2) > 3/10
+        high, low = divmod(n, 10**k)
+        return _decimal(high) + _decimal(low).zfill(k)
+
+
 def format_rational(v: MeadowValue) -> str:
-    """`num/den` in lowest terms, denominator omitted when it is 1."""
-    return str(v)
+    """`num/den` in lowest terms, denominator omitted when it is 1, at
+    any size."""
+    try:
+        return str(v)
+    except ValueError:
+        num, den = v.numerator, v.denominator
+        text = "-" + _decimal(-num) if num < 0 else _decimal(num)
+        return text if den == 1 else f"{text}/{_decimal(den)}"

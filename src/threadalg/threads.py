@@ -18,8 +18,9 @@ their canonical graphs are equal; `bisimilar` decides this, and
 `equal_up_to` compares finite-depth approximations.  The core of
 `normalize`, `quotient`, gathers from the root the nodes that a
 distribution function reaches and lumps them; `normalize` gives it
-head distributions over tau-closed nodes, and abstraction gives it
-escape distributions directly.
+head distributions over tau-closed nodes, abstraction gives it escape
+distributions directly, and so does the interleaving engine with the
+distributions of its product states.
 
 `head_distributions` flattens choice layers for `normalize` (one
 reference at a time, as its gather asks), for abstraction and for
@@ -199,14 +200,18 @@ def check_weights(weights: Sequence[Fraction], closed: bool, label: str) -> None
             raise MalformedProbability(f"{label} {w!r} is not an exact rational")
         n, d = w.numerator, w.denominator
         if not low <= n <= d:
-            raise MalformedProbability(f"{label} {w} outside {_RANGE[closed]}")
+            raise MalformedProbability(
+                f"{label} {meadow.format_rational(w)} outside {_RANGE[closed]}"
+            )
         if d == den:
             num += n
         else:
             g = gcd(den, d)
             num, den = num * (d // g) + n * (den // g), den // g * d
     if num != den:
-        raise WeightSumNotOne(f"{label}s sum to {Fraction(num, den)}, not 1")
+        raise WeightSumNotOne(
+            f"{label}s sum to {meadow.format_rational(Fraction(num, den))}, not 1"
+        )
 
 
 def probability_weights(weights: Sequence) -> List[Fraction]:

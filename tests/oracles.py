@@ -80,7 +80,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from threadalg import interleaving, meadow, threads
 from threadalg.analysis import (
@@ -897,6 +897,7 @@ def oracle_outcome_distribution(
     depth: int,
     *,
     with_traces: bool = False,
+    memo: Optional[Dict[Tuple[int, int], tuple]] = None,
 ) -> OutcomeDistribution:
     """Exact outcome masses of `g` within `depth` performed actions.
 
@@ -905,10 +906,16 @@ def oracle_outcome_distribution(
     whole mass to `surviving` (the thread is still running there, not
     inactive).  The optional trace table maps each performed action
     sequence to its total mass.
+
+    `memo` holds the outcome of each (node, actions left) pair, which
+    does not depend on `depth`: a caller may pass one memo to the calls
+    on one graph, environment and `with_traces`.  A pair that raised is
+    not in it, so each call still raises its own first error.
     """
     if depth < 0:
         raise ValueError("depth must be a natural number")
-    memo: Dict[Tuple[int, int], tuple] = {}
+    if memo is None:
+        memo = {}
 
     def go(ref: int, k: int) -> tuple:
         key = (ref, k)

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -357,6 +358,87 @@ def test_overlong_integers_are_parse_errors(capsys, tmp_path, name, text, where)
     assert where in err
 
 
+def spelled(num, den=1):
+    """`num/den` in lowest terms, spelled through `Decimal`, which turns an
+    int of any length into digits."""
+    v = Fraction(num, den)
+    text = str(Decimal(v.numerator))
+    return text if v.denominator == 1 else f"{text}/{Decimal(v.denominator)}"
+
+
+def loop_masses(depth):
+    """The outcome masses of `rec X { X = post(a, S, prob(1/3: X, 2/3:
+    post(b, X, D))); } in X` with replies 1/7 to `a` and 2/5 to `b`, as
+    numerators over 35 ** k on k actions left: X's and `post(b, X, D)`'s."""
+    x = y = (0, 0, 1)
+    for k in range(1, depth + 1):
+        unit = 35 ** (k - 1)
+        x, y = (
+            tuple(5 * unit * e + 10 * a + 20 * b for e, a, b in zip((1, 0, 0), x, y)),
+            tuple(14 * a + 21 * unit * e for e, a in zip((0, 1, 0), x)),
+        )
+    return [spelled(v, 35**depth) for v in x]
+
+
+# coprime 2501-digit integers: the square of either, and their product,
+# have more digits than `str` converts on Python 3.11 and later
+N, M = 10**2500 + 1, 10**2500 + 3
+LONG_RATIONAL_CASES = {
+    "normalize": (
+        {"in.term": f"prob(1/{N}: prob(1/{N}: prefix(a, S), {N - 1}/{N}: D), {N - 1}/{N}: D)"},
+        ["normalize", "in.term"],
+        (0, f"prob({spelled(N * N - 1, N * N)}: D, {spelled(1, N * N)}: prefix(main.a, S))\n", ""),
+    ),
+    "extract": (
+        {"in.pglb": f"+%1/{N} ; #3 ; +%1/{N} ; #2 ; a ; !"},
+        ["extract", "in.pglb"],
+        (
+            0,
+            f"prob({spelled(N - 1, N * N)}: S, "
+            f"{spelled(N * N - N + 1, N * N)}: prefix(main.a, S))\n",
+            "",
+        ),
+    ),
+    "dist": (
+        {
+            "in.term": "rec X { X = post(a, S, prob(1/3: X, 2/3: post(b, X, D))); } in X",
+            "env.table": "main.a = 1/7\nmain.b = 2/5\n",
+        },
+        ["dist", "in.term", "--depth", "4000", "--env", "env.table"],
+        (0, "".join(
+            f"{tag}: {mass}\n"
+            for tag, mass in zip(("terminate", "deadlock", "surviving"), loop_masses(4000))
+        ), ""),
+    ),
+    "weight-sum": (
+        {"in.term": f"prob(1/{N}: S, 1/{M}: D)"},
+        ["normalize", "in.term"],
+        (1, "", f"error: weights sum to {spelled(N + M, N * M)}, not 1\n"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_RATIONAL_CASES))
+def test_rationals_of_any_length_are_printed_exactly(capsys, tmp_path, case):
+    files, argv, expected = LONG_RATIONAL_CASES[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    assert run(capsys, *argv) == expected
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="int converts any length here"
+)
+def test_a_printed_long_weight_is_too_long_to_read_back(capsys, tmp_path):
+    files, argv, (_, out, _) = LONG_RATIONAL_CASES["normalize"]
+    path = tmp_path / "printed.term"
+    path.write_text(out)
+    code, out, err = run(capsys, "normalize", path)
+    assert (code, out) == (1, "")
+    assert err == "error: integer of 5001 characters is too long (at offset 5)\n"
+
+
 @pytest.mark.parametrize("literal", ["{1x: Random}", "{: Random}", "{a.b: Random}"])
 def test_malformed_focus_in_family_literal_exits_one(capsys, literal):
     code, _, err = run(capsys, "use", DATA / "left.term", "--services", literal)
@@ -623,15 +705,22 @@ FUZZ_PIECES = ["post(z, S, D)", "prefix(a, ", ")", "S", "D", "tau", "#0", "!", "
 def fuzz_inputs(draw, scratch, min_size, max_size, pool=FUZZ_INPUTS):
     """Files from `pool`, the first of them perhaps edited into `scratch`."""
     inputs = draw(st.lists(st.sampled_from(pool), min_size=min_size, max_size=max_size))
-    edit = draw(st.sampled_from([None, None, "fork", "fork", "pieces"]))
+    edit = draw(st.sampled_from([None, None, "fork", "fork", "pieces", "rational"]))
     if edit:
         path = Path(inputs[0])
         text = path.read_text()
         ends = [m.start() for m in re.finditer(r"\bS\b", text)]
+        rationals = list(re.finditer(r"\d+/\d+", text))
         if edit == "fork" and ends:
             # a fork where a thread term terminates
             at = draw(st.sampled_from(ends))
             text = text[:at] + "fork(S, S, D)" + text[at + 1 :]
+        elif edit == "rational" and rationals:
+            # the rationals become 1/N and (N - 1)/N in turn, so that the
+            # two weights of a choice still sum to 1; products of such
+            # weights have more digits than `str` converts
+            for k, m in reversed(list(enumerate(rationals))):
+                text = text[: m.start()] + (f"1/{N}", f"{N - 1}/{N}")[k % 2] + text[m.end() :]
         else:
             text = draw(edited([text], FUZZ_PIECES))
         inputs[0] = str(scratch / f"edited{path.suffix}")

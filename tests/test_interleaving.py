@@ -3,6 +3,7 @@
 import json
 import random
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -566,13 +567,18 @@ def last_positional(spec, ts):
     return positional_interleave(spec, len(ts), ts)
 
 
+def canonical_interleave(spec, ts):
+    return interleave(spec, ts, canonical=True)
+
+
 @pytest.mark.parametrize("kind", sorted(SCHEDULERS))
 def test_turn_weights_are_asked_once_per_count_view_and_state(kind, monkeypatch):
     rng = random.Random(kind)
     loop = ta.build(TRec((("X", ta.tprefix(A, TVar("X"))),), "X"))
     cases = [rand_tuple(rng, max_threads=3, depth=3) for _ in range(30)]
     cases.append([loop, chain("a", "b"), loop])
-    runs = [(product, ts) for ts in cases for product in (interleave, last_positional)]
+    products = (interleave, canonical_interleave, last_positional)
+    runs = [(product, ts) for ts in cases for product in products]
     memoised = []
     for product, ts in runs:
         spec, calls = counting(SCHEDULERS[kind]())
@@ -600,11 +606,28 @@ def after_termination(last):
 def test_bad_turn_weights_after_a_termination_still_raise():
     loop = ta.build(TRec((("X", ta.tprefix(A, TVar("X"))),), "X"))
     threads_ = [chain("b"), loop]
-    assert interleave(after_termination((Fraction(1),)), threads_)
-    with pytest.raises(WeightSumNotOne, match="sum to 1/2"):
-        interleave(after_termination((Fraction(1, 2),)), threads_)
-    with pytest.raises(ValueError, match="2 weights for 1 threads"):
-        interleave(after_termination((Fraction(1), Fraction(0))), threads_)
+    for product in (interleave, canonical_interleave):
+        assert product(after_termination((Fraction(1),)), threads_)
+        with pytest.raises(WeightSumNotOne, match="sum to 1/2"):
+            product(after_termination((Fraction(1, 2),)), threads_)
+        with pytest.raises(ValueError, match="2 weights for 1 threads"):
+            product(after_termination((Fraction(1), Fraction(0))), threads_)
+
+
+def test_a_turn_sum_of_any_length_is_named_exactly():
+    # coprime 2501-digit denominators: the sum's has more digits than
+    # `str` converts; `Decimal` spells the expected digits
+    n, m = 10**2500 + 1, 10**2500 + 3
+    spec = SchedulerSpec(
+        None, lambda k, h, s: (Fraction(1, n), Fraction(1, m)), lambda k, h, s, i, step: s
+    )
+    total = Fraction(1, n) + Fraction(1, m)
+    spelled = f"{Decimal(total.numerator)}/{Decimal(total.denominator)}"
+    expected = f"turn probabilities sum to {spelled}, not 1"
+    for product in (interleave, canonical_interleave):
+        with pytest.raises(WeightSumNotOne) as info:
+            product(spec, [chain("a"), chain("b")])
+        assert str(info.value) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Laws and examples for the exact meadow arithmetic."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -205,6 +206,25 @@ def test_format_examples():
     assert meadow.format_rational(Fraction(-3, 4)) == "-3/4"
     assert meadow.format_rational(Fraction(0)) == "0"
     assert meadow.format_rational(Fraction(2, 4)) == "1/2"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        Fraction(10**6000),
+        Fraction(-(10**6000) - 1, 3),
+        Fraction(7, 10**9000 + 3),
+        Fraction(10**4300 - 1, 10**4300),
+        Fraction(2**40000 + 1, 10**5000),
+        Fraction(3**20000 * 10**3000 + 1, 2**15001),
+    ],
+    ids=["zero-halves", "negative", "denominator", "both", "odd", "zero-run"],
+)
+def test_format_spells_rationals_of_any_length(value):
+    # `Decimal` turns an int of any length into digits
+    num, den = Decimal(value.numerator), Decimal(value.denominator)
+    expected = f"{num}" if den == 1 else f"{num}/{den}"
+    assert meadow.format_rational(value) == expected
 
 
 def test_subtraction():

@@ -126,6 +126,7 @@ from threadalg.errors import (
     Error,
     MalformedProbability,
     MissingReply,
+    MissingTurnWeights,
     NonRegularProduct,
     UnguardedRecursion,
     UnresolvedFork,
@@ -742,6 +743,61 @@ def test_interleave_matches_the_engine_keyed_on_view_and_state_tuples(kind):
     assert overruns > 0
 
 
+def turn_table(turns):
+    """A scheduler that reads the turn vector for `n` threads from
+    `turns[n]`, as a table scheduler does, but with no check when it is
+    made, so that a wrong weight count or sum reaches the engine."""
+
+    def schedule(n, h, s):
+        if n not in turns:
+            raise MissingTurnWeights(f"state 's0' has no turn weights for {n} threads")
+        return turns[n]
+
+    return interleaving.SchedulerSpec(
+        "s0", schedule, lambda n, h, s, i, step: s, digest=lambda h: ()
+    )
+
+
+THIRD = Fraction(1, 3)
+TURN_TABLES = {
+    "missing count": lambda: interleaving.scheduler_from_table(
+        {"initial": "s0", "states": {"s0": {"turn": {"1": ["1"], "2": ["1/3", "2/3"]}}}}
+    ),
+    "wrong count": lambda: turn_table({1: (1,), 2: (HALF, HALF), 3: (HALF, HALF)}),
+    "sum not 1": lambda: turn_table({1: (1,), 2: (THIRD, THIRD), 3: (THIRD,) * 3}),
+}
+TURN_ERRORS = {
+    "missing count": MissingTurnWeights,
+    "wrong count": ValueError,
+    "sum not 1": WeightSumNotOne,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PRODUCT_SCHEDULERS) + sorted(TURN_TABLES))
+def test_canonical_interleave_matches_the_normalized_product(kind):
+    """`interleave(..., canonical=True)` builds no choice layers: it must
+    return `normalize(interleave(...))`, or raise its exception type and
+    message, with and without a small state bound."""
+    spec = {**PRODUCT_SCHEDULERS, **TURN_TABLES}[kind]()
+    raised_types = []
+    for pool in interleave_inputs(kind):
+        for bound in (None,) + PRODUCT_BOUNDS:
+            bounded = {} if bound is None else {"state_bound": bound}
+            got = verdict(interleaving.interleave, spec, pool, canonical=True, **bounded)
+            want = verdict(
+                lambda: threads.normalize(interleaving.interleave(spec, pool, **bounded))
+            )
+            assert got == want, (pool, bound)
+            if raised(got):
+                raised_types.append(got[0])
+            else:
+                assert got.canonical and threads.normalize(got) is got
+    # the bound is overrun, and each bad table fails at use time
+    assert NonRegularProduct in raised_types
+    if kind in TURN_TABLES:
+        assert TURN_ERRORS[kind] in raised_types
+
+
 # ---------------------------------------------------------------------------
 # the canonical mark and integer refinement rounds
 
@@ -935,16 +991,19 @@ def assert_same_analysis(g, env, junk, deep=()):
     """`g`, and a `with_junk` copy drawn with the rng `junk`, analyse as
     the oracle analyses them at depths 0-8, with and without traces;
     `g` also at the `deep` depths, without traces (on the largest
-    products the recursive oracle takes seconds there)."""
-    shallow = [(depth, traces) for depth in range(9) for traces in (False, True)]
-    for h, cases in (
-        (g, shallow + [(depth, False) for depth in deep]),
-        (with_junk(junk, g), shallow),
-    ):
-        for depth, traces in cases:
-            got = outcome(analysis.outcome_distribution, h, env, depth, with_traces=traces)
-            want = outcome(oracle_outcome_distribution, h, env, depth, with_traces=traces)
-            assert got == want, (depth, traces)
+    products the recursive oracle takes seconds there).  The oracle's
+    outcome of a (node, actions left) pair does not depend on the depth
+    asked, so one memo serves the ascending depths of each graph with
+    and without traces."""
+    for h, deeper in ((g, deep), (with_junk(junk, g), ())):
+        for traces in (False, True):
+            memo = {}
+            for depth in [*range(9), *(() if traces else deeper)]:
+                got = outcome(analysis.outcome_distribution, h, env, depth, with_traces=traces)
+                want = outcome(
+                    oracle_outcome_distribution, h, env, depth, with_traces=traces, memo=memo
+                )
+                assert got == want, (depth, traces)
 
 
 def test_outcome_distribution_matches_oracle_on_random_threads():
@@ -1237,10 +1296,10 @@ def test_sampling_matches_oracle_on_cutoff_draws(monkeypatch):
 # weight checks
 
 
-def verdict(f, *args):
+def verdict(f, *args, **kwargs):
     """The result of a call, or the type and message of whatever it raised."""
     try:
-        return f(*args)
+        return f(*args, **kwargs)
     except Exception as exc:
         return type(exc), str(exc)
 

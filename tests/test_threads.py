@@ -5,6 +5,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -460,6 +461,43 @@ def test_deep_trace_table_needs_no_recursion():
         d = analysis.outcome_distribution(g, env, DEEP, with_traces=True)
     assert d.traces == ((("main.a",) * DEEP, 1),)
     assert d.surviving == 1
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_deep_equal_up_to_of_cyclic_threads_needs_no_recursion():
+    cyc0, cyc1 = (terms.parse_thread((DATA / f"cyc{j}.term").read_text()) for j in (0, 1))
+    with shallow_stack():
+        same = T.equal_up_to(DEEP, cyc0, cyc0)
+        different = T.equal_up_to(DEEP, cyc0, cyc1)
+    assert same and not different
+
+
+def round_robin_pool():
+    """Six 2-state cyclic threads: their round-robin product has 1537 nodes."""
+    return [
+        terms.parse_thread(
+            f"rec X0 {{ X0 = prob(1/2: prefix({'ab'[j % 2]}, X1), 1/2: post(b, X0, X1)); "
+            "X1 = prob(1/3: prefix(b, X0), 2/3: post(a, X1, X0)); } in X0"
+        )
+        for j in range(6)
+    ]
+
+
+def test_canonical_interleave_needs_no_recursion():
+    cyclic = interleaving.cyclic_scheduler()
+    pool = round_robin_pool()
+    # threads that terminate one after another, more than the stack
+    # allows: each product state's distribution inlines the next one's
+    stops = [terms.parse_thread("S")] * 400
+    with shallow_stack():
+        canonical = interleaving.interleave(cyclic, pool, canonical=True)
+        raw = interleaving.interleave(cyclic, pool)
+        stopped = interleaving.interleave(cyclic, stops, canonical=True)
+    assert len(raw) == 1537
+    assert canonical == T.normalize(raw) and canonical.canonical
+    assert stopped == T.ThreadGraph((STOP,), 0)
 
 
 # an alias chain X0 = X1; ...; X(DEEP-1) = X(DEEP), closed by `last`
